@@ -16,7 +16,6 @@ from .geometry import (
     build_layout,
     circle_approximation,
     cochannel_cells,
-    sample_user_position,
     tier_specs,
 )
 from .interference import (
@@ -72,7 +71,6 @@ __all__ = [
     "sample_sir_finite_m",
     "sample_sir_limit",
     "sample_sir_limit_shadowed",
-    "sample_user_position",
     "tier1_moments",
     "tier_specs",
 ]

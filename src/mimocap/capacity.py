@@ -42,9 +42,10 @@ def effective_interference(moments: TierMoments, qos: QosTarget) -> float:
 
     Closed form of the feasibility equality: with z = 4 mu / (Qinv(alpha)^2
     sigma^2 S), y_E = mu / (1 + (2/z)(1 - sqrt(1+z))), evaluated as
-    mu (sqrt(1+z) + 1) / (sqrt(1+z) - 1) which is the same expression
-    without the small-z cancellation.  Zero variance (or alpha -> 0.5)
-    degenerates to the mean.
+    mu (sqrt(1+z) + 1)^2 / z which is the same expression without the
+    small-z cancellation (sqrt(1+z) - 1 loses every digit of z below the
+    float spacing at 1).  Zero variance (or alpha -> 0.5) degenerates to
+    the mean.
     """
     mu = moments.mu_y
     var = moments.var_y
@@ -57,7 +58,7 @@ def effective_interference(moments: TierMoments, qos: QosTarget) -> float:
         return mu
     z = 4.0 * mu / (q * q * var * qos.min_sir_linear)
     root = math.sqrt(1.0 + z)
-    return mu * (root + 1.0) / (root - 1.0)
+    return mu * (root + 1.0) ** 2 / z
 
 
 def max_interferers(effective: float, sir_linear: float) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 
 from .geometry import NetworkGeometry
@@ -59,7 +60,6 @@ class ScenarioConfig:
     seed: int = 20260808
     finite_m: FiniteMConfig = field(default_factory=FiniteMConfig)
     finite_m_trials: int = 10_000
-    shadow_sigma_db: float = 8.0
     circle_mode: str = "equal_area"
     tier_count: int = 1
     region: str = "hexagon"
@@ -78,10 +78,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown sampling region {self.region!r}")
         if self.tier_count < 1:
             raise ConfigError("model.tier_count must be >= 1")
-        if self.shadow_sigma_db < 0.0:
-            raise ConfigError("model.shadow_sigma_db must be >= 0")
-        if self.workers < 0:
-            raise ConfigError("montecarlo.workers must be >= 0")
+        cpus = os.cpu_count() or 1
+        if not 0 <= self.workers <= cpus:
+            raise ConfigError(f"montecarlo.workers must lie in [0, {cpus}] (the CPU count)")
 
     @property
     def schemes(self) -> tuple[str, ...]:
@@ -120,7 +119,6 @@ _SCHEMA = {
         "trials": int,
     },
     "model": {
-        "shadow_sigma_db": float,
         "circle_mode": str,
         "tier_count": int,
         "region": str,
@@ -207,7 +205,6 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> ScenarioConfig:
             seed=get("montecarlo", "seed", 20260808, int),
             finite_m=finite_m,
             finite_m_trials=get("finite_m", "trials", 10_000, int),
-            shadow_sigma_db=get("model", "shadow_sigma_db", 8.0, float),
             circle_mode=get("model", "circle_mode", "equal_area", lambda s: s.strip().lower()),
             tier_count=get("model", "tier_count", 1, int),
             region=get("model", "region", "hexagon", lambda s: s.strip().lower()),
@@ -233,7 +230,6 @@ def config_hash(config: ScenarioConfig) -> str:
         "trials",
         "seed",
         "finite_m_trials",
-        "shadow_sigma_db",
         "circle_mode",
         "tier_count",
         "region",

@@ -235,8 +235,8 @@ def circle_approximation(
 def point_in_hexagon(x, y, circumradius: float):
     """Pointy-top hexagon membership test (vectorized)."""
     r3 = math.sqrt(3.0)
-    return (np.abs(x) <= r3 * circumradius / 2.0 + 1e-12) & (
-        np.abs(x) + r3 * np.abs(y) <= r3 * circumradius + 1e-9
+    return (np.abs(x) <= r3 * circumradius / 2.0) & (
+        np.abs(x) + r3 * np.abs(y) <= r3 * circumradius
     )
 
 
@@ -281,19 +281,3 @@ def sample_hexagon_position(
     if size is None:
         return float(xs[0]), float(ys[0])
     return xs, ys
-
-
-def sample_user_position(region, rng: np.random.Generator, size: int | None = None):
-    """Uniform user placement over a cell region.
-
-    A CirclePatch (or plain radius) gives polar (r, theta) draws over the
-    disc; a NetworkGeometry gives cartesian draws over the hexagon with the
-    cell hole excluded.
-    """
-    if isinstance(region, CirclePatch):
-        return sample_circle_position(region.circle_radius_m, rng, size)
-    if isinstance(region, (int, float)):
-        return sample_circle_position(float(region), rng, size)
-    if isinstance(region, NetworkGeometry):
-        return sample_hexagon_position(region, rng, size)
-    raise TypeError(f"cannot sample a position from {type(region).__name__}")

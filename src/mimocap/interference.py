@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .geometry import CirclePatch
 from .pilots import PilotScheme
@@ -181,14 +180,10 @@ def q_function(x) -> float | np.ndarray:
 
 
 def q_inverse(alpha: float) -> float:
-    """Inverse of the normal tail, by root finding on an erfc evaluation.
-
-    Bisection-grade accuracy is what the capacity figures need at small
-    alpha; a low-order rational approximation is not good enough there.
-    """
+    """Inverse of the normal tail, Q^-1(alpha) = -Phi^-1(alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    return brentq(lambda z: q_function(z) - alpha, -40.0, 40.0, xtol=1e-12, rtol=8.9e-16)
+    return -float(ndtri(alpha))
 
 
 def total_interference(load) -> GaussianInterference:

@@ -106,10 +106,6 @@ def cross_correlation(psi_a: np.ndarray, psi_b: np.ndarray) -> float:
     return float(np.abs(np.vdot(psi_a, psi_b)) ** 2)
 
 
-def phi_mean(sequence_length: int) -> float:
-    return 1.0 / sequence_length
-
-
 def phi_variance(sequence_length: int, exact: bool = False) -> float:
     """Variance of phi between independent Haar pilots.
 
@@ -120,23 +116,6 @@ def phi_variance(sequence_length: int, exact: bool = False) -> float:
     if exact:
         return (k - 1) / (k * k * (k + 1))
     return 1.0 / (k * k)
-
-
-def dump_pilot_book_csv(book: PilotBook, stream) -> None:
-    """Debugging dump: one row per (cell, user) with the assigned column and
-    the pilot sequence entries as re/im pairs."""
-    k = book.sequence_length
-    header = ["cell", "user", "column"]
-    for i in range(k):
-        header += [f"re{i}", f"im{i}"]
-    print(",".join(header), file=stream)
-    for cell in range(book.cell_count):
-        for user in range(k):
-            psi = book.pilot(cell, user)
-            row = [str(cell), str(user), str(int(book.assignments[cell][user]))]
-            for v in psi:
-                row += [f"{v.real:.12g}", f"{v.imag:.12g}"]
-            print(",".join(row), file=stream)
 
 
 def sample_contamination_profile(

@@ -25,7 +25,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import NetworkGeometry, cochannel_cells, equal_area_radius, tier_specs
+from .geometry import (
+    NetworkGeometry,
+    cochannel_cells,
+    equal_area_radius,
+    sample_circle_position,
+    sample_hexagon_position,
+    tier_specs,
+)
 from .interference import QosTarget
 from .pilots import PilotBook, PilotScheme
 
@@ -81,14 +88,6 @@ class SirSampleSet:
     def quantile(self, p) -> np.ndarray:
         return np.quantile(self._sorted, p)
 
-    def to_csv(self, stream) -> None:
-        """Write (trial_index, sir_linear, sir_db) rows plus provenance."""
-        print(f"# scenario: {self.scenario_tag}", file=stream)
-        print(f"# seed: {self.seed}", file=stream)
-        print("trial_index,sir_linear,sir_db", file=stream)
-        for i, s in enumerate(self.samples):
-            print(f"{i},{s:.10g},{10.0 * math.log10(s):.10g}", file=stream)
-
 
 @dataclass(frozen=True)
 class FiniteMConfig:
@@ -99,15 +98,12 @@ class FiniteMConfig:
     pilot_length: int = 42
     ul_snr_db: float | None = 10.0
     pilot_snr_db: float | None = 10.0
-    detector: str = "mrc"
 
     def __post_init__(self):
         if self.antennas < 1:
             raise ValueError("antenna count must be >= 1")
         if self.pilot_length < 1:
             raise ValueError("pilot length must be >= 1")
-        if self.detector != "mrc":
-            raise ValueError("only the MRC detector is supported")
 
 
 @dataclass(frozen=True)
@@ -120,16 +116,13 @@ class ShadowDiagnostics:
 class _Scenario:
     """Everything a trial needs; immutable and picklable for workers."""
 
+    geometry: NetworkGeometry
     centers: np.ndarray  # (n_cells, 2) co-channel cell centers
     tiers: np.ndarray  # (n_cells,) tier index per cell
     users_per_cell: int
-    gamma: float
-    cell_radius: float
-    hole_radius: float
     scheme: PilotScheme
     pilot_dim: int
     region: str
-    circle_radius: float
     power_control: bool = True
     shadow_sigma_db: float = 0.0
     collect_shadow_stats: bool = False
@@ -145,28 +138,9 @@ class _Scenario:
     def n_cells(self) -> int:
         return int(self.centers.shape[0])
 
-
-def _hex_offsets(scn: _Scenario, rng: np.random.Generator, count: int):
-    """Uniform offsets within the pointy-top hexagon minus the hole disc."""
-    a = scn.cell_radius
-    hole2 = scn.hole_radius**2
-    r3 = math.sqrt(3.0)
-    xs = np.empty(count)
-    ys = np.empty(count)
-    pending = np.arange(count)
-    while pending.size:
-        x = rng.uniform(-r3 * a / 2.0, r3 * a / 2.0, pending.size)
-        y = rng.uniform(-a, a, pending.size)
-        ok = (
-            (np.abs(x) <= r3 * a / 2.0)
-            & (np.abs(x) + r3 * np.abs(y) <= r3 * a)
-            & (x * x + y * y >= hole2)
-        )
-        hit = pending[ok]
-        xs[hit] = x[ok]
-        ys[hit] = y[ok]
-        pending = pending[~ok]
-    return xs, ys
+    @property
+    def gamma(self) -> float:
+        return self.geometry.path_loss_exponent
 
 
 def _draw_distances(scn: _Scenario, rng: np.random.Generator):
@@ -178,17 +152,25 @@ def _draw_distances(scn: _Scenario, rng: np.random.Generator):
     """
     n, k = scn.n_cells, scn.users_per_cell
     if scn.region == "circle":
-        r_own = scn.circle_radius * np.sqrt(rng.random((n, k)))
-        ang = rng.uniform(0.0, 2.0 * math.pi, (n, k))
+        b = equal_area_radius(scn.geometry.cell_radius_m)
+        r_own, ang = sample_circle_position(b, rng, n * k)
+        r_own = r_own.reshape(n, k)
         d = np.hypot(scn.centers[:, 0], scn.centers[:, 1])[:, None]
-        r_ctr = np.sqrt(r_own**2 + d**2 - 2.0 * d * r_own * np.cos(ang))
+        r_ctr = np.sqrt(r_own**2 + d**2 - 2.0 * d * r_own * np.cos(ang.reshape(n, k)))
         return r_own, r_ctr, None
-    xs, ys = _hex_offsets(scn, rng, n * k)
+    xs, ys = sample_hexagon_position(scn.geometry, rng, n * k)
     xs = xs.reshape(n, k)
     ys = ys.reshape(n, k)
     r_own = np.hypot(xs, ys)
     r_ctr = np.hypot(xs + scn.centers[:, 0][:, None], ys + scn.centers[:, 1][:, None])
     return r_own, r_ctr, (xs, ys)
+
+
+def _draw_tagged_radius(scn: _Scenario, rng: np.random.Generator) -> float:
+    """Distance of the tagged user to the center station."""
+    if scn.region == "circle":
+        return sample_circle_position(equal_area_radius(scn.geometry.cell_radius_m), rng)[0]
+    return math.hypot(*sample_hexagon_position(scn.geometry, rng))
 
 
 def _draw_pilot_vector(scn: _Scenario, rng: np.random.Generator):
@@ -216,42 +198,35 @@ def _draw_pilot_vector(scn: _Scenario, rng: np.random.Generator):
     return z[:, :k] / norm
 
 
+def _contamination(scn: _Scenario, gains: np.ndarray, coeff) -> np.ndarray:
+    """Contaminating terms at the center station: the same-index user of
+    each cell under reused sets, every user weighted by its pilot overlap
+    |coeff|^2 under different sets."""
+    if scn.scheme is PilotScheme.REUSED_SETS:
+        return gains[:, 0]
+    return (coeff.real**2 + coeff.imag**2) * gains
+
+
 def _limit_trial(scn: _Scenario, seed: int, trial: int) -> float:
-    rng_pos = trial_rng(seed, trial, _ROLE_POSITIONS)
-    r_own, r_ctr, _ = _draw_distances(scn, rng_pos)
-    x = (r_own / r_ctr) ** (2.0 * scn.gamma)
+    r_own, r_ctr, _ = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
     coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
     if scn.power_control:
-        if scn.scheme is PilotScheme.REUSED_SETS:
-            total = float(x[:, 0].sum()) if scn.n_cells else 0.0
-        else:
-            phi = coeff.real**2 + coeff.imag**2
-            total = float((phi * x).sum()) if scn.n_cells else 0.0
-        return 1.0 / total if total > 0.0 else math.inf
-    # no power control: ratio of squared slow gains to the center station
-    rng_tag = trial_rng(seed, trial, _ROLE_TAGGED)
-    if scn.region == "circle":
-        r_tag = scn.circle_radius * math.sqrt(rng_tag.random())
+        num = 1.0
+        gains = (r_own / r_ctr) ** (2.0 * scn.gamma)
     else:
-        xt, yt = _hex_offsets(scn, rng_tag, 1)
-        r_tag = math.hypot(xt[0], yt[0])
-    num = r_tag ** (-2.0 * scn.gamma)
-    beta2 = r_ctr ** (-2.0 * scn.gamma)
-    if scn.scheme is PilotScheme.REUSED_SETS:
-        total = float(beta2[:, 0].sum()) if scn.n_cells else 0.0
-    else:
-        phi = coeff.real**2 + coeff.imag**2
-        total = float((phi * beta2).sum()) if scn.n_cells else 0.0
+        # no power control: ratio of squared slow gains to the center station
+        r_tag = _draw_tagged_radius(scn, trial_rng(seed, trial, _ROLE_TAGGED))
+        num = r_tag ** (-2.0 * scn.gamma)
+        gains = r_ctr ** (-2.0 * scn.gamma)
+    total = float(_contamination(scn, gains, coeff).sum())
     return num / total if total > 0.0 else math.inf
 
 
 def _shadow_trial(scn: _Scenario, seed: int, trial: int):
-    """Shadowed trial: returns (sir, per-tier interference, max term)."""
-    rng_pos = trial_rng(seed, trial, _ROLE_POSITIONS)
-    r_own, r_ctr, offsets = _draw_distances(scn, rng_pos)
+    """Shadowed trial: returns (sir, per-tier interference or None, max ratio)."""
+    r_own, r_ctr, offsets = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
     coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
     n, k = scn.n_cells, scn.users_per_cell
-    reused = scn.scheme is PilotScheme.REUSED_SETS
 
     if scn.shadow_sigma_db > 0.0:
         xs, ys = offsets
@@ -270,37 +245,22 @@ def _shadow_trial(scn: _Scenario, seed: int, trial: int):
         beta_serv = beta[idx[0], idx[1], serving]
         ratio = (beta[:, :, 0] / beta_serv) ** 2
         ratio[serving == 0] = 0.0  # handed over to the center station
-        if reused:
-            terms = ratio[:, 0]
-        else:
-            phi = coeff.real**2 + coeff.imag**2
-            terms = phi * ratio
-        counted = ratio[:, 0] if reused else ratio
     else:
         # Degenerate shadowing: nearest-station service keeps every user on
-        # its own cell, and the expressions below match _limit_trial
-        # bit-for-bit (same draws, same arithmetic).
-        x = (r_own / r_ctr) ** (2.0 * scn.gamma)
-        if reused:
-            terms = x[:, 0]
-        else:
-            phi = coeff.real**2 + coeff.imag**2
-            terms = phi * x
-        counted = x[:, 0] if reused else x
-    total = float(terms.sum()) if scn.n_cells else 0.0
+        # its own cell, which is _limit_trial bit-for-bit.
+        ratio = (r_own / r_ctr) ** (2.0 * scn.gamma)
+    terms = _contamination(scn, ratio, coeff)
+    total = float(terms.sum())
     sir = 1.0 / total if total > 0.0 else math.inf
     per_tier = None
     if scn.collect_shadow_stats:
-        per_tier = {}
-        for t in np.unique(scn.tiers):
-            per_tier[int(t)] = float(terms[scn.tiers == t].sum())
-    max_term = float(counted.max()) if counted.size else 0.0
-    return sir, per_tier, max_term
+        per_tier = {int(t): float(terms[scn.tiers == t].sum()) for t in np.unique(scn.tiers)}
+    counted = ratio[:, 0] if scn.scheme is PilotScheme.REUSED_SETS else ratio
+    return sir, per_tier, float(counted.max()) if counted.size else 0.0
 
 
 def _finite_trial(scn: _Scenario, seed: int, trial: int) -> float:
-    rng_pos = trial_rng(seed, trial, _ROLE_POSITIONS)
-    r_own, r_ctr, _ = _draw_distances(scn, rng_pos)
+    r_own, r_ctr, _ = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
     coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
     n, k, m = scn.n_cells, scn.users_per_cell, scn.antennas
     n_users = (n + 1) * k
@@ -343,43 +303,19 @@ def _finite_trial(scn: _Scenario, seed: int, trial: int) -> float:
 
 
 def _chunk_worker(args):
-    kind, scn, seed, start, stop = args
-    if kind == "limit":
-        return np.array([_limit_trial(scn, seed, t) for t in range(start, stop)])
-    if kind == "finite":
-        return np.array([_finite_trial(scn, seed, t) for t in range(start, stop)])
-    if kind == "shadow":
-        sirs = np.empty(stop - start)
-        tier_sums: dict[int, float] = {}
-        max_term = 0.0
-        for i, t in enumerate(range(start, stop)):
-            sir, per_tier, mt = _shadow_trial(scn, seed, t)
-            sirs[i] = sir
-            max_term = max(max_term, mt)
-            if per_tier:
-                for tier, val in per_tier.items():
-                    tier_sums[tier] = tier_sums.get(tier, 0.0) + val
-        return sirs, tier_sums, max_term
-    raise ValueError(kind)
+    trial_fn, scn, seed, start, stop = args
+    return [trial_fn(scn, seed, t) for t in range(start, stop)]
 
 
-def _run_trials(kind: str, scn: _Scenario, seed: int, start: int, stop: int, workers):
+def _run_trials(trial_fn, scn: _Scenario, seed: int, start: int, stop: int, workers) -> list:
+    """trial_fn(scn, seed, t) for every t in [start, stop), in trial order."""
     if workers is None or workers <= 1 or stop - start < 64:
-        return _chunk_worker((kind, scn, seed, start, stop))
+        return _chunk_worker((trial_fn, scn, seed, start, stop))
     chunk = max(64, (stop - start + 4 * workers - 1) // (4 * workers))
     ranges = [(s, min(s + chunk, stop)) for s in range(start, stop, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_chunk_worker, [(kind, scn, seed, s, e) for s, e in ranges]))
-    if kind == "shadow":
-        sirs = np.concatenate([p[0] for p in parts])
-        tier_sums: dict[int, float] = {}
-        max_term = 0.0
-        for _, sums, mt in parts:
-            max_term = max(max_term, mt)
-            for tier, val in sums.items():
-                tier_sums[tier] = tier_sums.get(tier, 0.0) + val
-        return sirs, tier_sums, max_term
-    return np.concatenate(parts)
+        parts = list(pool.map(_chunk_worker, [(trial_fn, scn, seed, s, e) for s, e in ranges]))
+    return [r for part in parts for r in part]
 
 
 def _cochannel_scenario(
@@ -422,16 +358,50 @@ def _cochannel_scenario(
                 f"cannot admit {users_per_cell} users on {dim} pilot sequences"
             )
     return _Scenario(
+        geometry=geometry,
         centers=centers,
         tiers=tiers,
         users_per_cell=users_per_cell,
-        gamma=geometry.path_loss_exponent,
-        cell_radius=geometry.cell_radius_m,
-        hole_radius=geometry.hole_radius_m,
         scheme=scheme,
         pilot_dim=dim,
         region=region,
-        circle_radius=equal_area_radius(geometry.cell_radius_m),
+    )
+
+
+def _finite_scenario(
+    geometry: NetworkGeometry,
+    scheme: PilotScheme,
+    users_per_cell: int,
+    config: FiniteMConfig,
+    max_tier: int | None,
+) -> _Scenario:
+    """Scenario of the finite-M sampler: hexagon drops, a per-cell pilot
+    space of pilot_length // reuse_factor, and linear-scale SNRs."""
+    w = geometry.reuse_factor
+    if users_per_cell * w > config.pilot_length:
+        raise ValueError(
+            f"pilot budget infeasible: {users_per_cell} users need "
+            f"{users_per_cell * w} of {config.pilot_length} training dimensions"
+        )
+    scn = _cochannel_scenario(
+        geometry, scheme, users_per_cell, config.pilot_length // w, "hexagon", max_tier
+    )
+    if (
+        scn.n_cells == 0
+        and users_per_cell == 1
+        and config.ul_snr_db is None
+        and config.pilot_snr_db is None
+    ):
+        raise ValueError("SINR is undefined with no interferers and no noise")
+
+    def linear(snr_db):
+        return math.inf if snr_db is None else 10.0 ** (snr_db / 10.0)
+
+    return replace(
+        scn,
+        antennas=config.antennas,
+        ul_snr=linear(config.ul_snr_db),
+        pilot_snr=linear(config.pilot_snr_db),
     )
 
 
@@ -475,7 +445,7 @@ def sample_sir_limit(
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = replace(scn, power_control=power_control)
     scn = _attach_book(scn, pilot_book)
-    samples = _run_trials("limit", scn, seed, 0, trials, workers)
+    samples = np.array(_run_trials(_limit_trial, scn, seed, 0, trials, workers))
     tag = (
         f"{scheme.value}|w={geometry.reuse_factor}|k={users_per_cell}|limit"
         f"|pc={int(power_control)}|region={region}"
@@ -513,7 +483,9 @@ def sample_sir_limit_shadowed(
         raise ValueError("shadow standard deviation must be >= 0 dB")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = replace(scn, shadow_sigma_db=shadow_sigma_db, collect_shadow_stats=diagnostics)
-    samples, tier_sums, max_term = _run_trials("shadow", scn, seed, 0, trials, workers)
+    results = _run_trials(_shadow_trial, scn, seed, 0, trials, workers)
+    samples = np.array([sir for sir, _, _ in results])
+    max_term = max(term for _, _, term in results)
     if shadow_sigma_db > 0.0 and max_term > 1.0 + 1e-9:
         raise RuntimeError(
             f"interference ratio {max_term} exceeds 1; best-station selection is broken"
@@ -525,6 +497,10 @@ def sample_sir_limit_shadowed(
     sample_set = SirSampleSet(samples=samples, scenario_tag=tag, seed=seed)
     if not diagnostics:
         return sample_set
+    tier_sums: dict[int, float] = {}
+    for _, per_tier, _ in results:
+        for tier, val in per_tier.items():
+            tier_sums[tier] = tier_sums.get(tier, 0.0) + val
     total = sum(tier_sums.values())
     shares = {t: v / total for t, v in sorted(tier_sums.items())} if total > 0 else {}
     return sample_set, ShadowDiagnostics(tier_shares=shares, max_interference_ratio=max_term)
@@ -552,31 +528,9 @@ def sample_sir_finite_m(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    w = geometry.reuse_factor
-    dim = config.pilot_length // w
-    if users_per_cell * w > config.pilot_length:
-        raise ValueError(
-            f"pilot budget infeasible: {users_per_cell} users need "
-            f"{users_per_cell * w} of {config.pilot_length} training dimensions"
-        )
-    scn = _cochannel_scenario(
-        geometry, scheme, users_per_cell, dim, "hexagon", max_tier
-    )
-    if (
-        scn.n_cells == 0
-        and users_per_cell == 1
-        and config.ul_snr_db is None
-        and config.pilot_snr_db is None
-    ):
-        raise ValueError("SINR is undefined with no interferers and no noise")
-    scn = replace(
-        scn,
-        antennas=config.antennas,
-        ul_snr=math.inf if config.ul_snr_db is None else 10.0 ** (config.ul_snr_db / 10.0),
-        pilot_snr=math.inf if config.pilot_snr_db is None else 10.0 ** (config.pilot_snr_db / 10.0),
-    )
-    samples = _run_trials("finite", scn, seed, 0, trials, workers)
-    tag = f"{scheme.value}|w={w}|k={users_per_cell}|M={config.antennas}"
+    scn = _finite_scenario(geometry, scheme, users_per_cell, config, max_tier)
+    samples = np.array(_run_trials(_finite_trial, scn, seed, 0, trials, workers))
+    tag = f"{scheme.value}|w={geometry.reuse_factor}|k={users_per_cell}|M={config.antennas}"
     return SirSampleSet(samples=samples, scenario_tag=tag, seed=seed)
 
 
@@ -635,38 +589,27 @@ def empirical_capacity_search(
         raise ValueError(f"unknown sampler {sampler!r}")
     if sampler == "finite_m" and finite_m is None:
         finite_m = FiniteMConfig()
+    trial_fn = _finite_trial if sampler == "finite_m" else _limit_trial
     threshold = qos.min_sir_linear
     per_reuse: dict[int, int] = {}
     outage_at_k: dict[int, tuple[float, tuple[float, float]]] = {}
     for w in reuse_factors:
         geo = geometry.with_reuse(w)
-        if sampler == "finite_m":
-            budget = finite_m.pilot_length // w
-        else:
-            budget = pilot_budget // w
+        budget = (finite_m.pilot_length if sampler == "finite_m" else pilot_budget) // w
         found = 0
         found_stats = (math.nan, (math.nan, math.nan))
         for k in range(budget, 0, -1):
             if sampler == "finite_m":
-                dim = finite_m.pilot_length // w
-                scn = _cochannel_scenario(geo, scheme, k, dim, "hexagon", 1 if max_tier is None else max_tier)
-                scn = replace(
-                    scn,
-                    antennas=finite_m.antennas,
-                    ul_snr=math.inf if finite_m.ul_snr_db is None else 10.0 ** (finite_m.ul_snr_db / 10.0),
-                    pilot_snr=math.inf if finite_m.pilot_snr_db is None else 10.0 ** (finite_m.pilot_snr_db / 10.0),
-                )
-                kind = "finite"
+                scn = _finite_scenario(geo, scheme, k, finite_m, 1 if max_tier is None else max_tier)
             else:
-                scn = _cochannel_scenario(geo, scheme, k, pilot_budget // w, region, max_tier)
-                kind = "limit"
+                scn = _cochannel_scenario(geo, scheme, k, budget, region, max_tier)
             failures = 0
             done = 0
             block = min(128, trials)
             rejected = False
             while done < trials:
                 stop = min(done + block, trials)
-                chunk = _run_trials(kind, scn, seed, done, stop, workers)
+                chunk = np.array(_run_trials(trial_fn, scn, seed, done, stop, workers))
                 failures += int(np.count_nonzero(chunk < threshold))
                 done = stop
                 block = min(4 * block, trials - done) if done < trials else 0

@@ -85,7 +85,9 @@ def test_02_closed_form_equivalence(capsys):
                 def equality(u):
                     return budget - mu * u * u - q * sig * u
 
-                u = brentq(equality, 0.0, math.sqrt(budget / mu), rtol=1e-14, maxiter=200)
+                u = brentq(
+                    equality, 0.0, math.sqrt(budget / mu), xtol=1e-300, rtol=1e-14, maxiter=200
+                )
                 ref = 1.0 / (u * u * qos.min_sir_linear)
                 worst = max(worst, abs(y_e - ref) / ref)
                 points += 1

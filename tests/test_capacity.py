@@ -63,7 +63,9 @@ class TestEffectiveInterference:
         def equality(u):  # u = sqrt(n)
             return budget - mu * u * u - q * sig * u
 
-        u_root = brentq(equality, 0.0, math.sqrt(budget / mu), rtol=1e-14, maxiter=200)
+        u_root = brentq(
+            equality, 0.0, math.sqrt(budget / mu), xtol=1e-300, rtol=1e-14, maxiter=200
+        )
         assert y_e == pytest.approx(1.0 / (u_root * u_root * qos.min_sir_linear), rel=1e-9)
         assert root_interferer_count(moments, qos) == pytest.approx(u_root * u_root, rel=1e-9)
 

@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -95,6 +96,14 @@ class TestConfig:
     def test_geometry_validation_becomes_config_error(self, config_file):
         with pytest.raises(ConfigError, match="reuse"):
             load_config(config_file, ("geometry.reuse_factor=4",))
+
+    def test_workers_capped_at_cpu_count(self, config_file):
+        # checked at load time, so no process pool is ever started
+        assert load_config(config_file, (f"montecarlo.workers={os.cpu_count()}",)).workers > 0
+        with pytest.raises(ConfigError, match="workers"):
+            load_config(config_file, (f"montecarlo.workers={os.cpu_count() + 1}",))
+        with pytest.raises(ConfigError, match="workers"):
+            load_config(config_file, ("montecarlo.workers=-1",))
 
     def test_hash_stability(self, config_file):
         a = config_hash(load_config(config_file))

@@ -16,7 +16,6 @@ from mimocap.geometry import (
     point_in_hexagon,
     sample_circle_position,
     sample_hexagon_position,
-    sample_user_position,
     tier_specs,
 )
 
@@ -187,16 +186,6 @@ class TestSampling:
         geo = NetworkGeometry(hole_radius_m=0.0)
         x, y = sample_hexagon_position(geo, rng, 10_000)
         assert np.min(x * x + y * y) < 100.0**2  # points reach the center
-
-    def test_dispatcher(self, geometry, rng):
-        patch = circle_approximation(geometry, tier_specs(geometry, 1)[0])
-        r, theta = sample_user_position(patch, rng)
-        assert 0.0 <= r <= patch.circle_radius_m
-        assert 0.0 <= theta < 2.0 * math.pi
-        x, y = sample_user_position(geometry, rng)
-        assert point_in_hexagon(x, y, geometry.cell_radius_m)
-        with pytest.raises(TypeError):
-            sample_user_position("not-a-region", rng)
 
     def test_hexagon_area_vs_rejection_rate(self, geometry, rng):
         # sanity: sampled density is uniform, so the mean squared radius

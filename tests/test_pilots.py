@@ -9,7 +9,6 @@ from mimocap.pilots import (
     cross_correlation,
     generate_pilot_book,
     haar_unitary,
-    phi_mean,
     phi_variance,
     sample_contamination_profile,
 )
@@ -61,19 +60,6 @@ def test_reused_cells_share_one_matrix(rng):
         assert np.array_equal(book.assignments[0], book.assignments[cell])
 
 
-def test_pilot_book_csv_dump(rng):
-    import io
-
-    from mimocap.pilots import dump_pilot_book_csv
-
-    book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, 3, 2, rng)
-    buf = io.StringIO()
-    dump_pilot_book_csv(book, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("cell,user,column,re0,im0")
-    assert len(lines) == 1 + 2 * 3  # header + cells x users
-
-
 def test_different_sets_k1_always_collides(rng):
     book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, 1, 4, rng)
     assert cross_correlation(book.pilot(0, 0), book.pilot(3, 0)) == pytest.approx(1.0)
@@ -100,7 +86,7 @@ def test_book_sampled_phi_mean(rng):
         book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, K, 2, rng)
         vals[i] = cross_correlation(book.pilot(0, 0), book.pilot(1, 0))
     se = vals.std(ddof=1) / np.sqrt(n)
-    assert abs(vals.mean() - phi_mean(K)) <= 3.0 * se
+    assert abs(vals.mean() - 1.0 / K) <= 3.0 * se
 
 
 def test_phi_variance_beta_law(rng):

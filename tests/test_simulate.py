@@ -196,10 +196,6 @@ class TestFiniteM:
         )
         assert np.all(np.isfinite(ok.samples))
 
-    def test_detector_validation(self):
-        with pytest.raises(ValueError, match="MRC"):
-            FiniteMConfig(detector="zf")
-
     def test_reused_vs_different_at_full_load(self, geometry):
         # at k = 42, w = 1 the schemes carry the same mean contamination but
         # different spread; medians should be in the same ballpark
@@ -281,6 +277,16 @@ class TestOutageAndSearch:
         assert res.best_k == max(res.per_reuse.values())
         assert res.outage_at_k[res.best_reuse][0] <= qos.outage
 
+    def test_finite_m_search_rejects_undefined_sinr(self, geometry):
+        # no noise and no co-channel cells: the scan reaches k = 1, where
+        # the tagged user has no interferer at all
+        cfg = FiniteMConfig(antennas=8, pilot_length=4, ul_snr_db=None, pilot_snr_db=None)
+        with pytest.raises(ValueError, match="undefined"):
+            empirical_capacity_search(
+                geometry, PilotScheme.REUSED_SETS, QosTarget.from_db(60.0, 0.05),
+                trials=20, seed=SEED, sampler="finite_m", finite_m=cfg, max_tier=0,
+            )
+
     def test_unknown_sampler_rejected(self, geometry):
         with pytest.raises(ValueError, match="sampler"):
             empirical_capacity_search(
@@ -296,18 +302,6 @@ class TestSampleSet:
         assert np.array_equal(s.sorted_samples, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             SirSampleSet(samples=np.array([1.0, -2.0]), scenario_tag="t", seed=1)
-
-    def test_csv_export(self):
-        import io
-
-        s = SirSampleSet(samples=np.array([10.0, 1.0]), scenario_tag="demo", seed=3)
-        buf = io.StringIO()
-        s.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# scenario: demo"
-        assert lines[2] == "trial_index,sir_linear,sir_db"
-        assert lines[3] == "0,10,10"
-        assert lines[4] == "1,1,0"
 
     def test_cdf_and_quantile(self):
         s = SirSampleSet(samples=np.arange(1.0, 101.0), scenario_tag="t", seed=1)
