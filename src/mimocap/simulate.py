@@ -9,6 +9,12 @@ Three samplers share one trial framework:
 * sample_sir_finite_m     - a finite-antenna MRC link simulator with all
                             intra- and inter-cell cross terms and noise.
 
+The finite-M simulator never draws the M x N channel matrix: i.i.d.
+Rayleigh fading is invariant in law under rotations of the user space, and
+rotating along the channel-estimator weights leaves one Gamma(M, 1) draw
+and one Gaussian vector over the N users per trial (see _finite_trial).  A
+trial costs O(N) whatever M is, with the law of the M x N simulation.
+
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, trial index, role), so trials are independent, reproducible
 bit-for-bit, and insensitive to chunking or worker count.  The samplers
@@ -40,7 +46,6 @@ _ROLE_POSITIONS = 1
 _ROLE_PILOTS = 2
 _ROLE_SHADOW = 3
 _ROLE_FADING = 4
-_ROLE_NOISE = 5
 _ROLE_TAGGED = 6
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
@@ -262,44 +267,48 @@ def _shadow_trial(scn: _Scenario, seed: int, trial: int):
 def _finite_trial(scn: _Scenario, seed: int, trial: int) -> float:
     r_own, r_ctr, _ = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
     coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
-    n, k, m = scn.n_cells, scn.users_per_cell, scn.antennas
+    n, k = scn.n_cells, scn.users_per_cell
     n_users = (n + 1) * k
 
     # ULPC effective channel amplitude at the center station is
     # sqrt(beta_center / beta_own); beta = r^-gamma is a power gain, so the
     # coherent interference scales as amp^4 = (r_own / r_center)^(2 gamma),
     # matching the limiting SIR terms.  Center-cell users come first.
-    amp = np.empty(n_users, dtype=np.float32)
-    amp[:k] = 1.0
+    amp = np.ones(n_users)
     amp[k:] = ((r_own / r_ctr) ** (scn.gamma / 2.0)).ravel()
 
     # pilot-matched-filter weights: own-cell pilots are orthogonal, so only
     # the tagged user survives from the center cell.
-    c = np.zeros(n_users, dtype=np.complex64)
+    c = np.zeros(n_users, dtype=complex)
     c[0] = 1.0
     if scn.scheme is PilotScheme.REUSED_SETS:
         c[k + np.arange(n) * k] = 1.0
     else:
-        c[k:] = coeff.astype(np.complex64).ravel()
+        c[k:] = coeff.ravel()
 
-    rng_fad = trial_rng(seed, trial, _ROLE_FADING)
-    h = rng_fad.standard_normal(size=(n_users, 2 * m), dtype=np.float32).view(np.complex64)
-    h *= np.float32(math.sqrt(0.5))
-
-    ghat = h.T @ (c * amp)
+    # The estimate is ghat = H a over the M x (N+1) channel H with i.i.d.
+    # CN(0, 1) entries, where a = c * amp plus one pilot-noise column of
+    # weight 1/sqrt(tau * SNR_p).  The law of H does not change under a
+    # unitary rotation of the user space; rotating along u = a/|a| gives
+    # ghat = |a| z with z ~ CN(0, I_M), and, jointly over users,
+    # |h_i^H ghat|^2 = |a|^2 |z|^2 |u_i |z| + v_i|^2 with v = w - u (u^H w),
+    # w ~ CN(0, I_{N+1}) independent of |z|^2 ~ Gamma(M, 1).  The common
+    # factor |a|^2 |z|^2, which is also |ghat|^2, cancels from the SINR, so
+    # a trial costs O(N) whatever M is (Marzetta, IEEE TWC 2010).
+    a = c * amp
     if math.isfinite(scn.pilot_snr):
-        rng_noise = trial_rng(seed, trial, _ROLE_NOISE)
-        npil = rng_noise.standard_normal(size=2 * m, dtype=np.float32).view(np.complex64)
-        npil *= np.float32(math.sqrt(0.5))
-        ghat = ghat + npil / np.float32(math.sqrt(scn.pilot_dim * scn.pilot_snr))
-
-    dots = np.abs(h @ np.conj(ghat)).astype(np.float64) ** 2
-    dots *= amp.astype(np.float64) ** 2
-    num = dots[0]
+        a = np.append(a, 1.0 / math.sqrt(scn.pilot_dim * scn.pilot_snr))
+    u = a / math.sqrt(float(np.vdot(a, a).real))
+    rng_fad = trial_rng(seed, trial, _ROLE_FADING)
+    z_norm = math.sqrt(rng_fad.standard_gamma(scn.antennas))
+    w = rng_fad.standard_normal(2 * a.size).view(complex) * math.sqrt(0.5)
+    t = u[:n_users] * z_norm + (w - u * np.vdot(u, w))[:n_users]
+    dots = (t.real**2 + t.imag**2) * amp**2
+    num = float(dots[0])
     den = float(dots[1:].sum())
     if math.isfinite(scn.ul_snr):
-        den += float(np.vdot(ghat, ghat).real) / scn.ul_snr
-    return num / den
+        den += 1.0 / scn.ul_snr
+    return num / den if den > 0.0 else math.inf
 
 
 def _chunk_worker(args):
@@ -386,23 +395,23 @@ def _finite_scenario(
     scn = _cochannel_scenario(
         geometry, scheme, users_per_cell, config.pilot_length // w, "hexagon", max_tier
     )
-    if (
-        scn.n_cells == 0
-        and users_per_cell == 1
-        and config.ul_snr_db is None
-        and config.pilot_snr_db is None
-    ):
-        raise ValueError("SINR is undefined with no interferers and no noise")
 
     def linear(snr_db):
         return math.inf if snr_db is None else 10.0 ** (snr_db / 10.0)
 
-    return replace(
+    scn = replace(
         scn,
         antennas=config.antennas,
         ul_snr=linear(config.ul_snr_db),
         pilot_snr=linear(config.pilot_snr_db),
     )
+    _require_defined_sinr(scn)
+    return scn
+
+
+def _require_defined_sinr(scn: _Scenario) -> None:
+    if scn.n_cells == 0 and scn.users_per_cell == 1 and scn.ul_snr == scn.pilot_snr == math.inf:
+        raise ValueError("SINR is undefined with no interferers and no noise")
 
 
 def _attach_book(scn: _Scenario, book: PilotBook | None) -> _Scenario:
@@ -474,13 +483,18 @@ def sample_sir_limit_shadowed(
     captured by the center station stop interfering (they would be trained
     on the center cell's own orthogonal pilots).
 
-    With shadow_sigma_db = 0 and hexagon sampling this reproduces
-    sample_sir_limit bit-for-bit for equal seeds.
+    With shadow_sigma_db = 0 this reproduces sample_sir_limit bit-for-bit
+    for equal seeds and regions; shadow_sigma_db > 0 needs the hexagon
+    region.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if shadow_sigma_db < 0.0:
         raise ValueError("shadow standard deviation must be >= 0 dB")
+    if shadow_sigma_db > 0.0 and region == "circle":
+        # best-station selection needs every user's distance to every
+        # station; circle users are drawn relative to their own station only
+        raise ValueError("shadow_sigma_db > 0 needs region 'hexagon', not 'circle'")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = replace(scn, shadow_sigma_db=shadow_sigma_db, collect_shadow_stats=diagnostics)
     results = _run_trials(_shadow_trial, scn, seed, 0, trials, workers)
@@ -598,11 +612,17 @@ def empirical_capacity_search(
         budget = (finite_m.pilot_length if sampler == "finite_m" else pilot_budget) // w
         found = 0
         found_stats = (math.nan, (math.nan, math.nan))
+        base = None
         for k in range(budget, 0, -1):
+            if base is None:  # built once per w: only users_per_cell depends on k
+                base = (
+                    _finite_scenario(geo, scheme, k, finite_m, 1 if max_tier is None else max_tier)
+                    if sampler == "finite_m"
+                    else _cochannel_scenario(geo, scheme, k, budget, region, max_tier)
+                )
+            scn = replace(base, users_per_cell=k)
             if sampler == "finite_m":
-                scn = _finite_scenario(geo, scheme, k, finite_m, 1 if max_tier is None else max_tier)
-            else:
-                scn = _cochannel_scenario(geo, scheme, k, budget, region, max_tier)
+                _require_defined_sinr(scn)
             failures = 0
             done = 0
             block = min(128, trials)

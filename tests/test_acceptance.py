@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, in order, each printing a
 PASS line with the measured numbers once its assertions hold.
 
-The finite-M table (criterion 6) and the convergence check (criterion 7)
-are the slow ones (minutes); everything else runs in seconds.
+The finite-M table (criterion 6) and the worst-case CDF check (criterion 5)
+are the slow ones (under a minute each); everything else runs in seconds.
 """
 
 import math

@@ -1,0 +1,109 @@
+"""The O(N) finite-M sampler against a brute-force M x N oracle.
+
+`brute_force_trial` draws the full fading matrix and the pilot-noise vector
+and forms |h_i^H ghat|^2 and |ghat|^2 directly, as the sampler did before it
+used the rotation identity.  It shares the position and pilot draws with the
+sampler, so the two differ only in how fading and pilot noise are drawn.
+Seeds are unpaired: the comparison is of laws, not of shared user drops.
+"""
+
+import math
+
+import numpy as np
+from scipy.stats import chi2, ks_2samp
+
+from mimocap.pilots import PilotScheme
+from mimocap.simulate import (
+    _ROLE_FADING,
+    _ROLE_PILOTS,
+    _ROLE_POSITIONS,
+    FiniteMConfig,
+    _draw_distances,
+    _draw_pilot_vector,
+    _finite_scenario,
+    sample_sir_finite_m,
+    trial_rng,
+)
+
+_ROLE_NOISE = 5  # the oracle's own pilot-noise stream; the sampler has none
+
+
+def brute_force_trial(scn, seed: int, trial: int) -> float:
+    r_own, r_ctr, _ = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
+    coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
+    n, k, m = scn.n_cells, scn.users_per_cell, scn.antennas
+    n_users = (n + 1) * k
+
+    amp = np.empty(n_users, dtype=np.float32)
+    amp[:k] = 1.0
+    amp[k:] = ((r_own / r_ctr) ** (scn.gamma / 2.0)).ravel()
+
+    c = np.zeros(n_users, dtype=np.complex64)
+    c[0] = 1.0
+    if scn.scheme is PilotScheme.REUSED_SETS:
+        c[k + np.arange(n) * k] = 1.0
+    else:
+        c[k:] = coeff.astype(np.complex64).ravel()
+
+    rng_fad = trial_rng(seed, trial, _ROLE_FADING)
+    h = rng_fad.standard_normal(size=(n_users, 2 * m), dtype=np.float32).view(np.complex64)
+    h *= np.float32(math.sqrt(0.5))
+
+    # einsum instead of BLAS matrix products keeps the oracle on one thread
+    # (BLAS threads stall on a shared CPU); only the summation order differs
+    ghat = np.einsum("i,im->m", c * amp, h)
+    if math.isfinite(scn.pilot_snr):
+        rng_noise = trial_rng(seed, trial, _ROLE_NOISE)
+        npil = rng_noise.standard_normal(size=2 * m, dtype=np.float32).view(np.complex64)
+        npil *= np.float32(math.sqrt(0.5))
+        ghat = ghat + npil / np.float32(math.sqrt(scn.pilot_dim * scn.pilot_snr))
+
+    dots = np.abs(np.einsum("im,m->i", h, np.conj(ghat))).astype(np.float64) ** 2
+    dots *= amp.astype(np.float64) ** 2
+    num = dots[0]
+    den = float(dots[1:].sum())
+    if math.isfinite(scn.ul_snr):
+        den += float(np.vdot(ghat, ghat).real) / scn.ul_snr
+    return num / den
+
+
+TRIALS = 400
+SEED = 4100
+# (scheme, w, k, M, (UL SNR dB, pilot SNR dB)).  At a 10 dB pilot SNR the
+# pilot-noise weight 1/sqrt(tau SNR_p) is too small to move the law, so the
+# last cells lower the pilot SNR to -10 dB, where dropping it would show.
+GRID = [
+    (scheme, w, k, m, snr)
+    for scheme in PilotScheme
+    for w in (1, 3)
+    for k in (1, 4, 14)
+    for m in (16, 64, 500)
+    for snr in ((10.0, 10.0), (None, None))
+] + [(scheme, w, 4, m, (10.0, -10.0)) for scheme in PilotScheme for w in (1, 3) for m in (16, 64, 500)]
+
+
+def test_rotation_sampler_matches_brute_force_in_law(geometry):
+    # Per cell: two-sample KS at p >= 1e-4 and the mean SINR in dB within
+    # 4 standard errors.  Across all cells: Fisher's combination of the KS
+    # p-values at p >= 1e-3, which catches a small shift shared by many cells.
+    # Every cell and side has its own seed, so the p-values are independent.
+    failures = []
+    fisher = 0.0
+    for i, (scheme, w, k, m, (ul_db, pilot_db)) in enumerate(GRID):
+        cfg = FiniteMConfig(antennas=m, ul_snr_db=ul_db, pilot_snr_db=pilot_db)
+        geo = geometry.with_reuse(w)
+        scn = _finite_scenario(geo, scheme, k, cfg, 1)
+        oracle = np.array([brute_force_trial(scn, SEED + 2 * i, t) for t in range(TRIALS)])
+        fast = sample_sir_finite_m(geo, scheme, k, cfg, TRIALS, SEED + 2 * i + 1).samples
+        _stat, p = ks_2samp(oracle, fast)
+        fisher -= 2.0 * math.log(p)
+        a, b = 10.0 * np.log10(oracle), 10.0 * np.log10(fast)
+        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(TRIALS)
+        z = (a.mean() - b.mean()) / se
+        if p < 1e-4 or abs(z) > 4.0:
+            failures.append(
+                f"{scheme.value} w={w} k={k} M={m} snr={ul_db}/{pilot_db} dB: KS p={p:.2g}, z={z:.2f}"
+            )
+    pooled = chi2.sf(fisher, 2 * len(GRID))
+    assert not failures, failures
+    assert pooled >= 1e-3, pooled

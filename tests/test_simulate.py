@@ -35,12 +35,12 @@ class TestDeterminism:
         assert np.array_equal(serial.samples, parallel.samples)
 
     def test_finite_m_worker_count_invariant(self, geometry):
-        cfg = FiniteMConfig(antennas=24)
-        serial = sample_sir_finite_m(geometry, PilotScheme.DIFFERENT_SETS, 3, cfg, 150, SEED)
-        parallel = sample_sir_finite_m(
-            geometry, PilotScheme.DIFFERENT_SETS, 3, cfg, 150, SEED, workers=2
-        )
-        assert np.array_equal(serial.samples, parallel.samples)
+        for scheme in PilotScheme:
+            for snr_db in (10.0, None):
+                cfg = FiniteMConfig(antennas=24, ul_snr_db=snr_db, pilot_snr_db=snr_db)
+                serial = sample_sir_finite_m(geometry, scheme, 3, cfg, 150, SEED)
+                parallel = sample_sir_finite_m(geometry, scheme, 3, cfg, 150, SEED, workers=2)
+                assert np.array_equal(serial.samples, parallel.samples)
 
     def test_shadow_worker_count_invariant(self, geometry):
         serial = sample_sir_limit_shadowed(geometry, PilotScheme.DIFFERENT_SETS, 3, 8.0, 200, SEED, pilot_dim=42)
@@ -144,9 +144,12 @@ class TestLimitSampler:
 class TestShadowedSampler:
     def test_sigma_zero_degenerates_bitwise(self, geometry):
         for scheme, dim in ((PilotScheme.REUSED_SETS, None), (PilotScheme.DIFFERENT_SETS, 42)):
-            plain = sample_sir_limit(geometry, scheme, 5, 400, SEED, pilot_dim=dim)
-            shadow = sample_sir_limit_shadowed(geometry, scheme, 5, 0.0, 400, SEED, pilot_dim=dim)
-            assert np.array_equal(plain.samples, shadow.samples)
+            for region in ("hexagon", "circle"):
+                plain = sample_sir_limit(geometry, scheme, 5, 400, SEED, pilot_dim=dim, region=region)
+                shadow = sample_sir_limit_shadowed(
+                    geometry, scheme, 5, 0.0, 400, SEED, pilot_dim=dim, region=region
+                )
+                assert np.array_equal(plain.samples, shadow.samples)
 
     def test_interference_constraint_on_every_trial(self, geometry):
         for scheme, dim in ((PilotScheme.REUSED_SETS, None), (PilotScheme.DIFFERENT_SETS, 42)):
@@ -169,6 +172,12 @@ class TestShadowedSampler:
     def test_sigma_validation(self, geometry):
         with pytest.raises(ValueError):
             sample_sir_limit_shadowed(geometry, PilotScheme.REUSED_SETS, 1, -1.0, 10, SEED)
+
+    def test_circle_region_rejected_with_shadowing(self, geometry):
+        with pytest.raises(ValueError, match="circle"):
+            sample_sir_limit_shadowed(
+                geometry, PilotScheme.DIFFERENT_SETS, 4, 8.0, 10, SEED, pilot_dim=42, region="circle"
+            )
 
 
 class TestFiniteM:
