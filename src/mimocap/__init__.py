@@ -4,7 +4,6 @@ from .capacity import (
     CapacityReport,
     best_reuse,
     capacity_for_reuse,
-    cooperative_admission_check,
     effective_interference,
     max_interferers,
     tier1_moments,
@@ -32,7 +31,6 @@ from .simulate import (
     FiniteMConfig,
     SirSampleSet,
     empirical_capacity_search,
-    empirical_outage,
     sample_sir_finite_m,
     sample_sir_limit,
     sample_sir_limit_shadowed,
@@ -59,11 +57,9 @@ __all__ = [
     "circle_approximation",
     "cochannel_cells",
     "compute_tier_moments",
-    "cooperative_admission_check",
     "cross_correlation",
     "effective_interference",
     "empirical_capacity_search",
-    "empirical_outage",
     "generate_pilot_book",
     "max_interferers",
     "q_inverse",

@@ -13,9 +13,10 @@ either supports its whole pilot budget or nothing at all.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .geometry import NetworkGeometry, build_layout, circle_approximation, tier_specs
+from .geometry import NetworkGeometry, circle_approximation, tier_specs
 from .interference import QosTarget, TierMoments, compute_tier_moments, q_inverse, qos_feasible
 from .pilots import PilotScheme
 
@@ -74,7 +75,6 @@ def tier1_moments(
     pilot_budget: int,
     reuse: int,
     circle_mode: str = "equal_area",
-    exact_phi_variance: bool = False,
     tier_count: int = 1,
 ) -> list[tuple[int, TierMoments]]:
     """(cell count, moments) per co-channel tier at the given reuse factor.
@@ -89,39 +89,29 @@ def tier1_moments(
     for tier in tier_specs(geo, tier_count):
         patch = circle_approximation(geo, tier, circle_mode)
         tm = compute_tier_moments(
-            patch,
-            geo.path_loss_exponent,
-            pilot_dim,
-            scheme,
-            tier_index=tier.tier_index,
-            exact_phi_variance=exact_phi_variance,
+            patch, geo.path_loss_exponent, pilot_dim, scheme, tier_index=tier.tier_index
         )
         out.append((tier.cell_count, tm))
     return out
 
 
 def capacity_for_reuse(
-    geometry: NetworkGeometry,
     scheme: PilotScheme,
     qos: QosTarget,
     pilot_budget: int,
     reuse: int,
-    circle_mode: str = "equal_area",
-    exact_phi_variance: bool = False,
-    tier_count: int = 1,
-    moments: list[tuple[int, TierMoments]] | None = None,
+    moments: list[tuple[int, TierMoments]],
 ) -> CapacityReport:
-    """Capacity report for one reuse factor.
+    """Capacity report for one reuse factor from its tier moments.
 
-    moments may carry precomputed tier1_moments output (grid sweeps reuse
-    the quadrature results; they do not depend on the QoS point).
+    moments is the tier1_moments output for the same scheme, pilot budget
+    and reuse factor; it does not depend on the QoS point, so a sweep
+    computes it once per reuse factor.  A single tier gives k_max =
+    floor(k_u); more tiers solve the feasibility equality in the per-cell
+    load through the aggregate moments.
     """
     if pilot_budget < 1:
         raise ValueError("pilot budget must be >= 1")
-    if moments is None:
-        moments = tier1_moments(
-            geometry, scheme, pilot_budget, reuse, circle_mode, exact_phi_variance, tier_count
-        )
     budget = pilot_budget // reuse
     tier1_count, tm1 = moments[0]
     s = qos.min_sir_linear
@@ -133,10 +123,10 @@ def capacity_for_reuse(
     if scheme is PilotScheme.REUSED_SETS:
         # One interferer per co-channel cell regardless of load: a reuse
         # factor is either feasible at full pilot budget or not at all.
-        feasible, _ = qos_feasible([(count, tm) for count, tm in moments], qos)
+        feasible, _ = qos_feasible(moments, qos)
         k_max = budget if feasible else 0
     else:
-        if tier_count == 1 and len(moments) == 1:
+        if len(moments) == 1:
             k_cap = int(math.floor(k_u + _FLOOR_GUARD))
         else:
             # Outer tiers scale with the per-cell load as well; solve the
@@ -164,35 +154,10 @@ def capacity_for_reuse(
     )
 
 
-def best_reuse(
-    geometry: NetworkGeometry,
-    scheme: PilotScheme,
-    qos: QosTarget,
-    pilot_budget: int,
-    reuse_factors: tuple[int, ...] = (1, 3, 7),
-    circle_mode: str = "equal_area",
-    exact_phi_variance: bool = False,
-    tier_count: int = 1,
-    moments_by_reuse: dict[int, list[tuple[int, TierMoments]]] | None = None,
-) -> CapacityReport:
-    """Report for the reuse factor maximizing k_max, ties toward smaller w."""
-    best: CapacityReport | None = None
-    for w in reuse_factors:
-        rep = capacity_for_reuse(
-            geometry,
-            scheme,
-            qos,
-            pilot_budget,
-            w,
-            circle_mode,
-            exact_phi_variance,
-            tier_count,
-            moments=None if moments_by_reuse is None else moments_by_reuse[w],
-        )
-        if best is None or rep.k_max > best.k_max:
-            best = rep
-    assert best is not None
-    return best
+def best_reuse(reports: Iterable[CapacityReport]) -> CapacityReport:
+    """The report with the largest k_max among per-reuse-factor reports,
+    ties toward the smaller reuse factor."""
+    return max(reports, key=lambda rep: (rep.k_max, -rep.chosen_reuse))
 
 
 def root_interferer_count(moments: TierMoments, qos: QosTarget) -> float:
@@ -213,44 +178,3 @@ def root_interferer_count(moments: TierMoments, qos: QosTarget) -> float:
     # which cancels badly when q sig dominates
     root = 2.0 * budget / (q * sig + math.sqrt(q * q * var + 4.0 * mu * budget))
     return root * root
-
-
-def cooperative_admission_check(
-    per_cell_counts,
-    geometry: NetworkGeometry,
-    n_max: int,
-    per_cell_cap: int,
-) -> bool:
-    """Cooperative admission: for every cell, the summed load of its tier-1
-    co-channel set must stay within n_max.
-
-    per_cell_counts aligns with build_layout(geometry) ordering.  Counts
-    above the per-cell pilot cap are rejected outright (they violate the
-    k <= K/w constraint the policy presumes).
-    """
-    layout = build_layout(geometry)
-    if len(per_cell_counts) != len(layout):
-        raise ValueError(
-            f"expected {len(layout)} per-cell counts, got {len(per_cell_counts)}"
-        )
-    counts = [int(c) for c in per_cell_counts]
-    if any(c < 0 for c in counts):
-        raise ValueError("user counts must be non-negative")
-    if any(c > per_cell_cap for c in counts):
-        raise ValueError(f"user count exceeds the per-cell pilot budget {per_cell_cap}")
-
-    tier1 = tier_specs(geometry, 1)[0].separation_m
-    tol = tier1 * 1e-9
-    for j, cell in enumerate(layout):
-        total = 0
-        for l, other in enumerate(layout):
-            if l == j or other.resource != cell.resource:
-                continue
-            dist = math.hypot(
-                other.center[0] - cell.center[0], other.center[1] - cell.center[1]
-            )
-            if dist <= tier1 + tol:
-                total += counts[l]
-        if total > n_max:
-            return False
-    return True

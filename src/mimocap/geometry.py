@@ -240,35 +240,27 @@ def point_in_hexagon(x, y, circumradius: float):
     )
 
 
-def sample_circle_position(
-    radius_m: float, rng: np.random.Generator, size: int | None = None
-):
-    """Uniform draw over a disc, returned as (r, theta).
+def sample_circle_position(radius_m: float, rng: np.random.Generator, size: int):
+    """size uniform draws over a disc, returned as arrays (r, theta).
 
     Radius density is 2r/b^2, the angle uniform on [0, 2*pi).
     """
-    n = 1 if size is None else size
-    r = radius_m * np.sqrt(rng.random(n))
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    if size is None:
-        return float(r[0]), float(theta[0])
+    r = radius_m * np.sqrt(rng.random(size))
+    theta = rng.uniform(0.0, 2.0 * math.pi, size)
     return r, theta
 
 
-def sample_hexagon_position(
-    geometry: NetworkGeometry, rng: np.random.Generator, size: int | None = None
-):
-    """Uniform draw over the hexagonal cell with the hole disc excluded.
+def sample_hexagon_position(geometry: NetworkGeometry, rng: np.random.Generator, size: int):
+    """size uniform draws over the hexagonal cell with the hole disc excluded.
 
-    Rejection sampling from the bounding box; returns cartesian offsets
-    (x, y) from the cell center.
+    Rejection sampling from the bounding box; returns arrays of cartesian
+    offsets (x, y) from the cell center.
     """
     a = geometry.cell_radius_m
     hole2 = geometry.hole_radius_m**2
-    n = 1 if size is None else size
-    xs = np.empty(n)
-    ys = np.empty(n)
-    pending = np.arange(n)
+    xs = np.empty(size)
+    ys = np.empty(size)
+    pending = np.arange(size)
     r3 = math.sqrt(3.0)
     while pending.size:
         x = rng.uniform(-r3 * a / 2.0, r3 * a / 2.0, pending.size)
@@ -278,6 +270,4 @@ def sample_hexagon_position(
         xs[hit] = x[ok]
         ys[hit] = y[ok]
         pending = pending[~ok]
-    if size is None:
-        return float(xs[0]), float(ys[0])
     return xs, ys

@@ -25,6 +25,9 @@ from scipy.special import erfc, ndtri
 from .geometry import CirclePatch
 from .pilots import PilotScheme
 
+# Relative agreement of two successive quadrature orders that ends refinement.
+_QUAD_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class TierMoments:
@@ -69,10 +72,6 @@ class QosTarget:
     def from_db(cls, min_sir_db: float, outage: float) -> "QosTarget":
         return cls(min_sir_linear=10.0 ** (min_sir_db / 10.0), outage=outage)
 
-    @property
-    def min_sir_db(self) -> float:
-        return 10.0 * math.log10(self.min_sir_linear)
-
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge; carries the last estimate."""
@@ -111,8 +110,8 @@ def _disc_average(fn, radius: float, order: int) -> float:
     return float(wr @ vals @ wt)
 
 
-def _adaptive_disc_average(fn, radius: float, rtol: float) -> float:
-    """Refine the Gauss-Legendre order until two estimates agree to rtol."""
+def _adaptive_disc_average(fn, radius: float) -> float:
+    """Refine the Gauss-Legendre order until two estimates agree to _QUAD_RTOL."""
     order = 16
     prev = _disc_average(fn, radius, order)
     while order <= 1024:
@@ -120,11 +119,11 @@ def _adaptive_disc_average(fn, radius: float, rtol: float) -> float:
         cur = _disc_average(fn, radius, order)
         scale = max(abs(cur), abs(prev), 1e-300)
         resid = abs(cur - prev) / scale
-        if resid <= rtol:
+        if resid <= _QUAD_RTOL:
             return cur
         prev = cur
     raise QuadratureError(
-        f"quadrature did not reach rtol={rtol:g} by order {order}",
+        f"quadrature did not reach rtol={_QUAD_RTOL:g} by order {order}",
         estimate=prev,
         residual=resid,
     )
@@ -136,15 +135,12 @@ def compute_tier_moments(
     pilot_dim: int,
     scheme: PilotScheme,
     tier_index: int = 1,
-    exact_phi_variance: bool = False,
-    rtol: float = 1e-8,
 ) -> TierMoments:
     """Quadrature moments of x over the circular cell, then pilot weighting.
 
     Reused sets keep (mu_x, var_x) unchanged (phi is the constant 1).
-    Different sets give mu_y = mu_x / K and, with the default Var[phi] =
-    1/K^2 convention, var_y = (2 var_x + mu_x^2) / K^2; exact_phi_variance
-    swaps in the Beta-law Var[phi] = (K-1)/(K^2 (K+1)) instead.
+    Different sets give mu_y = mu_x / K and, with the large-K convention
+    Var[phi] = 1/K^2, var_y = (2 var_x + mu_x^2) / K^2.
     """
     if pilot_dim < 1:
         raise ValueError("pilot dimension must be >= 1")
@@ -154,23 +150,15 @@ def compute_tier_moments(
     def integrand(r, theta):
         return interference_ratio(r, theta, sep, gamma)
 
-    mu_x = _adaptive_disc_average(integrand, b, rtol)
-    var_x = _adaptive_disc_average(
-        lambda r, theta: (integrand(r, theta) - mu_x) ** 2, b, rtol
-    )
+    mu_x = _adaptive_disc_average(integrand, b)
+    var_x = _adaptive_disc_average(lambda r, theta: (integrand(r, theta) - mu_x) ** 2, b)
 
     if scheme is PilotScheme.REUSED_SETS:
         mu_y, var_y = mu_x, var_x
     else:
         k = pilot_dim
         mu_y = mu_x / k
-        if exact_phi_variance:
-            # Var[phi x] = E[phi^2] E[x^2] - (E[phi] E[x])^2 with the exact
-            # second moment E[phi^2] = 2 / (K (K+1)).
-            second = 2.0 / (k * (k + 1.0)) * (var_x + mu_x * mu_x)
-            var_y = second - (mu_x / k) ** 2
-        else:
-            var_y = (2.0 * var_x + mu_x * mu_x) / (k * k)
+        var_y = (2.0 * var_x + mu_x * mu_x) / (k * k)
     return TierMoments(tier_index=tier_index, mu_x=mu_x, var_x=var_x, mu_y=mu_y, var_y=var_y)
 
 

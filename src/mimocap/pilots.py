@@ -65,14 +65,12 @@ def generate_pilot_book(
     sequence_length: int,
     cell_count: int,
     rng: np.random.Generator,
-    reused_identity: bool = False,
 ) -> PilotBook:
     """Draw a pilot book for cell_count cells.
 
-    Reused sets: one shared unitary (Haar by default, identity if
-    reused_identity).  Different sets: independent Haar unitaries per cell.
-    Users are mapped to columns by an independent uniform permutation per
-    cell.
+    Reused sets: one shared Haar unitary.  Different sets: independent Haar
+    unitaries per cell.  Users are mapped to columns by an independent
+    uniform permutation per cell.
     """
     k = sequence_length
     if k < 1:
@@ -80,8 +78,7 @@ def generate_pilot_book(
     if cell_count < 1:
         raise ValueError("cell count must be >= 1")
     if scheme is PilotScheme.REUSED_SETS:
-        shared = np.eye(k, dtype=complex) if reused_identity else haar_unitary(k, rng)
-        mats = np.broadcast_to(shared, (cell_count, k, k)).copy()
+        mats = np.broadcast_to(haar_unitary(k, rng), (cell_count, k, k)).copy()
         # one shared assignment: the i-th admitted user of every cell holds
         # the same sequence, which is what makes them mutual contaminators
         assignments = np.broadcast_to(rng.permutation(k), (cell_count, k)).copy()
@@ -104,38 +101,3 @@ def cross_correlation(psi_a: np.ndarray, psi_b: np.ndarray) -> float:
             f"pilot dimension mismatch: {psi_a.shape} vs {psi_b.shape}"
         )
     return float(np.abs(np.vdot(psi_a, psi_b)) ** 2)
-
-
-def phi_variance(sequence_length: int, exact: bool = False) -> float:
-    """Variance of phi between independent Haar pilots.
-
-    exact=False returns 1/K^2, the large-K value used by the analytic
-    pipeline; exact=True the Beta(1, K-1) variance (K-1)/(K^2 (K+1)).
-    """
-    k = sequence_length
-    if exact:
-        return (k - 1) / (k * k * (k + 1))
-    return 1.0 / (k * k)
-
-
-def sample_contamination_profile(
-    sequence_length: int,
-    users: int,
-    rng: np.random.Generator,
-    trials: int | None = None,
-) -> np.ndarray:
-    """Cross-correlations of one fixed pilot against `users` pilots of an
-    independently drawn Haar book.
-
-    Equal in law to the squared moduli of the first `users` components of
-    a Haar-random unit vector in C^K, i.e. the first coordinates of a flat
-    Dirichlet vector; sampled that way instead of via a full QR.
-    """
-    if users > sequence_length:
-        raise ValueError("cannot use more pilots than the sequence length")
-    n = 1 if trials is None else trials
-    g = rng.standard_exponential((n, sequence_length))
-    phi = g[:, :users] / g.sum(axis=1, keepdims=True)
-    if trials is None:
-        return phi[0]
-    return phi

@@ -46,7 +46,6 @@ _ROLE_POSITIONS = 1
 _ROLE_PILOTS = 2
 _ROLE_SHADOW = 3
 _ROLE_FADING = 4
-_ROLE_TAGGED = 6
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 
@@ -63,8 +62,6 @@ class SirSampleSet:
     """SIR realizations (linear scale) for one scenario, in trial order."""
 
     samples: np.ndarray
-    scenario_tag: str
-    seed: int
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -79,19 +76,6 @@ class SirSampleSet:
     @property
     def sorted_samples(self) -> np.ndarray:
         return self._sorted
-
-    @property
-    def sir_db(self) -> np.ndarray:
-        return 10.0 * np.log10(self.samples)
-
-    def empirical_cdf(self, sir_linear) -> np.ndarray:
-        """Fraction of samples <= the query value(s)."""
-        q = np.atleast_1d(np.asarray(sir_linear, dtype=float))
-        out = np.searchsorted(self._sorted, q, side="right") / max(len(self), 1)
-        return out if np.ndim(sir_linear) else float(out[0])
-
-    def quantile(self, p) -> np.ndarray:
-        return np.quantile(self._sorted, p)
 
 
 @dataclass(frozen=True)
@@ -128,7 +112,6 @@ class _Scenario:
     scheme: PilotScheme
     pilot_dim: int
     region: str
-    power_control: bool = True
     shadow_sigma_db: float = 0.0
     collect_shadow_stats: bool = False
     # finite-M extras
@@ -171,13 +154,6 @@ def _draw_distances(scn: _Scenario, rng: np.random.Generator):
     return r_own, r_ctr, (xs, ys)
 
 
-def _draw_tagged_radius(scn: _Scenario, rng: np.random.Generator) -> float:
-    """Distance of the tagged user to the center station."""
-    if scn.region == "circle":
-        return sample_circle_position(equal_area_radius(scn.geometry.cell_radius_m), rng)[0]
-    return math.hypot(*sample_hexagon_position(scn.geometry, rng))
-
-
 def _draw_pilot_vector(scn: _Scenario, rng: np.random.Generator):
     """Complex cross-correlation coefficients of every interfering user's
     pilot against the tagged user's pilot, drawn fresh per trial.
@@ -215,16 +191,9 @@ def _contamination(scn: _Scenario, gains: np.ndarray, coeff) -> np.ndarray:
 def _limit_trial(scn: _Scenario, seed: int, trial: int) -> float:
     r_own, r_ctr, _ = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
     coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
-    if scn.power_control:
-        num = 1.0
-        gains = (r_own / r_ctr) ** (2.0 * scn.gamma)
-    else:
-        # no power control: ratio of squared slow gains to the center station
-        r_tag = _draw_tagged_radius(scn, trial_rng(seed, trial, _ROLE_TAGGED))
-        num = r_tag ** (-2.0 * scn.gamma)
-        gains = r_ctr ** (-2.0 * scn.gamma)
+    gains = (r_own / r_ctr) ** (2.0 * scn.gamma)
     total = float(_contamination(scn, gains, coeff).sum())
-    return num / total if total > 0.0 else math.inf
+    return 1.0 / total if total > 0.0 else math.inf
 
 
 def _shadow_trial(scn: _Scenario, seed: int, trial: int):
@@ -410,8 +379,10 @@ def _finite_scenario(
 
 
 def _require_defined_sinr(scn: _Scenario) -> None:
-    if scn.n_cells == 0 and scn.users_per_cell == 1 and scn.ul_snr == scn.pilot_snr == math.inf:
-        raise ValueError("SINR is undefined with no interferers and no noise")
+    # Pilot noise only perturbs the estimate; the SINR denominator holds
+    # interference and data noise alone.
+    if scn.n_cells == 0 and scn.users_per_cell == 1 and scn.ul_snr == math.inf:
+        raise ValueError("SINR is undefined with no interferers and no data noise")
 
 
 def _attach_book(scn: _Scenario, book: PilotBook | None) -> _Scenario:
@@ -436,14 +407,13 @@ def sample_sir_limit(
     seed: int,
     pilot_dim: int | None = None,
     pilot_book: PilotBook | None = None,
-    power_control: bool = True,
     region: str = "hexagon",
     max_tier: int | None = None,
     workers: int | None = None,
 ) -> SirSampleSet:
     """Limiting-SIR samples: per trial, drop users in every co-channel cell
     of the built lattice, draw pilot collisions per scheme, and evaluate the
-    contamination-only SIR (with or without uplink power control).
+    contamination-only SIR under uplink power control.
 
     pilot_book fixes the different-sets pilot matrices across trials (only
     the column assignment is redrawn); by default pilots are redrawn every
@@ -452,14 +422,8 @@ def sample_sir_limit(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
-    scn = replace(scn, power_control=power_control)
     scn = _attach_book(scn, pilot_book)
-    samples = np.array(_run_trials(_limit_trial, scn, seed, 0, trials, workers))
-    tag = (
-        f"{scheme.value}|w={geometry.reuse_factor}|k={users_per_cell}|limit"
-        f"|pc={int(power_control)}|region={region}"
-    )
-    return SirSampleSet(samples=samples, scenario_tag=tag, seed=seed)
+    return SirSampleSet(np.array(_run_trials(_limit_trial, scn, seed, 0, trials, workers)))
 
 
 def sample_sir_limit_shadowed(
@@ -504,11 +468,7 @@ def sample_sir_limit_shadowed(
         raise RuntimeError(
             f"interference ratio {max_term} exceeds 1; best-station selection is broken"
         )
-    tag = (
-        f"{scheme.value}|w={geometry.reuse_factor}|k={users_per_cell}|limit"
-        f"|shadow={shadow_sigma_db:g}dB|region={region}"
-    )
-    sample_set = SirSampleSet(samples=samples, scenario_tag=tag, seed=seed)
+    sample_set = SirSampleSet(samples)
     if not diagnostics:
         return sample_set
     tier_sums: dict[int, float] = {}
@@ -543,15 +503,14 @@ def sample_sir_finite_m(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scn = _finite_scenario(geometry, scheme, users_per_cell, config, max_tier)
-    samples = np.array(_run_trials(_finite_trial, scn, seed, 0, trials, workers))
-    tag = f"{scheme.value}|w={geometry.reuse_factor}|k={users_per_cell}|M={config.antennas}"
-    return SirSampleSet(samples=samples, scenario_tag=tag, seed=seed)
+    return SirSampleSet(np.array(_run_trials(_finite_trial, scn, seed, 0, trials, workers)))
 
 
-def wilson_interval(failures: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(failures: int, n: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one sample")
+    z = _WILSON_Z
     p = failures / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -559,15 +518,6 @@ def wilson_interval(failures: int, n: int, z: float = _WILSON_Z) -> tuple[float,
     lo = 0.0 if failures == 0 else max(0.0, center - half)
     hi = 1.0 if failures == n else min(1.0, center + half)
     return lo, hi
-
-
-def empirical_outage(sample_set: SirSampleSet, qos: QosTarget):
-    """Fraction of samples below the SIR target, with a Wilson 95% interval."""
-    n = len(sample_set)
-    if n == 0:
-        raise ValueError("cannot estimate outage from an empty sample set")
-    failures = int(np.searchsorted(sample_set.sorted_samples, qos.min_sir_linear, side="left"))
-    return failures / n, wilson_interval(failures, n)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from mimocap.capacity import best_reuse, effective_interference, tier1_moments
+from mimocap.capacity import best_reuse, capacity_for_reuse, effective_interference, tier1_moments
+from mimocap.cli import _validation_checks
+from mimocap.config import ScenarioConfig
 from mimocap.geometry import NetworkGeometry, circle_approximation, tier_specs
 from mimocap.interference import (
     QosTarget,
@@ -22,7 +24,7 @@ from mimocap.interference import (
     sir_outage_gaussian,
     total_interference,
 )
-from mimocap.pilots import PilotScheme, cross_correlation, generate_pilot_book
+from mimocap.pilots import PilotScheme
 from mimocap.simulate import (
     FiniteMConfig,
     empirical_capacity_search,
@@ -149,8 +151,8 @@ def test_04_switching_points(capsys, moments_by_reuse):
         for sdb in grid:
             qos = QosTarget.from_db(float(sdb), alpha)
             rep = best_reuse(
-                GEO, scheme, qos, K,
-                moments_by_reuse={w: moments_by_reuse[(scheme, w)] for w in (1, 3, 7)},
+                capacity_for_reuse(scheme, qos, K, w, moments_by_reuse[(scheme, w)])
+                for w in (1, 3, 7)
             )
             chosen.append(rep.chosen_reuse)
             kmax.append(rep.k_max)
@@ -201,7 +203,7 @@ def test_05_worst_case_gaussian_cdf(capsys, moments_by_reuse):
         count, tm = moments_by_reuse[(scheme, 7)][0]
         n_terms = count * (k if scheme is PilotScheme.DIFFERENT_SETS else 1)
         gi = total_interference([(n_terms, tm)])
-        svals = samples.quantile(qs)
+        svals = np.quantile(samples.sorted_samples, qs)
         gaps = qs - sir_outage_gaussian(svals, gi)  # >0: approximation optimistic
         if scheme is PilotScheme.REUSED_SETS:
             assert np.all(gaps > 0.0), "reused-sets approximation must be optimistic in the tail"
@@ -270,18 +272,11 @@ def test_07_finite_m_convergence_to_limit(capsys):
 
 
 def test_08_property_suites(capsys):
-    rng = np.random.default_rng(SEED)
-
-    # pilot completeness to 1e-10
-    book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, K, 2, rng)
-    probe = book.pilot(0, 11)
-    total = sum(cross_correlation(probe, book.matrices[1][:, j]) for j in range(K))
-    assert abs(total - 1.0) <= 1e-10
-
-    # pilot-weighting identities to floating-point rounding
-    _count, tm = tier1_moments(GEO, PilotScheme.DIFFERENT_SETS, K, 1)[0]
-    assert tm.mu_y * K == pytest.approx(tm.mu_x, rel=1e-13)
-    assert tm.var_y * K * K == pytest.approx(2.0 * tm.var_x + tm.mu_x**2, rel=1e-13)
+    # pilot completeness to 1e-10 on K = 42 pilots and the pilot-weighting
+    # identities to 1e-13, as the validate command checks them
+    verdicts = {name: passed for name, passed, _ in _validation_checks(ScenarioConfig(), 1.0)}
+    assert verdicts["pilot-completeness"]
+    assert verdicts["pilot-weighting-identities"]
 
     # interference-ratio constraint on every shadowed trial
     worst = 0.0

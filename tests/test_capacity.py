@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from mimocap.capacity import (
     best_reuse,
     capacity_for_reuse,
-    cooperative_admission_check,
     effective_interference,
     max_interferers,
     root_interferer_count,
@@ -23,6 +21,26 @@ K = 42
 
 def tm(mu, var):
     return TierMoments(1, mu, var, mu, var)
+
+
+def report(geometry, scheme, qos, reuse, tier_count=1):
+    moments = tier1_moments(geometry, scheme, K, reuse, tier_count=tier_count)
+    return capacity_for_reuse(scheme, qos, K, reuse, moments)
+
+
+@pytest.fixture(scope="module")
+def moments_by_reuse():
+    """tier1_moments of the shipped scenario per (scheme, reuse factor)."""
+    from mimocap import NetworkGeometry
+
+    geometry = NetworkGeometry()
+    return {(s, w): tier1_moments(geometry, s, K, w) for s in PilotScheme for w in (1, 3, 7)}
+
+
+def best(moments_by_reuse, scheme, qos):
+    return best_reuse(
+        capacity_for_reuse(scheme, qos, K, w, moments_by_reuse[(scheme, w)]) for w in (1, 3, 7)
+    )
 
 
 class TestEffectiveInterference:
@@ -109,30 +127,26 @@ class TestCapacityForReuse:
     def test_low_sir_pilot_limited_both_schemes(self, geometry):
         qos = QosTarget.from_db(0.0, 0.05)
         for scheme in PilotScheme:
-            rep = capacity_for_reuse(geometry, scheme, qos, K, 1)
+            rep = report(geometry, scheme, qos, 1)
             assert rep.k_max == 42
             assert rep.pilot_budget == 42
 
-    def test_reused_forced_to_w3_above_switch(self, geometry):
+    def test_reused_forced_to_w3_above_switch(self, geometry, moments_by_reuse):
         # just above the reused switching point even one user per cell
         # fails the QoS at w=1, while w=3 carries the full budget of 14
         qos = QosTarget.from_db(2.0, 0.05)
-        rep1 = capacity_for_reuse(geometry, PilotScheme.REUSED_SETS, qos, K, 1)
+        rep1 = report(geometry, PilotScheme.REUSED_SETS, qos, 1)
         assert not rep1.feasible and rep1.k_max == 0
         assert rep1.k_u < 1.0
-        rep3 = capacity_for_reuse(geometry, PilotScheme.REUSED_SETS, qos, K, 3)
+        rep3 = report(geometry, PilotScheme.REUSED_SETS, qos, 3)
         assert rep3.k_max == 14
-        best = best_reuse(geometry, PilotScheme.REUSED_SETS, qos, K)
-        assert best.chosen_reuse == 3
+        assert best(moments_by_reuse, PilotScheme.REUSED_SETS, qos).chosen_reuse == 3
 
     def test_different_decline_profile(self, geometry):
         # k_max stays 42 until ~5 dB, then declines; k_u below 14 near 9 dB
         k_at = {}
         for sdb in (4.0, 6.0, 8.0, 10.0):
-            rep = capacity_for_reuse(
-                geometry, PilotScheme.DIFFERENT_SETS, QosTarget.from_db(sdb, 0.05), K, 1
-            )
-            k_at[sdb] = rep
+            k_at[sdb] = report(geometry, PilotScheme.DIFFERENT_SETS, QosTarget.from_db(sdb, 0.05), 1)
         assert k_at[4.0].k_max == 42
         assert k_at[6.0].k_max < 42
         assert k_at[8.0].k_u >= 14.0
@@ -140,105 +154,45 @@ class TestCapacityForReuse:
 
     def test_k_u_is_nmax_over_six(self, geometry):
         qos = QosTarget.from_db(12.0, 0.05)
-        rep = capacity_for_reuse(geometry, PilotScheme.DIFFERENT_SETS, qos, K, 1)
+        rep = report(geometry, PilotScheme.DIFFERENT_SETS, qos, 1)
         assert rep.k_u == pytest.approx(rep.n_max / 6.0)
         assert rep.k_max == min(int(rep.k_u), rep.pilot_budget)
 
-    def test_moments_can_be_precomputed(self, geometry):
-        qos = QosTarget.from_db(7.0, 0.05)
-        pre = tier1_moments(geometry, PilotScheme.DIFFERENT_SETS, K, 3)
-        a = capacity_for_reuse(geometry, PilotScheme.DIFFERENT_SETS, qos, K, 3, moments=pre)
-        b = capacity_for_reuse(geometry, PilotScheme.DIFFERENT_SETS, qos, K, 3)
-        assert a == b
-
     def test_multi_tier_option_tightens_capacity(self, geometry):
         qos = QosTarget.from_db(7.0, 0.05)
-        one = capacity_for_reuse(geometry, PilotScheme.DIFFERENT_SETS, qos, K, 1, tier_count=1)
-        two = capacity_for_reuse(geometry, PilotScheme.DIFFERENT_SETS, qos, K, 1, tier_count=2)
+        one = report(geometry, PilotScheme.DIFFERENT_SETS, qos, 1, tier_count=1)
+        two = report(geometry, PilotScheme.DIFFERENT_SETS, qos, 1, tier_count=2)
         assert two.k_max <= one.k_max
         # outer tiers are negligible under pure path loss: same here
         assert two.k_max >= one.k_max - 1
 
 
 class TestBestReuse:
-    def test_dominance_different_ge_reused(self, geometry):
+    def test_dominance_different_ge_reused(self, moments_by_reuse):
         for sdb in np.arange(-2.0, 40.1, 2.0):
             for alpha in (0.01, 0.05, 0.2):
                 qos = QosTarget.from_db(float(sdb), alpha)
-                kd = best_reuse(geometry, PilotScheme.DIFFERENT_SETS, qos, K).k_max
-                kr = best_reuse(geometry, PilotScheme.REUSED_SETS, qos, K).k_max
+                kd = best(moments_by_reuse, PilotScheme.DIFFERENT_SETS, qos).k_max
+                kr = best(moments_by_reuse, PilotScheme.REUSED_SETS, qos).k_max
                 assert kd >= kr
 
-    def test_monotone_in_sir(self, geometry):
+    def test_monotone_in_sir(self, moments_by_reuse):
         for scheme in PilotScheme:
             prev = math.inf
             for sdb in np.arange(-2.0, 42.1, 1.0):
-                k = best_reuse(geometry, scheme, QosTarget.from_db(float(sdb), 0.05), K).k_max
+                k = best(moments_by_reuse, scheme, QosTarget.from_db(float(sdb), 0.05)).k_max
                 assert k <= prev
                 prev = k
 
-    def test_monotone_in_outage(self, geometry):
+    def test_monotone_in_outage(self, moments_by_reuse):
         for scheme in PilotScheme:
-            k_tight = best_reuse(geometry, scheme, QosTarget.from_db(12.0, 0.01), K).k_max
-            k_loose = best_reuse(geometry, scheme, QosTarget.from_db(12.0, 0.1), K).k_max
+            k_tight = best(moments_by_reuse, scheme, QosTarget.from_db(12.0, 0.01)).k_max
+            k_loose = best(moments_by_reuse, scheme, QosTarget.from_db(12.0, 0.1)).k_max
             assert k_tight <= k_loose
 
-    def test_tie_breaks_toward_smaller_reuse(self, geometry):
+    def test_tie_breaks_toward_smaller_reuse(self, moments_by_reuse):
         # at very high SIR everything is infeasible: all k_max = 0, pick w=1
         qos = QosTarget.from_db(80.0, 0.005)
-        rep = best_reuse(geometry, PilotScheme.REUSED_SETS, qos, K)
+        rep = best(moments_by_reuse, PilotScheme.REUSED_SETS, qos)
         assert rep.k_max == 0
         assert rep.chosen_reuse == 1
-
-
-class TestCooperativeAdmission:
-    def test_uniform_floor_allocation_passes(self, geometry):
-        n_max = 40
-        counts = [n_max // 6] * 19
-        assert cooperative_admission_check(counts, geometry, n_max, per_cell_cap=42)
-
-    def test_asymmetric_load_admitted(self, geometry):
-        # one cell at n_max, its co-channel neighbours empty: every tier-1
-        # sum stays within budget even though one cell grabs everything
-        n_max = 20
-        counts = [0] * 19
-        counts[0] = n_max
-        assert cooperative_admission_check(counts, geometry, n_max, per_cell_cap=42)
-
-    def test_uniform_overload_rejected(self, geometry):
-        n_max = 40
-        per_cell = n_max // 6 + 1  # 7 -> tier-1 sum 42 > 40
-        counts = [per_cell] * 19
-        assert not cooperative_admission_check(counts, geometry, n_max, per_cell_cap=42)
-
-    def test_pilot_cap_violation_raises(self, geometry):
-        counts = [43] + [0] * 18
-        with pytest.raises(ValueError, match="pilot budget"):
-            cooperative_admission_check(counts, geometry, 300, per_cell_cap=42)
-
-    def test_count_validation(self, geometry):
-        with pytest.raises(ValueError, match="counts"):
-            cooperative_admission_check([1, 2, 3], geometry, 10, per_cell_cap=42)
-        with pytest.raises(ValueError):
-            cooperative_admission_check([-1] + [0] * 18, geometry, 10, per_cell_cap=42)
-
-    def test_reuse3_only_cochannel_neighbours_count(self, geometry):
-        # a loaded cell on another frequency resource never counts toward
-        # the center's tier-1 budget, while a co-channel one does
-        geo = replace(geometry, reuse_factor=3, ring_count=2)
-        from mimocap.geometry import build_layout, tier_specs
-
-        layout = build_layout(geo)
-        sep = tier_specs(geo, 1)[0].separation_m
-        cochannel = next(
-            i
-            for i, c in enumerate(layout)
-            if c.resource == 1 and abs(math.hypot(*c.center) - sep) < 1.0
-        )
-        other = next(i for i, c in enumerate(layout) if c.resource != 1)
-        counts = [0] * len(layout)
-        counts[other] = 9
-        counts[cochannel] = 9
-        assert cooperative_admission_check(counts, geo, n_max=9, per_cell_cap=14)
-        counts[cochannel] = 10  # now the center's tier-1 sum is 10 > 9
-        assert not cooperative_admission_check(counts, geo, n_max=9, per_cell_cap=14)

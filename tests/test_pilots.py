@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from mimocap.pilots import (
-    PilotScheme,
-    cross_correlation,
-    generate_pilot_book,
-    haar_unitary,
-    phi_variance,
-    sample_contamination_profile,
-)
+from mimocap.pilots import PilotScheme, cross_correlation, generate_pilot_book, haar_unitary
+from pilot_oracles import beta_phi_variance, sample_contamination_profile
 
 K = 42
 
@@ -46,11 +40,6 @@ def test_reused_sets_collision_structure(rng):
         assert cross_correlation(book.pilot(0, user), book.pilot(2, user)) == pytest.approx(1.0)
     assert cross_correlation(book.pilot(0, 0), book.pilot(1, 1)) < 1e-12
     assert cross_correlation(book.pilot(0, 3), book.pilot(2, 17)) < 1e-12
-
-
-def test_reused_identity_mode(rng):
-    book = generate_pilot_book(PilotScheme.REUSED_SETS, 8, 2, rng, reused_identity=True)
-    assert np.allclose(book.matrices[0], np.eye(8))
 
 
 def test_reused_cells_share_one_matrix(rng):
@@ -91,12 +80,12 @@ def test_book_sampled_phi_mean(rng):
 
 def test_phi_variance_beta_law(rng):
     # Beta(1, K-1) variance (K-1)/(K^2 (K+1)) ~ 5.41e-4 at K = 42
-    assert phi_variance(K, exact=True) == pytest.approx(5.405e-4, rel=1e-3)
+    assert beta_phi_variance(K) == pytest.approx(5.405e-4, rel=1e-3)
     phi = sample_contamination_profile(K, 1, rng, trials=200_000)[:, 0]
-    assert phi.var(ddof=1) == pytest.approx(phi_variance(K, exact=True), rel=0.05)
+    assert phi.var(ddof=1) == pytest.approx(beta_phi_variance(K), rel=0.05)
     assert phi.mean() == pytest.approx(1.0 / K, rel=0.02)
-    # the default 1/K^2 convention is the large-K limit of the exact value
-    assert phi_variance(K) == pytest.approx(phi_variance(K, exact=True), rel=2.5 / K)
+    # the analytic 1/K^2 convention is the large-K limit of the exact value
+    assert 1.0 / K**2 == pytest.approx(beta_phi_variance(K), rel=2.5 / K)
 
 
 def test_contamination_profile_matches_book_sampling(rng):
@@ -116,7 +105,7 @@ def test_contamination_profile_completeness(rng):
     phi = sample_contamination_profile(6, 6, rng, trials=100)
     assert np.allclose(phi.sum(axis=1), 1.0)
     with pytest.raises(ValueError):
-        sample_contamination_profile(6, 7, rng)
+        sample_contamination_profile(6, 7, rng, trials=1)
 
 
 def test_generation_validation(rng):
