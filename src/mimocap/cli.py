@@ -217,7 +217,6 @@ def cmd_finite_m_table(config: ScenarioConfig, out: str) -> int:
                 qos,
                 trials=config.finite_m_trials,
                 seed=config.seed,
-                sampler="finite_m",
                 finite_m=config.finite_m,
                 max_tier=config.tier_count,
                 workers=_workers(config),

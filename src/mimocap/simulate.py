@@ -13,7 +13,10 @@ The finite-M simulator never draws the M x N channel matrix: i.i.d.
 Rayleigh fading is invariant in law under rotations of the user space, and
 rotating along the channel-estimator weights leaves one Gamma(M, 1) draw
 and one Gaussian vector over the N users per trial (see _finite_trial).  A
-trial costs O(N) whatever M is, with the law of the M x N simulation.
+trial costs O(N) whatever M is, has the law of the M x N simulation, and
+yields the SINR at every per-cell load.  empirical_capacity_search reads the
+largest load with outage P(SINR < S) <= alpha off one such pass per reuse
+factor, every load on the same draws (common random numbers).
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, trial index, role), so trials are independent, reproducible
@@ -25,6 +28,7 @@ possible by reusing a seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -233,7 +237,9 @@ def _shadow_trial(scn: _Scenario, seed: int, trial: int):
     return sir, per_tier, float(counted.max()) if counted.size else 0.0
 
 
-def _finite_trial(scn: _Scenario, seed: int, trial: int) -> float:
+def _finite_trial(scn: _Scenario, seed: int, trial: int) -> np.ndarray:
+    """Tagged-user SINR at every load 1..users_per_cell, where load k keeps
+    the first k users of each cell; entry k - 1 is load k."""
     r_own, r_ctr, _ = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
     coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
     n, k = scn.n_cells, scn.users_per_cell
@@ -259,25 +265,41 @@ def _finite_trial(scn: _Scenario, seed: int, trial: int) -> float:
     # CN(0, 1) entries, where a = c * amp plus one pilot-noise column of
     # weight 1/sqrt(tau * SNR_p).  The law of H does not change under a
     # unitary rotation of the user space; rotating along u = a/|a| gives
-    # ghat = |a| z with z ~ CN(0, I_M), and, jointly over users,
-    # |h_i^H ghat|^2 = |a|^2 |z|^2 |u_i |z| + v_i|^2 with v = w - u (u^H w),
-    # w ~ CN(0, I_{N+1}) independent of |z|^2 ~ Gamma(M, 1).  The common
-    # factor |a|^2 |z|^2, which is also |ghat|^2, cancels from the SINR, so
-    # a trial costs O(N) whatever M is (Marzetta, IEEE TWC 2010).
+    # ghat = |a| z with z ~ CN(0, I_M) and h_i^H ghat = |a| |z| (a_i g + w_i),
+    # g = (|z| - u^H w) / |a|, w ~ CN(0, I_{N+1}) independent of
+    # |z|^2 ~ Gamma(M, 1).  |a|^2 |z|^2 = |ghat|^2 cancels from the SINR, so
+    # a trial costs O(N) whatever M is (Marzetta, IEEE TWC 2010).  Load k
+    # keeps a and w of its users only: the sums over users are prefix sums
+    # over the in-cell index, and the denominator, summed over interferers,
+    # is sum amp^2 |a g + w|^2 = |g|^2 A + 2 Re(g B) + C.
     a = c * amp
-    if math.isfinite(scn.pilot_snr):
-        a = np.append(a, 1.0 / math.sqrt(scn.pilot_dim * scn.pilot_snr))
-    u = a / math.sqrt(float(np.vdot(a, a).real))
+    noisy = math.isfinite(scn.pilot_snr)
     rng_fad = trial_rng(seed, trial, _ROLE_FADING)
     z_norm = math.sqrt(rng_fad.standard_gamma(scn.antennas))
-    w = rng_fad.standard_normal(2 * a.size).view(complex) * math.sqrt(0.5)
-    t = u[:n_users] * z_norm + (w - u * np.vdot(u, w))[:n_users]
-    dots = (t.real**2 + t.imag**2) * amp**2
-    num = float(dots[0])
-    den = float(dots[1:].sum())
+    w = rng_fad.standard_normal(2 * (n_users + noisy)).view(complex) * math.sqrt(0.5)
+    terms = np.empty((5, n_users), dtype=complex)  # |a|^2, conj(a) w; A, conj(B), C
+    terms[0] = a.real**2 + a.imag**2
+    np.multiply(a.conj(), w[:n_users], out=terms[1])
+    terms[2:4] = terms[:2]
+    terms[4] = w.real[:n_users] ** 2 + w.imag[:n_users] ** 2
+    weight = amp**2
+    weight[0] = 0.0  # the tagged user is no interferer
+    terms[2:] *= weight
+    sums = np.add.reduce(terms.reshape(5, n + 1, k), axis=1)
+    # what every load shares goes into load 1 before the prefix sums
+    if noisy:
+        a_noise = 1.0 / math.sqrt(scn.pilot_dim * scn.pilot_snr)
+        sums[0, 0] += a_noise**2
+        sums[1, 0] += a_noise * w[n_users]
     if math.isfinite(scn.ul_snr):
-        den += 1.0 / scn.ul_snr
-    return num / den if den > 0.0 else math.inf
+        sums[4, 0] += 1.0 / scn.ul_snr
+    np.add.accumulate(sums, axis=1, out=sums)
+    norm2, proj, big_a, conj_b, big_c = sums  # proj = |a| u^H w
+    norm2 = norm2.real
+    g = (z_norm * np.sqrt(norm2) - proj) / norm2
+    num = np.abs(g + w[0]) ** 2  # a = amp = 1 for the tagged user
+    den = (g.real**2 + g.imag**2) * big_a.real + 2.0 * (g * conj_b.conj()).real + big_c.real
+    return np.divide(num, den, out=np.full(k, math.inf), where=den > 0.0)
 
 
 def _chunk_worker(args):
@@ -285,12 +307,12 @@ def _chunk_worker(args):
     return [trial_fn(scn, seed, t) for t in range(start, stop)]
 
 
-def _run_trials(trial_fn, scn: _Scenario, seed: int, start: int, stop: int, workers) -> list:
-    """trial_fn(scn, seed, t) for every t in [start, stop), in trial order."""
-    if workers is None or workers <= 1 or stop - start < 64:
-        return _chunk_worker((trial_fn, scn, seed, start, stop))
-    chunk = max(64, (stop - start + 4 * workers - 1) // (4 * workers))
-    ranges = [(s, min(s + chunk, stop)) for s in range(start, stop, chunk)]
+def _run_trials(trial_fn, scn: _Scenario, seed: int, trials: int, workers) -> list:
+    """trial_fn(scn, seed, t) for every t in [0, trials), in trial order."""
+    if workers is None or workers <= 1 or trials < 64:
+        return _chunk_worker((trial_fn, scn, seed, 0, trials))
+    chunk = max(64, (trials + 4 * workers - 1) // (4 * workers))
+    ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_chunk_worker, [(trial_fn, scn, seed, s, e) for s, e in ranges]))
     return [r for part in parts for r in part]
@@ -374,14 +396,14 @@ def _finite_scenario(
         ul_snr=linear(config.ul_snr_db),
         pilot_snr=linear(config.pilot_snr_db),
     )
-    _require_defined_sinr(scn)
+    _require_defined_sinr(scn, users_per_cell)
     return scn
 
 
-def _require_defined_sinr(scn: _Scenario) -> None:
+def _require_defined_sinr(scn: _Scenario, load: int) -> None:
     # Pilot noise only perturbs the estimate; the SINR denominator holds
     # interference and data noise alone.
-    if scn.n_cells == 0 and scn.users_per_cell == 1 and scn.ul_snr == math.inf:
+    if scn.n_cells == 0 and load == 1 and scn.ul_snr == math.inf:
         raise ValueError("SINR is undefined with no interferers and no data noise")
 
 
@@ -423,7 +445,7 @@ def sample_sir_limit(
         raise ValueError("trials must be >= 1")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = _attach_book(scn, pilot_book)
-    return SirSampleSet(np.array(_run_trials(_limit_trial, scn, seed, 0, trials, workers)))
+    return SirSampleSet(np.array(_run_trials(_limit_trial, scn, seed, trials, workers)))
 
 
 def sample_sir_limit_shadowed(
@@ -461,7 +483,7 @@ def sample_sir_limit_shadowed(
         raise ValueError("shadow_sigma_db > 0 needs region 'hexagon', not 'circle'")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = replace(scn, shadow_sigma_db=shadow_sigma_db, collect_shadow_stats=diagnostics)
-    results = _run_trials(_shadow_trial, scn, seed, 0, trials, workers)
+    results = _run_trials(_shadow_trial, scn, seed, trials, workers)
     samples = np.array([sir for sir, _, _ in results])
     max_term = max(term for _, _, term in results)
     if shadow_sigma_db > 0.0 and max_term > 1.0 + 1e-9:
@@ -503,7 +525,8 @@ def sample_sir_finite_m(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scn = _finite_scenario(geometry, scheme, users_per_cell, config, max_tier)
-    return SirSampleSet(np.array(_run_trials(_finite_trial, scn, seed, 0, trials, workers)))
+    sinr = _run_trials(_finite_trial, scn, seed, trials, workers)
+    return SirSampleSet(np.array([by_load[-1] for by_load in sinr]))
 
 
 def wilson_interval(failures: int, n: int) -> tuple[float, float]:
@@ -528,77 +551,52 @@ class CapacitySearchResult:
     best_k: int = 0
 
 
+@functools.lru_cache(maxsize=3)
+def _sinr_by_load(geometry, scheme, finite_m, max_tier, trials, seed, workers) -> np.ndarray:
+    """Read-only (trials, budget) finite-M SINRs at the pilot budget of the
+    reuse factor, column k - 1 for load k; memoised across QoS presets."""
+    budget = finite_m.pilot_length // geometry.reuse_factor
+    sinr = np.empty((trials, 0))
+    if budget:
+        scn = _finite_scenario(geometry, scheme, budget, finite_m, max_tier)
+        _require_defined_sinr(scn, 1)
+        sinr = np.array(_run_trials(_finite_trial, scn, seed, trials, workers))
+    sinr.flags.writeable = False
+    return sinr
+
+
 def empirical_capacity_search(
     geometry: NetworkGeometry,
     scheme: PilotScheme,
     qos: QosTarget,
     trials: int,
     seed: int,
-    sampler: str = "limit",
-    pilot_budget: int = 42,
-    finite_m: FiniteMConfig | None = None,
-    reuse_factors: tuple[int, ...] = (1, 3, 7),
-    region: str = "hexagon",
-    max_tier: int | None = None,
+    finite_m: FiniteMConfig = FiniteMConfig(),
+    max_tier: int = 1,
     workers: int | None = None,
 ) -> CapacitySearchResult:
-    """Largest admissible per-cell load per reuse factor, by descending scan
-    from the pilot budget.
+    """Largest per-cell load per reuse factor whose finite-M outage
+    P(SINR < S), estimated over all trials, is <= alpha.
 
-    A load is accepted when its empirical outage over the full trial count
-    is <= alpha; hopeless loads are rejected early once the Wilson lower
-    bound clears alpha, which keeps the scan cheap far from the boundary.
+    One pass per reuse factor draws every trial at the full pilot budget;
+    load k keeps the first k users of each cell, so each load has the law
+    of sample_sir_finite_m at k and all loads share the draws (common
+    random numbers).
     """
-    if sampler not in ("limit", "finite_m"):
-        raise ValueError(f"unknown sampler {sampler!r}")
-    if sampler == "finite_m" and finite_m is None:
-        finite_m = FiniteMConfig()
-    trial_fn = _finite_trial if sampler == "finite_m" else _limit_trial
-    threshold = qos.min_sir_linear
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     per_reuse: dict[int, int] = {}
     outage_at_k: dict[int, tuple[float, tuple[float, float]]] = {}
-    for w in reuse_factors:
+    for w in (1, 3, 7):
         geo = geometry.with_reuse(w)
-        budget = (finite_m.pilot_length if sampler == "finite_m" else pilot_budget) // w
-        found = 0
-        found_stats = (math.nan, (math.nan, math.nan))
-        base = None
-        for k in range(budget, 0, -1):
-            if base is None:  # built once per w: only users_per_cell depends on k
-                base = (
-                    _finite_scenario(geo, scheme, k, finite_m, 1 if max_tier is None else max_tier)
-                    if sampler == "finite_m"
-                    else _cochannel_scenario(geo, scheme, k, budget, region, max_tier)
-                )
-            scn = replace(base, users_per_cell=k)
-            if sampler == "finite_m":
-                _require_defined_sinr(scn)
-            failures = 0
-            done = 0
-            block = min(128, trials)
-            rejected = False
-            while done < trials:
-                stop = min(done + block, trials)
-                chunk = np.array(_run_trials(trial_fn, scn, seed, done, stop, workers))
-                failures += int(np.count_nonzero(chunk < threshold))
-                done = stop
-                block = min(4 * block, trials - done) if done < trials else 0
-                lo, _hi = wilson_interval(failures, done)
-                if lo > qos.outage:
-                    rejected = True
-                    break
-            if not rejected:
-                p = failures / trials
-                if p <= qos.outage:
-                    found = k
-                    found_stats = (p, wilson_interval(failures, trials))
-                    break
-        per_reuse[w] = found
-        outage_at_k[w] = found_stats
-    best_w = max(reuse_factors, key=lambda w: (per_reuse[w], -w))
-    return CapacitySearchResult(
-        per_reuse=per_reuse,
-        outage_at_k=outage_at_k,
-        best_reuse=best_w,
-        best_k=per_reuse[best_w],
-    )
+        sinr = _sinr_by_load(geo, scheme, finite_m, max_tier, trials, seed, workers)
+        failures = np.count_nonzero(sinr < qos.min_sir_linear, axis=0)
+        admitted = np.flatnonzero(failures / trials <= qos.outage)
+        k = int(admitted[-1]) + 1 if admitted.size else 0
+        per_reuse[w] = k
+        outage_at_k[w] = (math.nan, (math.nan, math.nan))
+        if k:
+            fails = int(failures[k - 1])
+            outage_at_k[w] = (fails / trials, wilson_interval(fails, trials))
+    best_w = max(per_reuse, key=lambda w: (per_reuse[w], -w))
+    return CapacitySearchResult(per_reuse, outage_at_k, best_w, per_reuse[best_w])

@@ -5,6 +5,8 @@ and forms |h_i^H ghat|^2 and |ghat|^2 directly, as the sampler did before it
 used the rotation identity.  It shares the position and pilot draws with the
 sampler, so the two differ only in how fading and pilot noise are drawn.
 Seeds are unpaired: the comparison is of laws, not of shared user drops.
+The sampler is checked at its own load, and every load of the capacity
+search's full-budget pass against the k-user oracle.
 """
 
 import math
@@ -21,6 +23,7 @@ from mimocap.simulate import (
     _draw_distances,
     _draw_pilot_vector,
     _finite_scenario,
+    _sinr_by_load,
     sample_sir_finite_m,
     trial_rng,
 )
@@ -82,28 +85,68 @@ GRID = [
 ] + [(scheme, w, 4, m, (10.0, -10.0)) for scheme in PilotScheme for w in (1, 3) for m in (16, 64, 500)]
 
 
-def test_rotation_sampler_matches_brute_force_in_law(geometry):
-    # Per cell: two-sample KS at p >= 1e-4 and the mean SINR in dB within
-    # 4 standard errors.  Across all cells: Fisher's combination of the KS
-    # p-values at p >= 1e-3, which catches a small shift shared by many cells.
-    # Every cell and side has its own seed, so the p-values are independent.
+def law_failures(cells):
+    """Per cell of (label, oracle, fast): two-sample KS at p >= 1e-4 and the
+    mean SINR in dB within 4 standard errors.  Returns the failing cells and
+    Fisher's combination of the KS p-values over all cells, to be held at
+    p >= 1e-3, which catches a small shift shared by many cells.  Every cell
+    and side must have its own seed, so the p-values are independent."""
     failures = []
     fisher = 0.0
-    for i, (scheme, w, k, m, (ul_db, pilot_db)) in enumerate(GRID):
-        cfg = FiniteMConfig(antennas=m, ul_snr_db=ul_db, pilot_snr_db=pilot_db)
-        geo = geometry.with_reuse(w)
-        scn = _finite_scenario(geo, scheme, k, cfg, 1)
-        oracle = np.array([brute_force_trial(scn, SEED + 2 * i, t) for t in range(TRIALS)])
-        fast = sample_sir_finite_m(geo, scheme, k, cfg, TRIALS, SEED + 2 * i + 1).samples
+    count = 0
+    for label, oracle, fast in cells:
         _stat, p = ks_2samp(oracle, fast)
         fisher -= 2.0 * math.log(p)
+        count += 1
         a, b = 10.0 * np.log10(oracle), 10.0 * np.log10(fast)
-        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(TRIALS)
+        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(len(a))
         z = (a.mean() - b.mean()) / se
         if p < 1e-4 or abs(z) > 4.0:
-            failures.append(
-                f"{scheme.value} w={w} k={k} M={m} snr={ul_db}/{pilot_db} dB: KS p={p:.2g}, z={z:.2f}"
-            )
-    pooled = chi2.sf(fisher, 2 * len(GRID))
+            failures.append(f"{label}: KS p={p:.2g}, z={z:.2f}")
+    return failures, chi2.sf(fisher, 2 * count)
+
+
+def test_rotation_sampler_matches_brute_force_in_law(geometry):
+    def cells():
+        for i, (scheme, w, k, m, (ul_db, pilot_db)) in enumerate(GRID):
+            cfg = FiniteMConfig(antennas=m, ul_snr_db=ul_db, pilot_snr_db=pilot_db)
+            geo = geometry.with_reuse(w)
+            scn = _finite_scenario(geo, scheme, k, cfg, 1)
+            oracle = np.array([brute_force_trial(scn, SEED + 2 * i, t) for t in range(TRIALS)])
+            fast = sample_sir_finite_m(geo, scheme, k, cfg, TRIALS, SEED + 2 * i + 1).samples
+            yield f"{scheme.value} w={w} k={k} M={m} snr={ul_db}/{pilot_db} dB", oracle, fast
+
+    failures, pooled = law_failures(cells())
+    assert not failures, failures
+    assert pooled >= 1e-3, pooled
+
+
+# (scheme, w, k, UL and pilot SNR dB) for the loads of one full-budget pass
+LOAD_GRID = [
+    (scheme, w, k, snr_db)
+    for scheme in PilotScheme
+    for w in (1, 3)
+    for k in (1, 4, 42 // w)
+    for snr_db in (10.0, None)
+]
+
+
+def test_each_load_of_a_full_budget_pass_matches_brute_force_in_law(geometry):
+    # Column k - 1 of the capacity search's pass at the full pilot budget
+    # against the brute-force k-user scenario, unpaired seeds, same bounds
+    # as the sampler test above.
+    m = 64
+
+    def cells():
+        for i, (scheme, w, k, snr_db) in enumerate(LOAD_GRID):
+            cfg = FiniteMConfig(antennas=m, ul_snr_db=snr_db, pilot_snr_db=snr_db)
+            geo = geometry.with_reuse(w)
+            scn = _finite_scenario(geo, scheme, k, cfg, 1)
+            seed = SEED + 1000 + 2 * i
+            oracle = np.array([brute_force_trial(scn, seed, t) for t in range(TRIALS)])
+            fast = _sinr_by_load(geo, scheme, cfg, 1, TRIALS, seed + 1, None)[:, k - 1]
+            yield f"{scheme.value} w={w} load {k} of {42 // w} M={m} snr={snr_db} dB", oracle, fast
+
+    failures, pooled = law_failures(cells())
     assert not failures, failures
     assert pooled >= 1e-3, pooled

@@ -19,6 +19,8 @@ from mimocap.simulate import (
 from pilot_oracles import beta_law_var_y
 
 SEED = 9221
+# finite-M close to the limiting SIR: many antennas and no noise
+NEAR_LIMIT = FiniteMConfig(antennas=100_000, ul_snr_db=None, pilot_snr_db=None)
 
 
 class TestDeterminism:
@@ -217,24 +219,22 @@ class TestOutageAndSearch:
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
 
-    def test_limit_search_tracks_analytic_capacity(self, geometry):
-        # the empirical search over the limiting SIR should land near the
-        # analytic k_u at w=1 (Gaussian approximation error allowed)
-        qos = QosTarget.from_db(10.0, 0.05)
+    def test_search_tracks_analytic_capacity(self, geometry):
+        # at M = 100,000 without noise the finite-M search should land near
+        # the analytic k_u at w=1 (Gaussian approximation error allowed)
         res = empirical_capacity_search(
             geometry,
             PilotScheme.DIFFERENT_SETS,
-            qos,
+            QosTarget.from_db(10.0, 0.05),
             trials=4000,
             seed=SEED,
-            sampler="limit",
-            reuse_factors=(1,),
-            max_tier=1,
+            finite_m=NEAR_LIMIT,
         )
         assert 6 <= res.per_reuse[1] <= 13
-        assert res.best_reuse == 1
 
     def test_search_monotone_in_sir(self, geometry):
+        # both thresholds are applied to the same draws, so a stricter SIR
+        # target can only lower the admitted load, at every reuse factor
         results = {}
         for sdb in (10.0, 25.0):
             results[sdb] = empirical_capacity_search(
@@ -243,45 +243,44 @@ class TestOutageAndSearch:
                 QosTarget.from_db(sdb, 0.05),
                 trials=1500,
                 seed=SEED,
-                sampler="limit",
-                reuse_factors=(1,),
-                max_tier=1,
-            ).per_reuse[1]
-        assert results[25.0] <= results[10.0]
+                finite_m=NEAR_LIMIT,
+            ).per_reuse
+        assert all(results[25.0][w] <= results[10.0][w] for w in (1, 3, 7))
 
     def test_search_reports_per_reuse_and_best(self, geometry):
         qos = QosTarget.from_db(0.0, 0.05)
         res = empirical_capacity_search(
-            geometry,
-            PilotScheme.DIFFERENT_SETS,
-            qos,
-            trials=800,
-            seed=SEED,
-            sampler="limit",
-            max_tier=1,
+            geometry, PilotScheme.DIFFERENT_SETS, qos, trials=800, seed=SEED, finite_m=NEAR_LIMIT
         )
         assert set(res.per_reuse) == {1, 3, 7}
         assert res.per_reuse[1] == 42  # pilot-limited at low SIR
         assert res.best_k == max(res.per_reuse.values())
         assert res.outage_at_k[res.best_reuse][0] <= qos.outage
+        with pytest.raises(ValueError, match="trials"):
+            empirical_capacity_search(
+                geometry, PilotScheme.DIFFERENT_SETS, qos, trials=0, seed=SEED, finite_m=NEAR_LIMIT
+            )
+
+    def test_search_worker_count_invariant(self, geometry):
+        cfg = FiniteMConfig(antennas=32, pilot_length=9)
+        qos = QosTarget.from_db(0.0, 0.05)
+        for scheme in PilotScheme:
+            serial = empirical_capacity_search(geometry, scheme, qos, trials=150, seed=SEED, finite_m=cfg)
+            parallel = empirical_capacity_search(
+                geometry, scheme, qos, trials=150, seed=SEED, finite_m=cfg, workers=2
+            )
+            assert serial == parallel
 
     def test_finite_m_search_rejects_undefined_sinr(self, geometry):
-        # no data noise and no co-channel cells: the scan reaches k = 1,
-        # where the tagged user has no interferer at all
+        # no data noise and no co-channel cells: load 1 leaves the tagged
+        # user without any interferer
         for pilot_snr_db in (None, 10.0):
             cfg = FiniteMConfig(antennas=8, pilot_length=4, ul_snr_db=None, pilot_snr_db=pilot_snr_db)
             with pytest.raises(ValueError, match="undefined"):
                 empirical_capacity_search(
                     geometry, PilotScheme.REUSED_SETS, QosTarget.from_db(60.0, 0.05),
-                    trials=20, seed=SEED, sampler="finite_m", finite_m=cfg, max_tier=0,
+                    trials=20, seed=SEED, finite_m=cfg, max_tier=0,
                 )
-
-    def test_unknown_sampler_rejected(self, geometry):
-        with pytest.raises(ValueError, match="sampler"):
-            empirical_capacity_search(
-                geometry, PilotScheme.REUSED_SETS, QosTarget.from_db(0.0, 0.05),
-                trials=10, seed=SEED, sampler="magic",
-            )
 
 
 class TestSampleSet:
