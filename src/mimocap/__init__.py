@@ -12,7 +12,6 @@ from .geometry import (
     CirclePatch,
     NetworkGeometry,
     TierSpec,
-    build_layout,
     circle_approximation,
     cochannel_cells,
     tier_specs,
@@ -52,7 +51,6 @@ __all__ = [
     "TierMoments",
     "TierSpec",
     "best_reuse",
-    "build_layout",
     "capacity_for_reuse",
     "circle_approximation",
     "cochannel_cells",

@@ -169,6 +169,8 @@ def cmd_sir_cdf(config: ScenarioConfig, out: str) -> int:
     w = 7
     geo = config.geometry.with_reuse(w)
     k = config.pilot_budget // w
+    if k < 1:
+        raise ConfigError(f"sir-cdf needs pilots.budget >= {w} (one user per cell at reuse {w})")
     rows = []
     for scheme_name in config.schemes:
         scheme = PilotScheme.parse(scheme_name)
@@ -183,12 +185,12 @@ def cmd_sir_cdf(config: ScenarioConfig, out: str) -> int:
             max_tier=config.tier_count,
             workers=_workers(config),
         )
-        count, tm = cap.tier1_moments(
+        moments = cap.tier1_moments(
             geo, scheme, config.pilot_budget, w, config.circle_mode,
             tier_count=config.tier_count,
-        )[0]
-        n_terms = count * (k if scheme is PilotScheme.DIFFERENT_SETS else 1)
-        gi = intf.total_interference([(n_terms, tm)])
+        )
+        per_cell = k if scheme is PilotScheme.DIFFERENT_SETS else 1
+        gi = intf.total_interference([(count * per_cell, tm) for count, tm in moments])
         n = len(samples)
         step = max(1, n // 1000)
         idx = np.arange(step - 1, n, step)

@@ -93,7 +93,6 @@ _SCHEMA = {
         "cell_radius_m": float,
         "hole_radius_m": float,
         "reuse_factor": int,
-        "ring_count": int,
         "path_loss_exponent": float,
     },
     "pilots": {
@@ -181,7 +180,6 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> ScenarioConfig:
             cell_radius_m=get("geometry", "cell_radius_m", 1600.0, float),
             hole_radius_m=get("geometry", "hole_radius_m", 100.0, float),
             reuse_factor=get("geometry", "reuse_factor", 1, int),
-            ring_count=get("geometry", "ring_count", 2, int),
             path_loss_exponent=get("geometry", "path_loss_exponent", 4.0, float),
         )
         finite_m = FiniteMConfig(

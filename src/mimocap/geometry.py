@@ -1,9 +1,10 @@
-"""Hexagonal cellular layout, frequency reuse partitioning and user placement.
+"""Hexagonal cellular layout, co-channel cells and tiers, and user placement.
 
 Cells sit on a triangular lattice with center spacing sqrt(3) * cell_radius
 (cell_radius is the hexagon circumradius).  Co-channel cells under reuse
-factor w form a scaled copy of the same lattice with spacing sqrt(3*w) * a,
-so the nearest co-channel "tier" sits at that distance with 6 members.
+factor w form a scaled, rotated copy of the same lattice with spacing
+sqrt(3*w) * a, so the nearest co-channel tier sits at that distance with 6
+members and tier t at the t-th shell of that copy.
 
 All objects here are immutable and safe to share across workers; samplers
 take an explicit numpy Generator.
@@ -63,12 +64,10 @@ class NetworkGeometry:
 
 @dataclass(frozen=True)
 class Cell:
-    """One cell of the built lattice."""
+    """One co-channel cell: its center and its tier index (1 = nearest)."""
 
-    axial: tuple[int, int]
     center: tuple[float, float]
-    resource: int  # frequency resource index, 1..w; center cell uses 1
-    ring: int
+    tier: int
 
 
 @dataclass(frozen=True)
@@ -105,81 +104,44 @@ def axial_to_xy(m: int, n: int, spacing: float) -> tuple[float, float]:
     return spacing * (m + 0.5 * n), spacing * (math.sqrt(3.0) / 2.0) * n
 
 
-def is_cochannel_offset(dm: int, dn: int, reuse_factor: int) -> bool:
-    """True if the axial offset (dm, dn) lies on the reuse-w sublattice."""
-    i, j = REUSE_SHIFTS[reuse_factor]
-    w = reuse_factor
-    return ((i + j) * dm + j * dn) % w == 0 and (i * dn - j * dm) % w == 0
-
-
-def min_rings_for_cochannel(reuse_factor: int) -> int:
-    """Smallest ring count whose lattice contains tier-1 co-channel cells."""
-    return hex_ring(*REUSE_SHIFTS[reuse_factor])
-
-
-def build_layout(geometry: NetworkGeometry) -> list[Cell]:
-    """Build the hexagonal lattice with reuse coloring.
-
-    Returns 1 + sum(6r, r=1..ring_count) cells ordered by (ring, angle).
-    Resource indices are the cosets of the reuse sublattice, numbered in
-    order of first appearance; the center cell always gets resource 1.
-    """
-    w = geometry.reuse_factor
-    d = geometry.center_spacing_m
-    coords = []
-    for m in range(-geometry.ring_count, geometry.ring_count + 1):
-        for n in range(-geometry.ring_count, geometry.ring_count + 1):
-            if hex_ring(m, n) <= geometry.ring_count:
-                coords.append((m, n))
-
-    def sort_key(c):
-        m, n = c
-        x, y = axial_to_xy(m, n, d)
-        return (hex_ring(m, n), math.atan2(y, x) % (2 * math.pi))
-
-    coords.sort(key=sort_key)
-    assert coords[0] == (0, 0)
-
-    reps: list[tuple[int, int]] = []  # coset representatives, index = resource - 1
-    cells = []
-    for m, n in coords:
-        resource = None
-        for idx, (rm, rn) in enumerate(reps):
-            if is_cochannel_offset(m - rm, n - rn, w):
-                resource = idx + 1
-                break
-        if resource is None:
-            reps.append((m, n))
-            resource = len(reps)
-        cells.append(
-            Cell(
-                axial=(m, n),
-                center=axial_to_xy(m, n, d),
-                resource=resource,
-                ring=hex_ring(m, n),
-            )
-        )
-    return cells
-
-
 def cochannel_cells(geometry: NetworkGeometry, max_tier: int | None = None) -> list[Cell]:
-    """Co-channel cells of the center cell, excluding the center itself.
+    """Co-channel cells of the center cell, excluding the center itself,
+    ordered by (ring, angle).
 
-    The lattice is extended beyond geometry.ring_count when needed so that
-    at least the tier-1 co-channel cells are present (a ring-2 lattice has
-    no reuse-7 co-channel cell at all).  max_tier additionally truncates to
-    the first max_tier co-channel distances.
+    Under reuse w = i^2 + i*j + j^2 they are the sublattice spanned by the
+    axial vectors (i, j) and (-j, i + j), its 60-degree rotation (MacDonald,
+    "The Cellular Concept", BSTJ 1979).  The point a*(i, j) + b*(-j, i + j)
+    sits sqrt(a^2 + a*b + b^2) tier-1 separations away, so its tier is the
+    rank of that norm among the shells of tier_specs.  max_tier=None keeps
+    every co-channel cell within geometry.ring_count rings, and at least the
+    tier-1 ring (a ring-2 lattice has no reuse-7 co-channel cell at all); a
+    given max_tier keeps every cell of the first max_tier tiers.
     """
-    rings = max(geometry.ring_count, min_rings_for_cochannel(geometry.reuse_factor))
-    layout = build_layout(replace(geometry, ring_count=rings))
-    out = [c for c in layout if c.resource == 1 and c.axial != (0, 0)]
-    if max_tier is not None:
-        if max_tier < 1:
-            return []
-        tiers = tier_specs(geometry, max_tier)
-        cutoff = tiers[-1].separation_m * (1.0 + 1e-9)
-        out = [c for c in out if math.hypot(*c.center) <= cutoff]
-    return out
+    if max_tier is not None and max_tier < 1:
+        return []
+    w = geometry.reuse_factor
+    i, j = REUSE_SHIFTS[w]
+    rings = max(geometry.ring_count, hex_ring(i, j))
+    # A cell within `rings` rings has norm at most rings^2 / w, and the t-th
+    # shell norm is at least t, so the first rings^2 // w shells hold it.
+    shells = tier_specs(geometry, rings * rings // w if max_tier is None else max_tier)
+    tier_of = {
+        round((s.separation_m / shells[0].separation_m) ** 2): s.tier_index for s in shells
+    }
+    reach = math.isqrt(4 * max(tier_of) // 3) + 1  # a^2 + a*b + b^2 >= 3 a^2 / 4
+    d = geometry.center_spacing_m
+    found = []
+    for a in range(-reach, reach + 1):
+        for b in range(-reach, reach + 1):
+            m, n = a * i - b * j, a * j + b * (i + j)
+            tier = tier_of.get(a * a + a * b + b * b)
+            ring = hex_ring(m, n)
+            if tier is None or (max_tier is None and ring > rings):
+                continue
+            x, y = axial_to_xy(m, n, d)
+            found.append(((ring, math.atan2(y, x) % (2 * math.pi)), Cell((x, y), tier)))
+    found.sort(key=lambda entry: entry[0])
+    return [cell for _, cell in found]
 
 
 def tier_specs(geometry: NetworkGeometry, max_tier: int) -> list[TierSpec]:

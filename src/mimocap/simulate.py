@@ -5,7 +5,8 @@ Three samplers share one trial framework:
 * sample_sir_limit        - limiting (large antenna count) SIR where only
                             pilot contamination survives,
 * sample_sir_limit_shadowed - the same with log-normal shadowing and
-                            best-base-station selection,
+                            best-base-station selection (both run one
+                            trial function, unshadowed at sigma = 0),
 * sample_sir_finite_m     - a finite-antenna MRC link simulator with all
                             intra- and inter-cell cross terms and noise.
 
@@ -41,7 +42,6 @@ from .geometry import (
     equal_area_radius,
     sample_circle_position,
     sample_hexagon_position,
-    tier_specs,
 )
 from .interference import QosTarget
 from .pilots import PilotBook, PilotScheme
@@ -192,16 +192,10 @@ def _contamination(scn: _Scenario, gains: np.ndarray, coeff) -> np.ndarray:
     return (coeff.real**2 + coeff.imag**2) * gains
 
 
-def _limit_trial(scn: _Scenario, seed: int, trial: int) -> float:
-    r_own, r_ctr, _ = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
-    coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
-    gains = (r_own / r_ctr) ** (2.0 * scn.gamma)
-    total = float(_contamination(scn, gains, coeff).sum())
-    return 1.0 / total if total > 0.0 else math.inf
-
-
 def _shadow_trial(scn: _Scenario, seed: int, trial: int):
-    """Shadowed trial: returns (sir, per-tier interference or None, max ratio)."""
+    """Limiting-SIR trial, shadowed when scn.shadow_sigma_db > 0: returns
+    (sir, per-tier interference, max ratio), the last two None unless
+    shadowing or diagnostics need them."""
     r_own, r_ctr, offsets = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
     coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
     n, k = scn.n_cells, scn.users_per_cell
@@ -224,17 +218,19 @@ def _shadow_trial(scn: _Scenario, seed: int, trial: int):
         ratio = (beta[:, :, 0] / beta_serv) ** 2
         ratio[serving == 0] = 0.0  # handed over to the center station
     else:
-        # Degenerate shadowing: nearest-station service keeps every user on
-        # its own cell, which is _limit_trial bit-for-bit.
+        # No shadowing: nearest-station service keeps every user on its own
+        # cell, and the terms are the unshadowed power-control ratios.
         ratio = (r_own / r_ctr) ** (2.0 * scn.gamma)
     terms = _contamination(scn, ratio, coeff)
     total = float(terms.sum())
     sir = 1.0 / total if total > 0.0 else math.inf
-    per_tier = None
+    per_tier = peak = None
     if scn.collect_shadow_stats:
         per_tier = {int(t): float(terms[scn.tiers == t].sum()) for t in np.unique(scn.tiers)}
-    counted = ratio[:, 0] if scn.scheme is PilotScheme.REUSED_SETS else ratio
-    return sir, per_tier, float(counted.max()) if counted.size else 0.0
+    if scn.collect_shadow_stats or scn.shadow_sigma_db > 0.0:
+        counted = ratio[:, 0] if scn.scheme is PilotScheme.REUSED_SETS else ratio
+        peak = float(counted.max()) if counted.size else 0.0
+    return sir, per_tier, peak
 
 
 def _finite_trial(scn: _Scenario, seed: int, trial: int) -> np.ndarray:
@@ -332,17 +328,7 @@ def _cochannel_scenario(
         raise ValueError(f"unknown sampling region {region!r}")
     cells = cochannel_cells(geometry, max_tier)
     centers = np.array([c.center for c in cells]).reshape(-1, 2)
-    rings_eff = max(geometry.ring_count, 3)
-    specs = tier_specs(geometry, rings_eff * rings_eff + 4)
-    tiers = np.empty(len(cells), dtype=int)
-    for i, c in enumerate(cells):
-        dist = math.hypot(*c.center)
-        match = [
-            t.tier_index for t in specs if abs(dist - t.separation_m) <= 1e-6 * t.separation_m
-        ]
-        if not match:
-            raise RuntimeError(f"could not classify co-channel cell at {dist:.1f} m into a tier")
-        tiers[i] = match[0]
+    tiers = np.array([c.tier for c in cells], dtype=int)
     if scheme is PilotScheme.DIFFERENT_SETS:
         if pilot_dim is None:
             raise ValueError("different-sets sampling needs the pilot dimension")
@@ -433,9 +419,9 @@ def sample_sir_limit(
     max_tier: int | None = None,
     workers: int | None = None,
 ) -> SirSampleSet:
-    """Limiting-SIR samples: per trial, drop users in every co-channel cell
-    of the built lattice, draw pilot collisions per scheme, and evaluate the
-    contamination-only SIR under uplink power control.
+    """Limiting-SIR samples: per trial, drop users in every cell of
+    cochannel_cells(geometry, max_tier), draw pilot collisions per scheme,
+    and evaluate the contamination-only SIR under uplink power control.
 
     pilot_book fixes the different-sets pilot matrices across trials (only
     the column assignment is redrawn); by default pilots are redrawn every
@@ -445,7 +431,8 @@ def sample_sir_limit(
         raise ValueError("trials must be >= 1")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = _attach_book(scn, pilot_book)
-    return SirSampleSet(np.array(_run_trials(_limit_trial, scn, seed, trials, workers)))
+    results = _run_trials(_shadow_trial, scn, seed, trials, workers)
+    return SirSampleSet(np.array([sir for sir, _, _ in results]))
 
 
 def sample_sir_limit_shadowed(
@@ -485,7 +472,7 @@ def sample_sir_limit_shadowed(
     scn = replace(scn, shadow_sigma_db=shadow_sigma_db, collect_shadow_stats=diagnostics)
     results = _run_trials(_shadow_trial, scn, seed, trials, workers)
     samples = np.array([sir for sir, _, _ in results])
-    max_term = max(term for _, _, term in results)
+    max_term = max((peak for _, _, peak in results if peak is not None), default=0.0)
     if shadow_sigma_db > 0.0 and max_term > 1.0 + 1e-9:
         raise RuntimeError(
             f"interference ratio {max_term} exceeds 1; best-station selection is broken"

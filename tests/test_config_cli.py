@@ -239,6 +239,16 @@ class TestCli:
         )
         assert rc == 1
 
+    def test_sir_cdf_budget_below_reuse7_is_config_error(self, config_file, capsys):
+        # reuse 7 leaves 6 // 7 = 0 pilots per cell
+        assert main(["sir-cdf", config_file, "--set", "pilots.budget=6"]) == 2
+        assert "pilots.budget" in capsys.readouterr().err
+
+    def test_ring_count_is_not_a_config_key(self, config_file, capsys):
+        # every command draws the first model.tier_count tiers
+        assert main(["validate", config_file, "--set", "geometry.ring_count=3"]) == 2
+        assert "geometry.ring_count" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["capacity-table", "/does/not/exist.ini"]) == 2
         bad = tmp_path / "bad.ini"
