@@ -215,21 +215,32 @@ def sample_circle_position(radius_m: float, rng: np.random.Generator, size: int)
 def sample_hexagon_position(geometry: NetworkGeometry, rng: np.random.Generator, size: int):
     """size uniform draws over the hexagonal cell with the hole disc excluded.
 
-    Rejection sampling from the bounding box; returns arrays of cartesian
-    offsets (x, y) from the cell center.
+    The hexagon is three equal rhombi, each spanned by two of the alternate
+    vertices (0, a), (sqrt(3) a / 2, -a / 2) and (-sqrt(3) a / 2, -a / 2).
+    A draw picks a rhombus uniformly and a uniform point inside it; only
+    points in the hole (pi a_h^2 of the area) are redrawn.  Two uniforms
+    make a draw: the integer part of 3 u picks the rhombus, and the exact
+    fractional part is the first coordinate in it.  Returns arrays of
+    cartesian offsets (x, y) from the cell center.
     """
     a = geometry.cell_radius_m
+    r3 = math.sqrt(3.0)
+    # the same expressions as point_in_hexagon, so no draw leaves the cell;
+    # rhombus j is spanned by vertices j and j + 1 (mod 3)
+    vx = np.array([0.0, r3 * a / 2.0, -r3 * a / 2.0, 0.0])
+    vy = np.array([a, -a / 2.0, -a / 2.0, a])
     hole2 = geometry.hole_radius_m**2
     xs = np.empty(size)
     ys = np.empty(size)
     pending = np.arange(size)
-    r3 = math.sqrt(3.0)
     while pending.size:
-        x = rng.uniform(-r3 * a / 2.0, r3 * a / 2.0, pending.size)
-        y = rng.uniform(-a, a, pending.size)
-        ok = point_in_hexagon(x, y, a) & (x * x + y * y >= hole2)
-        hit = pending[ok]
-        xs[hit] = x[ok]
-        ys[hit] = y[ok]
-        pending = pending[~ok]
+        s, t = rng.random((2, pending.size))
+        s *= 3.0
+        first = s.astype(np.intp)
+        s -= first
+        x = s * vx[first] + t * vx[first + 1]
+        y = s * vy[first] + t * vy[first + 1]
+        xs[pending] = x
+        ys[pending] = y
+        pending = pending[x * x + y * y < hole2]
     return xs, ys

@@ -1,30 +1,38 @@
 """Monte Carlo validation of the analytic capacity pipeline.
 
-Three samplers share one trial framework:
+Three samplers share one block engine:
 
 * sample_sir_limit        - limiting (large antenna count) SIR where only
                             pilot contamination survives,
 * sample_sir_limit_shadowed - the same with log-normal shadowing and
                             best-base-station selection (both run one
-                            trial function, unshadowed at sigma = 0),
+                            block evaluator, unshadowed at sigma = 0),
 * sample_sir_finite_m     - a finite-antenna MRC link simulator with all
                             intra- and inter-cell cross terms and noise.
+
+Trials run in blocks of _BLOCK: a block draws the user drops, pilot
+overlaps, shadowing and fading of all its trials as arrays, and a
+vectorised evaluator turns them into SIRs (_limit_block for the limiting
+and shadowed samplers, _finite_block for finite M).
 
 The finite-M simulator never draws the M x N channel matrix: i.i.d.
 Rayleigh fading is invariant in law under rotations of the user space, and
 rotating along the channel-estimator weights leaves one Gamma(M, 1) draw
-and one Gaussian vector over the N users per trial (see _finite_trial).  A
+and one Gaussian vector over the N users per trial (see _finite_block).  A
 trial costs O(N) whatever M is, has the law of the M x N simulation, and
 yields the SINR at every per-cell load.  empirical_capacity_search reads the
 largest load with outage P(SINR < S) <= alpha off one such pass per reuse
 factor, every load on the same draws (common random numbers).
 
 Randomness is drawn from counter-based Philox streams keyed by
-(seed, trial index, role), so trials are independent, reproducible
-bit-for-bit, and insensitive to chunking or worker count.  The samplers
-consume the position and pilot roles identically, which makes paired
-comparisons across samplers (same user drops, same pilot collisions)
-possible by reusing a seed.
+(seed, block, role) (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011).  Every block draws all of its trials, the last one
+included, and workers get whole blocks, so results are reproducible
+bit-for-bit, a shorter run is a prefix of a longer one, and the worker
+count changes nothing.  All samplers draw positions and pilots through
+the same block helpers in the same order, which makes paired comparisons
+across samplers (same user drops, same pilot collisions) possible by
+reusing a seed.
 """
 
 from __future__ import annotations
@@ -51,13 +59,15 @@ _ROLE_PILOTS = 2
 _ROLE_SHADOW = 3
 _ROLE_FADING = 4
 
+_BLOCK = 64  # trials per block of streams
+
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 
 
-def trial_rng(seed: int, trial: int, role: int) -> np.random.Generator:
-    """Philox stream for one (seed, trial, role) triple."""
+def trial_rng(seed: int, block: int, role: int) -> np.random.Generator:
+    """Philox stream for one (seed, block, role) triple."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    counter = np.array([0, 0, trial, role], dtype=np.uint64)
+    counter = np.array([0, 0, block, role], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
@@ -107,7 +117,7 @@ class ShadowDiagnostics:
 
 @dataclass(frozen=True)
 class _Scenario:
-    """Everything a trial needs; immutable and picklable for workers."""
+    """Everything a block needs; immutable and picklable for workers."""
 
     geometry: NetworkGeometry
     centers: np.ndarray  # (n_cells, 2) co-channel cell centers
@@ -117,7 +127,6 @@ class _Scenario:
     pilot_dim: int
     region: str
     shadow_sigma_db: float = 0.0
-    collect_shadow_stats: bool = False
     # finite-M extras
     antennas: int = 0
     ul_snr: float = math.inf
@@ -135,182 +144,208 @@ class _Scenario:
         return self.geometry.path_loss_exponent
 
 
-def _draw_distances(scn: _Scenario, rng: np.random.Generator):
-    """Distances (to own base station, to the center one) per interferer.
+def _draw_users(scn: _Scenario, seed: int, block: int, count: int):
+    """User drops (role 1) and pilot overlaps (role 2) of one block.
 
-    Shapes (n_cells, users_per_cell).  The circle region reproduces the
-    analytic disc density; the hexagon region is the physical cell with the
-    hole excluded.
+    Returns (r_own, r_ctr, offsets, phi), each (count, n_cells,
+    users_per_cell): distances to the own and the center base station, the
+    offsets (xs, ys) from the own cell center (None for circles), and the
+    overlaps |<psi, psi_tagged>|^2 (None under reused sets, where only the
+    same-index user of each cell collides, fully).  Every block draws all
+    _BLOCK trials and keeps the first count, so a shorter run is a prefix
+    of a longer one.
     """
     n, k = scn.n_cells, scn.users_per_cell
+    shape = (_BLOCK, n, k)
+    rng = trial_rng(seed, block, _ROLE_POSITIONS)
     if scn.region == "circle":
+        # the analytic disc density about the own station
         b = equal_area_radius(scn.geometry.cell_radius_m)
-        r_own, ang = sample_circle_position(b, rng, n * k)
-        r_own = r_own.reshape(n, k)
+        r_own, ang = sample_circle_position(b, rng, _BLOCK * n * k)
+        r_own = r_own.reshape(shape)[:count]
+        ang = ang.reshape(shape)[:count]
         d = np.hypot(scn.centers[:, 0], scn.centers[:, 1])[:, None]
-        r_ctr = np.sqrt(r_own**2 + d**2 - 2.0 * d * r_own * np.cos(ang.reshape(n, k)))
-        return r_own, r_ctr, None
-    xs, ys = sample_hexagon_position(scn.geometry, rng, n * k)
-    xs = xs.reshape(n, k)
-    ys = ys.reshape(n, k)
-    r_own = np.hypot(xs, ys)
-    r_ctr = np.hypot(xs + scn.centers[:, 0][:, None], ys + scn.centers[:, 1][:, None])
-    return r_own, r_ctr, (xs, ys)
+        r_ctr = np.sqrt(r_own**2 + d**2 - 2.0 * d * r_own * np.cos(ang))
+        offsets = None
+    else:
+        xs, ys = sample_hexagon_position(scn.geometry, rng, _BLOCK * n * k)
+        xs = xs.reshape(shape)[:count]
+        ys = ys.reshape(shape)[:count]
+        r_own = np.hypot(xs, ys)
+        r_ctr = np.hypot(xs + scn.centers[:, 0][:, None], ys + scn.centers[:, 1][:, None])
+        offsets = (xs, ys)
+    phi = None
+    if scn.scheme is PilotScheme.DIFFERENT_SETS:
+        phi = _draw_overlaps(scn, trial_rng(seed, block, _ROLE_PILOTS))[:count]
+    return r_own, r_ctr, offsets, phi
 
 
-def _draw_pilot_vector(scn: _Scenario, rng: np.random.Generator):
-    """Complex cross-correlation coefficients of every interfering user's
-    pilot against the tagged user's pilot, drawn fresh per trial.
+def _draw_overlaps(scn: _Scenario, rng: np.random.Generator) -> np.ndarray:
+    """Different-sets pilot overlaps of every interferer, (_BLOCK, n_cells,
+    users_per_cell).
 
-    For independent Haar books the coefficient vector of one cell is the
-    first users_per_cell coordinates of a Haar unit vector, sampled as a
-    normalized complex Gaussian row.  Reused sets need no draw: exactly
-    the same-index user of each cell collides, with coefficient 1.
+    With a fixed book, each trial draws the tagged user's column and, per
+    cell, a uniform assignment of columns to users, and reads the overlaps
+    off the book's Gram matrices.  Otherwise pilots are fresh Haar books:
+    the overlaps of one cell are the squared moduli of the first
+    users_per_cell coordinates of a uniform unit vector of C^pilot_dim,
+    which are Dirichlet(1, ..., 1), so they are drawn as that many unit
+    exponentials over their sum plus a Gamma(pilot_dim - users_per_cell)
+    remainder.
     """
-    n, k, dim = scn.n_cells, scn.users_per_cell, scn.pilot_dim
-    if scn.scheme is PilotScheme.REUSED_SETS:
-        return None
-    if scn.book_grams is not None:
-        K = scn.book_dim
-        tagged_col = int(rng.integers(K))
-        phi = np.empty((n, k))
-        for l in range(n):
-            cols = rng.permutation(K)[:k]
-            phi[l] = scn.book_grams[l][tagged_col, cols]
-        return np.sqrt(phi).astype(complex)  # phases irrelevant downstream
-    z = rng.standard_normal((n, 2 * dim)).view(np.complex128)
-    norm = np.sqrt((z.real**2 + z.imag**2).sum(axis=1, keepdims=True))
-    return z[:, :k] / norm
-
-
-def _contamination(scn: _Scenario, gains: np.ndarray, coeff) -> np.ndarray:
-    """Contaminating terms at the center station: the same-index user of
-    each cell under reused sets, every user weighted by its pilot overlap
-    |coeff|^2 under different sets."""
-    if scn.scheme is PilotScheme.REUSED_SETS:
-        return gains[:, 0]
-    return (coeff.real**2 + coeff.imag**2) * gains
-
-
-def _shadow_trial(scn: _Scenario, seed: int, trial: int):
-    """Limiting-SIR trial, shadowed when scn.shadow_sigma_db > 0: returns
-    (sir, per-tier interference, max ratio), the last two None unless
-    shadowing or diagnostics need them."""
-    r_own, r_ctr, offsets = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
-    coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
     n, k = scn.n_cells, scn.users_per_cell
+    if scn.book_grams is not None:
+        dim = scn.book_dim
+        tagged = rng.integers(dim, size=_BLOCK)
+        cols = rng.permuted(np.tile(np.arange(dim), (_BLOCK, n, 1)), axis=2)[:, :, :k]
+        return scn.book_grams[np.arange(n)[:, None], tagged[:, None, None], cols]
+    e = rng.standard_exponential((_BLOCK, n, k))
+    rest = rng.standard_gamma(scn.pilot_dim - k, (_BLOCK, n, 1))
+    return e / (e.sum(axis=2, keepdims=True) + rest)
 
+
+def _limit_block(scn: _Scenario, seed: int, block: int, count: int):
+    """Limiting SIR of one block, shadowed when scn.shadow_sigma_db > 0.
+
+    Returns (sir, per-cell interference summed over the block's trials,
+    largest interference ratio of a contaminating user).
+    """
+    r_own, r_ctr, offsets, phi = _draw_users(scn, seed, block, count)
     if scn.shadow_sigma_db > 0.0:
-        xs, ys = offsets
-        # distances from every user to every candidate base station:
-        # column 0 is the center station, column 1+l the co-channel ones.
-        bs_x = np.concatenate(([0.0], scn.centers[:, 0]))
-        bs_y = np.concatenate(([0.0], scn.centers[:, 1]))
-        dx = xs[:, :, None] + scn.centers[:, 0][:, None, None] - bs_x[None, None, :]
-        dy = ys[:, :, None] + scn.centers[:, 1][:, None, None] - bs_y[None, None, :]
-        dist = np.hypot(dx, dy)
-        rng_sh = trial_rng(seed, trial, _ROLE_SHADOW)
-        z_db = scn.shadow_sigma_db * rng_sh.standard_normal((n, k, n + 1))
-        beta = 10.0 ** (z_db / 10.0) * dist ** (-scn.gamma)
-        serving = np.argmax(beta, axis=2)
-        idx = np.ogrid[:n, :k]
-        beta_serv = beta[idx[0], idx[1], serving]
-        ratio = (beta[:, :, 0] / beta_serv) ** 2
-        ratio[serving == 0] = 0.0  # handed over to the center station
+        ratio = _shadowed_ratio(scn, offsets, trial_rng(seed, block, _ROLE_SHADOW), count)
     else:
         # No shadowing: nearest-station service keeps every user on its own
         # cell, and the terms are the unshadowed power-control ratios.
         ratio = (r_own / r_ctr) ** (2.0 * scn.gamma)
-    terms = _contamination(scn, ratio, coeff)
-    total = float(terms.sum())
-    sir = 1.0 / total if total > 0.0 else math.inf
-    per_tier = peak = None
-    if scn.collect_shadow_stats:
-        per_tier = {int(t): float(terms[scn.tiers == t].sum()) for t in np.unique(scn.tiers)}
-    if scn.collect_shadow_stats or scn.shadow_sigma_db > 0.0:
-        counted = ratio[:, 0] if scn.scheme is PilotScheme.REUSED_SETS else ratio
-        peak = float(counted.max()) if counted.size else 0.0
-    return sir, per_tier, peak
+    # contaminating terms at the center station: the same-index user of each
+    # cell under reused sets, every user weighted by its overlap otherwise
+    counted = ratio[:, :, :1] if phi is None else ratio
+    terms = counted if phi is None else phi * ratio
+    total = terms.sum(axis=(1, 2))
+    sir = np.divide(1.0, total, out=np.full(count, math.inf), where=total > 0.0)
+    per_cell = terms.sum(axis=(0, 2))
+    peak = float(counted.max()) if counted.size else 0.0
+    return sir, per_cell, peak
 
 
-def _finite_trial(scn: _Scenario, seed: int, trial: int) -> np.ndarray:
-    """Tagged-user SINR at every load 1..users_per_cell, where load k keeps
-    the first k users of each cell; entry k - 1 is load k."""
-    r_own, r_ctr, _ = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
-    coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
+def _shadowed_ratio(scn: _Scenario, offsets, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(beta_center / beta_serving)^2 per user under log-normal shadowing
+    and best-station selection, 0 for users the center station serves.
+
+    Gains beta = 10^(z/10) r^-gamma go to every candidate station, column 0
+    the center one and column 1 + l co-channel cell l; they are compared in
+    the log domain, in place, on one (count, n_cells, users_per_cell,
+    n_cells + 1) array.
+    """
+    xs, ys = offsets
+    cx, cy = scn.centers[:, 0], scn.centers[:, 1]
+    bs_x = np.concatenate(([0.0], cx))
+    bs_y = np.concatenate(([0.0], cy))
+    log_gain = np.subtract.outer(xs + cx[:, None], bs_x)
+    log_gain *= log_gain
+    dy = np.subtract.outer(ys + cy[:, None], bs_y)
+    dy *= dy
+    log_gain += dy
+    np.log(log_gain, out=log_gain)
+    log_gain *= -scn.gamma / 2.0
+    z = rng.standard_normal((_BLOCK, *log_gain.shape[1:]))[:count]
+    z *= scn.shadow_sigma_db * math.log(10.0) / 10.0
+    log_gain += z
+    best = log_gain.max(axis=3)
+    center = log_gain[..., 0]
+    ratio = np.exp(2.0 * (center - best))
+    ratio[center == best] = 0.0  # handed over to the center station
+    return ratio
+
+
+def _finite_block(scn: _Scenario, seed: int, block: int, count: int) -> np.ndarray:
+    """Tagged-user SINR of one block at every load 1..users_per_cell, where
+    load k keeps the first k users of each cell: (count, users_per_cell),
+    column k - 1 for load k."""
+    r_own, r_ctr, _, phi = _draw_users(scn, seed, block, count)
     n, k = scn.n_cells, scn.users_per_cell
     n_users = (n + 1) * k
 
     # ULPC effective channel amplitude at the center station is
     # sqrt(beta_center / beta_own); beta = r^-gamma is a power gain, so the
     # coherent interference scales as amp^4 = (r_own / r_center)^(2 gamma),
-    # matching the limiting SIR terms.  Center-cell users come first.
-    amp = np.ones(n_users)
-    amp[k:] = ((r_own / r_ctr) ** (scn.gamma / 2.0)).ravel()
+    # matching the limiting SIR terms.  Cell 0 is the center cell.
+    amp = np.ones((count, n + 1, k))
+    amp[:, 1:] = (r_own / r_ctr) ** (scn.gamma / 2.0)
 
-    # pilot-matched-filter weights: own-cell pilots are orthogonal, so only
-    # the tagged user survives from the center cell.
-    c = np.zeros(n_users, dtype=complex)
-    c[0] = 1.0
-    if scn.scheme is PilotScheme.REUSED_SETS:
-        c[k + np.arange(n) * k] = 1.0
+    # pilot-matched-filter weights a = c * amp: own-cell pilots are
+    # orthogonal, so only the tagged user survives from the center cell, and
+    # an interferer enters with the modulus sqrt(phi) of its pilot overlap.
+    a = np.zeros((count, n + 1, k))
+    a[:, 0, 0] = 1.0
+    if phi is None:
+        a[:, 1:, 0] = amp[:, 1:, 0]
     else:
-        c[k:] = coeff.ravel()
+        a[:, 1:] = np.sqrt(phi) * amp[:, 1:]
 
     # The estimate is ghat = H a over the M x (N+1) channel H with i.i.d.
-    # CN(0, 1) entries, where a = c * amp plus one pilot-noise column of
-    # weight 1/sqrt(tau * SNR_p).  The law of H does not change under a
-    # unitary rotation of the user space; rotating along u = a/|a| gives
-    # ghat = |a| z with z ~ CN(0, I_M) and h_i^H ghat = |a| |z| (a_i g + w_i),
+    # CN(0, 1) entries, a holding one more pilot-noise column of weight
+    # 1/sqrt(tau * SNR_p).  The law of H does not change under a unitary
+    # rotation of the user space; rotating along u = a/|a| gives ghat = |a| z
+    # with z ~ CN(0, I_M) and h_i^H ghat = |a| |z| (a_i g + w_i),
     # g = (|z| - u^H w) / |a|, w ~ CN(0, I_{N+1}) independent of
     # |z|^2 ~ Gamma(M, 1).  |a|^2 |z|^2 = |ghat|^2 cancels from the SINR, so
-    # a trial costs O(N) whatever M is (Marzetta, IEEE TWC 2010).  Load k
+    # a trial costs O(N) whatever M is (Marzetta, IEEE TWC 2010); w also
+    # absorbs the pilot phases, so real weights have the same law.  Load k
     # keeps a and w of its users only: the sums over users are prefix sums
     # over the in-cell index, and the denominator, summed over interferers,
-    # is sum amp^2 |a g + w|^2 = |g|^2 A + 2 Re(g B) + C.
-    a = c * amp
+    # is sum amp^2 |a g + w|^2 = |g|^2 A + 2 Re(g conj(B)) + C.
     noisy = math.isfinite(scn.pilot_snr)
-    rng_fad = trial_rng(seed, trial, _ROLE_FADING)
-    z_norm = math.sqrt(rng_fad.standard_gamma(scn.antennas))
-    w = rng_fad.standard_normal(2 * (n_users + noisy)).view(complex) * math.sqrt(0.5)
-    terms = np.empty((5, n_users), dtype=complex)  # |a|^2, conj(a) w; A, conj(B), C
-    terms[0] = a.real**2 + a.imag**2
-    np.multiply(a.conj(), w[:n_users], out=terms[1])
+    rng = trial_rng(seed, block, _ROLE_FADING)
+    z_norm = np.sqrt(rng.standard_gamma(scn.antennas, _BLOCK)[:count, None])
+    w = rng.standard_normal((_BLOCK, 2 * (n_users + noisy)))[:count].view(complex) * math.sqrt(0.5)
+    w_users = w[:, :n_users].reshape(count, n + 1, k)
+    weight = amp * amp
+    weight[:, 0, 0] = 0.0  # the tagged user is no interferer
+    terms = np.empty((5, count, n + 1, k), dtype=complex)  # |a|^2, a w; A, B, C
+    terms[0] = a * a
+    np.multiply(a, w_users, out=terms[1])
     terms[2:4] = terms[:2]
-    terms[4] = w.real[:n_users] ** 2 + w.imag[:n_users] ** 2
-    weight = amp**2
-    weight[0] = 0.0  # the tagged user is no interferer
+    terms[4] = w_users.real**2 + w_users.imag**2
     terms[2:] *= weight
-    sums = np.add.reduce(terms.reshape(5, n + 1, k), axis=1)
+    sums = terms.sum(axis=2)
     # what every load shares goes into load 1 before the prefix sums
     if noisy:
         a_noise = 1.0 / math.sqrt(scn.pilot_dim * scn.pilot_snr)
-        sums[0, 0] += a_noise**2
-        sums[1, 0] += a_noise * w[n_users]
+        sums[0, :, 0] += a_noise**2
+        sums[1, :, 0] += a_noise * w[:, n_users]
     if math.isfinite(scn.ul_snr):
-        sums[4, 0] += 1.0 / scn.ul_snr
-    np.add.accumulate(sums, axis=1, out=sums)
-    norm2, proj, big_a, conj_b, big_c = sums  # proj = |a| u^H w
+        sums[4, :, 0] += 1.0 / scn.ul_snr
+    np.cumsum(sums, axis=2, out=sums)
+    norm2, proj, big_a, big_b, big_c = sums  # proj = |a| u^H w
     norm2 = norm2.real
     g = (z_norm * np.sqrt(norm2) - proj) / norm2
-    num = np.abs(g + w[0]) ** 2  # a = amp = 1 for the tagged user
-    den = (g.real**2 + g.imag**2) * big_a.real + 2.0 * (g * conj_b.conj()).real + big_c.real
-    return np.divide(num, den, out=np.full(k, math.inf), where=den > 0.0)
+    num = np.abs(g + w[:, :1]) ** 2  # a = amp = 1 for the tagged user
+    den = (g.real**2 + g.imag**2) * big_a.real + 2.0 * (g * big_b.conj()).real + big_c.real
+    return np.divide(num, den, out=np.full((count, k), math.inf), where=den > 0.0)
 
 
-def _chunk_worker(args):
-    trial_fn, scn, seed, start, stop = args
-    return [trial_fn(scn, seed, t) for t in range(start, stop)]
+def _block_worker(args):
+    block_fn, scn, seed, trials, start, stop = args
+    return [
+        block_fn(scn, seed, b, min(_BLOCK, trials - b * _BLOCK)) for b in range(start, stop)
+    ]
 
 
-def _run_trials(trial_fn, scn: _Scenario, seed: int, trials: int, workers) -> list:
-    """trial_fn(scn, seed, t) for every t in [0, trials), in trial order."""
-    if workers is None or workers <= 1 or trials < 64:
-        return _chunk_worker((trial_fn, scn, seed, 0, trials))
-    chunk = max(64, (trials + 4 * workers - 1) // (4 * workers))
-    ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
+def _run_blocks(block_fn, scn: _Scenario, seed: int, trials: int, workers) -> list:
+    """block_fn(scn, seed, block, count) for every block of _BLOCK trials
+    covering [0, trials), in block order; count is _BLOCK except in the last
+    block.  Workers get whole blocks, so the output does not depend on them."""
+    blocks = -(-trials // _BLOCK)
+    if workers is None or workers <= 1 or blocks < 2:
+        return _block_worker((block_fn, scn, seed, trials, 0, blocks))
+    per_task = -(-blocks // workers)
+    tasks = [
+        (block_fn, scn, seed, trials, s, min(s + per_task, blocks))
+        for s in range(0, blocks, per_task)
+    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_chunk_worker, [(trial_fn, scn, seed, s, e) for s, e in ranges]))
+        parts = list(pool.map(_block_worker, tasks))
     return [r for part in parts for r in part]
 
 
@@ -431,8 +466,8 @@ def sample_sir_limit(
         raise ValueError("trials must be >= 1")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = _attach_book(scn, pilot_book)
-    results = _run_trials(_shadow_trial, scn, seed, trials, workers)
-    return SirSampleSet(np.array([sir for sir, _, _ in results]))
+    results = _run_blocks(_limit_block, scn, seed, trials, workers)
+    return SirSampleSet(np.concatenate([sir for sir, _, _ in results]))
 
 
 def sample_sir_limit_shadowed(
@@ -469,23 +504,21 @@ def sample_sir_limit_shadowed(
         # station; circle users are drawn relative to their own station only
         raise ValueError("shadow_sigma_db > 0 needs region 'hexagon', not 'circle'")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
-    scn = replace(scn, shadow_sigma_db=shadow_sigma_db, collect_shadow_stats=diagnostics)
-    results = _run_trials(_shadow_trial, scn, seed, trials, workers)
-    samples = np.array([sir for sir, _, _ in results])
-    max_term = max((peak for _, _, peak in results if peak is not None), default=0.0)
+    scn = replace(scn, shadow_sigma_db=shadow_sigma_db)
+    results = _run_blocks(_limit_block, scn, seed, trials, workers)
+    max_term = max(peak for _, _, peak in results)
     if shadow_sigma_db > 0.0 and max_term > 1.0 + 1e-9:
         raise RuntimeError(
             f"interference ratio {max_term} exceeds 1; best-station selection is broken"
         )
-    sample_set = SirSampleSet(samples)
+    sample_set = SirSampleSet(np.concatenate([sir for sir, _, _ in results]))
     if not diagnostics:
         return sample_set
-    tier_sums: dict[int, float] = {}
-    for _, per_tier, _ in results:
-        for tier, val in per_tier.items():
-            tier_sums[tier] = tier_sums.get(tier, 0.0) + val
-    total = sum(tier_sums.values())
-    shares = {t: v / total for t, v in sorted(tier_sums.items())} if total > 0 else {}
+    per_cell = sum(cells for _, cells, _ in results)
+    tiers = np.unique(scn.tiers)
+    tier_sums = [float(per_cell[scn.tiers == t].sum()) for t in tiers]
+    total = sum(tier_sums)
+    shares = {int(t): v / total for t, v in zip(tiers, tier_sums)} if total > 0 else {}
     return sample_set, ShadowDiagnostics(tier_shares=shares, max_interference_ratio=max_term)
 
 
@@ -512,8 +545,8 @@ def sample_sir_finite_m(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scn = _finite_scenario(geometry, scheme, users_per_cell, config, max_tier)
-    sinr = _run_trials(_finite_trial, scn, seed, trials, workers)
-    return SirSampleSet(np.array([by_load[-1] for by_load in sinr]))
+    sinr = _run_blocks(_finite_block, scn, seed, trials, workers)
+    return SirSampleSet(np.concatenate([by_load[:, -1] for by_load in sinr]))
 
 
 def wilson_interval(failures: int, n: int) -> tuple[float, float]:
@@ -547,7 +580,7 @@ def _sinr_by_load(geometry, scheme, finite_m, max_tier, trials, seed, workers) -
     if budget:
         scn = _finite_scenario(geometry, scheme, budget, finite_m, max_tier)
         _require_defined_sinr(scn, 1)
-        sinr = np.array(_run_trials(_finite_trial, scn, seed, trials, workers))
+        sinr = np.concatenate(_run_blocks(_finite_block, scn, seed, trials, workers))
     sinr.flags.writeable = False
     return sinr
 

@@ -1,28 +1,27 @@
 """The O(N) finite-M sampler against a brute-force M x N oracle.
 
-`brute_force_trial` draws the full fading matrix and the pilot-noise vector
-and forms |h_i^H ghat|^2 and |ghat|^2 directly, as the sampler did before it
-used the rotation identity.  It shares the position and pilot draws with the
-sampler, so the two differ only in how fading and pilot noise are drawn.
-Seeds are unpaired: the comparison is of laws, not of shared user drops.
-The sampler is checked at its own load, and every load of the capacity
-search's full-budget pass against the k-user oracle.
+`brute_force_block` draws the full fading matrix and the pilot-noise vector
+of every trial and forms |h_i^H ghat|^2 and |ghat|^2 directly, as the
+sampler did before it used the rotation identity.  It draws positions and
+pilots through the sampler's block helpers, so the two differ only in how
+fading and pilot noise are drawn.  Seeds are unpaired: the comparison is of
+laws, not of shared user drops.  The sampler is checked at its own load,
+and every load of the capacity search's full-budget pass against the k-user
+oracle.
 """
 
 import math
 
 import numpy as np
-from scipy.stats import chi2, ks_2samp
 
+from law_checks import law_failures
 from mimocap.pilots import PilotScheme
 from mimocap.simulate import (
     _ROLE_FADING,
-    _ROLE_PILOTS,
-    _ROLE_POSITIONS,
     FiniteMConfig,
-    _draw_distances,
-    _draw_pilot_vector,
+    _draw_users,
     _finite_scenario,
+    _run_blocks,
     _sinr_by_load,
     sample_sir_finite_m,
     trial_rng,
@@ -31,9 +30,17 @@ from mimocap.simulate import (
 _ROLE_NOISE = 5  # the oracle's own pilot-noise stream; the sampler has none
 
 
-def brute_force_trial(scn, seed: int, trial: int) -> float:
-    r_own, r_ctr, _ = _draw_distances(scn, trial_rng(seed, trial, _ROLE_POSITIONS))
-    coeff = _draw_pilot_vector(scn, trial_rng(seed, trial, _ROLE_PILOTS))
+def brute_force_block(scn, seed: int, block: int, count: int) -> np.ndarray:
+    r_own, r_ctr, _, phi = _draw_users(scn, seed, block, count)
+    rng_fad = trial_rng(seed, block, _ROLE_FADING)
+    rng_noise = trial_rng(seed, block, _ROLE_NOISE)
+    phis = [None] * count if phi is None else phi
+    return np.array([
+        brute_force_trial(scn, r_own[t], r_ctr[t], phis[t], rng_fad, rng_noise) for t in range(count)
+    ])
+
+
+def brute_force_trial(scn, r_own, r_ctr, phi, rng_fad, rng_noise) -> float:
     n, k, m = scn.n_cells, scn.users_per_cell, scn.antennas
     n_users = (n + 1) * k
 
@@ -43,12 +50,11 @@ def brute_force_trial(scn, seed: int, trial: int) -> float:
 
     c = np.zeros(n_users, dtype=np.complex64)
     c[0] = 1.0
-    if scn.scheme is PilotScheme.REUSED_SETS:
+    if phi is None:
         c[k + np.arange(n) * k] = 1.0
     else:
-        c[k:] = coeff.astype(np.complex64).ravel()
+        c[k:] = np.sqrt(phi).astype(np.complex64).ravel()
 
-    rng_fad = trial_rng(seed, trial, _ROLE_FADING)
     h = rng_fad.standard_normal(size=(n_users, 2 * m), dtype=np.float32).view(np.complex64)
     h *= np.float32(math.sqrt(0.5))
 
@@ -56,7 +62,6 @@ def brute_force_trial(scn, seed: int, trial: int) -> float:
     # (BLAS threads stall on a shared CPU); only the summation order differs
     ghat = np.einsum("i,im->m", c * amp, h)
     if math.isfinite(scn.pilot_snr):
-        rng_noise = trial_rng(seed, trial, _ROLE_NOISE)
         npil = rng_noise.standard_normal(size=2 * m, dtype=np.float32).view(np.complex64)
         npil *= np.float32(math.sqrt(0.5))
         ghat = ghat + npil / np.float32(math.sqrt(scn.pilot_dim * scn.pilot_snr))
@@ -68,6 +73,10 @@ def brute_force_trial(scn, seed: int, trial: int) -> float:
     if math.isfinite(scn.ul_snr):
         den += float(np.vdot(ghat, ghat).real) / scn.ul_snr
     return num / den
+
+
+def brute_force(scn, seed: int, trials: int) -> np.ndarray:
+    return np.concatenate(_run_blocks(brute_force_block, scn, seed, trials, None))
 
 
 TRIALS = 400
@@ -85,34 +94,13 @@ GRID = [
 ] + [(scheme, w, 4, m, (10.0, -10.0)) for scheme in PilotScheme for w in (1, 3) for m in (16, 64, 500)]
 
 
-def law_failures(cells):
-    """Per cell of (label, oracle, fast): two-sample KS at p >= 1e-4 and the
-    mean SINR in dB within 4 standard errors.  Returns the failing cells and
-    Fisher's combination of the KS p-values over all cells, to be held at
-    p >= 1e-3, which catches a small shift shared by many cells.  Every cell
-    and side must have its own seed, so the p-values are independent."""
-    failures = []
-    fisher = 0.0
-    count = 0
-    for label, oracle, fast in cells:
-        _stat, p = ks_2samp(oracle, fast)
-        fisher -= 2.0 * math.log(p)
-        count += 1
-        a, b = 10.0 * np.log10(oracle), 10.0 * np.log10(fast)
-        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(len(a))
-        z = (a.mean() - b.mean()) / se
-        if p < 1e-4 or abs(z) > 4.0:
-            failures.append(f"{label}: KS p={p:.2g}, z={z:.2f}")
-    return failures, chi2.sf(fisher, 2 * count)
-
-
 def test_rotation_sampler_matches_brute_force_in_law(geometry):
     def cells():
         for i, (scheme, w, k, m, (ul_db, pilot_db)) in enumerate(GRID):
             cfg = FiniteMConfig(antennas=m, ul_snr_db=ul_db, pilot_snr_db=pilot_db)
             geo = geometry.with_reuse(w)
             scn = _finite_scenario(geo, scheme, k, cfg, 1)
-            oracle = np.array([brute_force_trial(scn, SEED + 2 * i, t) for t in range(TRIALS)])
+            oracle = brute_force(scn, SEED + 2 * i, TRIALS)
             fast = sample_sir_finite_m(geo, scheme, k, cfg, TRIALS, SEED + 2 * i + 1).samples
             yield f"{scheme.value} w={w} k={k} M={m} snr={ul_db}/{pilot_db} dB", oracle, fast
 
@@ -143,7 +131,7 @@ def test_each_load_of_a_full_budget_pass_matches_brute_force_in_law(geometry):
             geo = geometry.with_reuse(w)
             scn = _finite_scenario(geo, scheme, k, cfg, 1)
             seed = SEED + 1000 + 2 * i
-            oracle = np.array([brute_force_trial(scn, seed, t) for t in range(TRIALS)])
+            oracle = brute_force(scn, seed, TRIALS)
             fast = _sinr_by_load(geo, scheme, cfg, 1, TRIALS, seed + 1, None)[:, k - 1]
             yield f"{scheme.value} w={w} load {k} of {42 // w} M={m} snr={snr_db} dB", oracle, fast
 

@@ -204,6 +204,29 @@ class TestSampling:
         assert np.all(point_in_hexagon(x, y, geometry.cell_radius_m))
         assert np.all(x * x + y * y >= geometry.hole_radius_m**2)
 
+    def test_hexagon_uniformity_chisquare(self, geometry, rng):
+        # Equal-area bins: the 12 sectors of 30 degrees are mirror images
+        # under the hexagon's symmetries, and the hexagon gauge rho (the
+        # scale of the smallest concentric hexagon holding the point) has
+        # rho^2 uniform for a uniform point.  The hole disc lies inside the
+        # first rho^2 bin, which loses its area.
+        a, hole = geometry.cell_radius_m, geometry.hole_radius_m
+        r3 = math.sqrt(3.0)
+        n, sectors, shells = 400_000, 12, 8
+        x, y = sample_hexagon_position(geometry, rng, n)
+        rho2 = np.maximum(np.abs(x) / (r3 * a / 2.0), (np.abs(x) + r3 * np.abs(y)) / (r3 * a)) ** 2
+        angle = np.arctan2(y, x) % (2.0 * math.pi)
+        hist, _, _ = np.histogram2d(
+            angle, rho2, bins=(sectors, shells), range=[[0.0, 2.0 * math.pi], [0.0, 1.0]]
+        )
+        hex_area = 3.0 * r3 / 2.0 * a * a
+        assert hole / (r3 * a / 2.0) < math.sqrt(1.0 / shells)  # hole within the first bin
+        shell_area = np.full(shells, hex_area / shells)
+        shell_area[0] -= math.pi * hole * hole
+        expected = np.tile(shell_area / shell_area.sum() / sectors * n, (sectors, 1))
+        _stat, p = chisquare(hist.ravel(), expected.ravel())
+        assert p > 0.01
+
     def test_hexagon_without_hole(self, rng):
         geo = NetworkGeometry(hole_radius_m=0.0)
         x, y = sample_hexagon_position(geo, rng, 10_000)

@@ -10,6 +10,7 @@ from mimocap.pilots import PilotScheme, generate_pilot_book
 from mimocap.simulate import (
     FiniteMConfig,
     SirSampleSet,
+    _sinr_by_load,
     empirical_capacity_search,
     sample_sir_finite_m,
     sample_sir_limit,
@@ -40,16 +41,33 @@ class TestDeterminism:
         for scheme in PilotScheme:
             for snr_db in (10.0, None):
                 cfg = FiniteMConfig(antennas=24, ul_snr_db=snr_db, pilot_snr_db=snr_db)
-                serial = sample_sir_finite_m(geometry, scheme, 3, cfg, 150, SEED)
-                parallel = sample_sir_finite_m(geometry, scheme, 3, cfg, 150, SEED, workers=2)
+                serial = sample_sir_finite_m(geometry, scheme, 3, cfg, 300, SEED)
+                parallel = sample_sir_finite_m(geometry, scheme, 3, cfg, 300, SEED, workers=2)
                 assert np.array_equal(serial.samples, parallel.samples)
 
     def test_shadow_worker_count_invariant(self, geometry):
-        serial = sample_sir_limit_shadowed(geometry, PilotScheme.DIFFERENT_SETS, 3, 8.0, 200, SEED, pilot_dim=42)
+        serial = sample_sir_limit_shadowed(geometry, PilotScheme.DIFFERENT_SETS, 3, 8.0, 300, SEED, pilot_dim=42)
         parallel = sample_sir_limit_shadowed(
-            geometry, PilotScheme.DIFFERENT_SETS, 3, 8.0, 200, SEED, pilot_dim=42, workers=2
+            geometry, PilotScheme.DIFFERENT_SETS, 3, 8.0, 300, SEED, pilot_dim=42, workers=2
         )
         assert np.array_equal(serial.samples, parallel.samples)
+
+    def test_shorter_run_is_a_prefix(self, geometry, rng):
+        # every block draws all of its trials, the last one included
+        different = PilotScheme.DIFFERENT_SETS
+        book = generate_pilot_book(different, 42, 19, rng)
+        cfg = FiniteMConfig(antennas=24)
+        reused = PilotScheme.REUSED_SETS
+        runs = [
+            lambda n: sample_sir_limit(geometry, different, 3, n, SEED, pilot_dim=42).samples,
+            lambda n: sample_sir_limit(geometry, different, 3, n, SEED, 42, book).samples,
+            lambda n: sample_sir_limit(geometry, reused, 3, n, SEED, region="circle").samples,
+            lambda n: sample_sir_limit_shadowed(geometry, different, 3, 8.0, n, SEED, 42).samples,
+            lambda n: sample_sir_finite_m(geometry, different, 3, cfg, n, SEED).samples,
+            lambda n: _sinr_by_load(geometry, different, FiniteMConfig(pilot_length=9), 1, n, SEED, None),
+        ]
+        for run in runs:
+            assert np.array_equal(run(300)[:100], run(100))
 
 
 class TestLimitSampler:
@@ -265,9 +283,9 @@ class TestOutageAndSearch:
         cfg = FiniteMConfig(antennas=32, pilot_length=9)
         qos = QosTarget.from_db(0.0, 0.05)
         for scheme in PilotScheme:
-            serial = empirical_capacity_search(geometry, scheme, qos, trials=150, seed=SEED, finite_m=cfg)
+            serial = empirical_capacity_search(geometry, scheme, qos, trials=300, seed=SEED, finite_m=cfg)
             parallel = empirical_capacity_search(
-                geometry, scheme, qos, trials=150, seed=SEED, finite_m=cfg, workers=2
+                geometry, scheme, qos, trials=300, seed=SEED, finite_m=cfg, workers=2
             )
             assert serial == parallel
 
