@@ -69,10 +69,6 @@ def _write_rows(stream, comments, header, rows):
         print(",".join(_fmt(v) for v in row), file=stream)
 
 
-def _workers(config: ScenarioConfig):
-    return config.workers if config.workers > 0 else None
-
-
 def cmd_capacity_table(config: ScenarioConfig, out: str, diagnostics: str | None) -> int:
     sir_values = config.qos.sir_db_values()
     rows = []
@@ -183,7 +179,7 @@ def cmd_sir_cdf(config: ScenarioConfig, out: str) -> int:
             pilot_dim=config.pilot_budget // w,
             region=config.region,
             max_tier=config.tier_count,
-            workers=_workers(config),
+            workers=config.workers,
         )
         moments = cap.tier1_moments(
             geo, scheme, config.pilot_budget, w, config.circle_mode,
@@ -221,7 +217,7 @@ def cmd_finite_m_table(config: ScenarioConfig, out: str) -> int:
                 seed=config.seed,
                 finite_m=config.finite_m,
                 max_tier=config.tier_count,
-                workers=_workers(config),
+                workers=config.workers,
             )
             outage, interval = result.outage_at_k[result.best_reuse]
             rows.append(

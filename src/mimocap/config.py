@@ -4,7 +4,8 @@ Sweeps involve ~20 parameters, so commands take a config file plus
 repeatable --set section.key=value overrides instead of positional
 arguments.  Unknown sections or keys are rejected (typo safety).  Angles
 are radians, distances meters; SIR is dB at this boundary and linear
-inside the library.
+inside the library.  Every default lives in the dataclasses; _KEYS only
+says which file key sets which field.
 """
 
 from __future__ import annotations
@@ -13,10 +14,17 @@ import configparser
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .geometry import NetworkGeometry
 from .simulate import FiniteMConfig
+
+# Bounds on what a config may ask of the machine; none of them is a knob.
+_MAX_SIR_POINTS = 100_000  # per alpha; checked before the grid list is built
+_MAX_PILOTS = 10_000  # a pilot book is budget x budget complex per cell (1.6 GB at 10^4)
+_MAX_TRIALS = 10_000_000  # sir-cdf keeps every limit sample: 80 MB per scheme at 10^7
+_MAX_FINITE_M_SINRS = 42_000_000  # _sinr_by_load holds one float per trial per pilot
+_MAX_TIERS = 50  # 50 co-channel tiers already hold 534 cells at w = 1
 
 
 class ConfigError(Exception):
@@ -25,16 +33,18 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class QosGrid:
-    sir_db_min: float
-    sir_db_max: float
-    sir_db_step: float
-    alphas: tuple[float, ...]
+    sir_db_min: float = -5.0
+    sir_db_max: float = 45.0
+    sir_db_step: float = 0.1
+    alphas: tuple[float, ...] = (0.05,)
 
     def __post_init__(self):
         if self.sir_db_step <= 0.0:
             raise ConfigError("qos.sir_db_step must be positive")
         if self.sir_db_max < self.sir_db_min:
             raise ConfigError("qos.sir_db_max must be >= qos.sir_db_min")
+        if (self.sir_db_max - self.sir_db_min) / self.sir_db_step >= _MAX_SIR_POINTS:
+            raise ConfigError(f"the qos grid must hold at most {_MAX_SIR_POINTS} SIR points")
         if not self.alphas:
             raise ConfigError("qos.alphas must list at least one outage probability")
         for a in self.alphas:
@@ -48,17 +58,14 @@ class QosGrid:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    # config_hash reads the fields in this order
     geometry: NetworkGeometry = field(default_factory=NetworkGeometry)
+    finite_m: FiniteMConfig = field(default_factory=FiniteMConfig)
+    qos: QosGrid = field(default_factory=QosGrid)
     pilot_budget: int = 42
     scheme: str = "both"  # reused | different | both
-    qos: QosGrid = field(
-        default_factory=lambda: QosGrid(
-            sir_db_min=-5.0, sir_db_max=45.0, sir_db_step=0.1, alphas=(0.05,)
-        )
-    )
     trials: int = 100_000
     seed: int = 20260808
-    finite_m: FiniteMConfig = field(default_factory=FiniteMConfig)
     finite_m_trials: int = 10_000
     circle_mode: str = "equal_area"
     tier_count: int = 1
@@ -81,55 +88,29 @@ class ScenarioConfig:
         cpus = os.cpu_count() or 1
         if not 0 <= self.workers <= cpus:
             raise ConfigError(f"montecarlo.workers must lie in [0, {cpus}] (the CPU count)")
+        if max(self.pilot_budget, self.finite_m.pilot_length) > _MAX_PILOTS:
+            raise ConfigError(f"pilots.budget and finite_m.pilot_length must be <= {_MAX_PILOTS}")
+        if self.trials > _MAX_TRIALS:
+            raise ConfigError(f"montecarlo.trials must be <= {_MAX_TRIALS}")
+        if self.finite_m_trials * self.finite_m.pilot_length > _MAX_FINITE_M_SINRS:
+            raise ConfigError(f"finite_m.trials x pilot_length must be <= {_MAX_FINITE_M_SINRS}")
+        if self.tier_count > _MAX_TIERS:
+            raise ConfigError(f"model.tier_count must be <= {_MAX_TIERS}")
 
     @property
     def schemes(self) -> tuple[str, ...]:
         return ("reused", "different") if self.scheme == "both" else (self.scheme,)
 
 
-# section -> key -> (parser, target attribute)
-_SCHEMA = {
-    "geometry": {
-        "cell_radius_m": float,
-        "hole_radius_m": float,
-        "reuse_factor": int,
-        "path_loss_exponent": float,
-    },
-    "pilots": {
-        "budget": int,
-        "scheme": str,
-    },
-    "qos": {
-        "sir_db_min": float,
-        "sir_db_max": float,
-        "sir_db_step": float,
-        "alphas": str,
-    },
-    "montecarlo": {
-        "trials": int,
-        "seed": int,
-        "workers": int,
-    },
-    "finite_m": {
-        "antennas": int,
-        "pilot_length": int,
-        "ul_snr_db": str,  # float or "none"
-        "pilot_snr_db": str,
-        "trials": int,
-    },
-    "model": {
-        "circle_mode": str,
-        "tier_count": int,
-        "region": str,
-    },
-}
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
 
 
-def _parse_snr(raw: str):
-    raw = raw.strip().lower()
-    if raw in ("none", "off", "inf"):
-        return None
-    return float(raw)
+def _parse_snr(raw: str) -> float | None:
+    return None if raw.lower() in ("none", "off", "inf") else _finite(raw)
 
 
 def _parse_alphas(raw: str) -> tuple[float, ...]:
@@ -139,75 +120,79 @@ def _parse_alphas(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+# (section, key) -> (ScenarioConfig field, sub-field or None, parser)
+_KEYS = {
+    ("geometry", "cell_radius_m"): ("geometry", "cell_radius_m", _finite),
+    ("geometry", "hole_radius_m"): ("geometry", "hole_radius_m", _finite),
+    ("geometry", "reuse_factor"): ("geometry", "reuse_factor", int),
+    ("geometry", "path_loss_exponent"): ("geometry", "path_loss_exponent", _finite),
+    ("finite_m", "antennas"): ("finite_m", "antennas", int),
+    ("finite_m", "pilot_length"): ("finite_m", "pilot_length", int),
+    ("finite_m", "ul_snr_db"): ("finite_m", "ul_snr_db", _parse_snr),  # dB or "none"
+    ("finite_m", "pilot_snr_db"): ("finite_m", "pilot_snr_db", _parse_snr),
+    ("qos", "sir_db_min"): ("qos", "sir_db_min", _finite),
+    ("qos", "sir_db_max"): ("qos", "sir_db_max", _finite),
+    ("qos", "sir_db_step"): ("qos", "sir_db_step", _finite),
+    ("qos", "alphas"): ("qos", "alphas", _parse_alphas),
+    ("pilots", "budget"): ("pilot_budget", None, int),
+    ("pilots", "scheme"): ("scheme", None, str.lower),
+    ("montecarlo", "trials"): ("trials", None, int),
+    ("montecarlo", "seed"): ("seed", None, int),
+    ("finite_m", "trials"): ("finite_m_trials", None, int),
+    ("model", "circle_mode"): ("circle_mode", None, str.lower),
+    ("model", "tier_count"): ("tier_count", None, int),
+    ("model", "region"): ("region", None, str.lower),
+    ("montecarlo", "workers"): ("workers", None, int),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
+def _parse(section: str, key: str, parse, raw: str):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+
+
 def load_config(path: str, overrides: tuple[str, ...] = ()) -> ScenarioConfig:
     """Load and validate a scenario config file, then apply overrides."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-
-    values: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-            values.setdefault(section, {})[key] = raw
+    raw: dict[tuple[str, str], str] = {}
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, value in parser.items(section):
+                if (section, key) not in _KEYS:
+                    raise ConfigError(f"unknown key {section}.{key}")
+                raw[section, key] = value
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
 
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        target, raw = item.split("=", 1)
+        target, value = item.split("=", 1)
         section, key = target.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if (section, key) not in _KEYS:
             raise ConfigError(f"unknown override target {section}.{key}")
-        values.setdefault(section, {})[key] = raw
+        raw[section, key] = value.strip()  # as configparser strips file values
 
-    def get(section, key, default, cast):
-        raw = values.get(section, {}).get(key)
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
-
+    default, changes = ScenarioConfig(), {}
     try:
-        geometry = NetworkGeometry(
-            cell_radius_m=get("geometry", "cell_radius_m", 1600.0, float),
-            hole_radius_m=get("geometry", "hole_radius_m", 100.0, float),
-            reuse_factor=get("geometry", "reuse_factor", 1, int),
-            path_loss_exponent=get("geometry", "path_loss_exponent", 4.0, float),
-        )
-        finite_m = FiniteMConfig(
-            antennas=get("finite_m", "antennas", 500, int),
-            pilot_length=get("finite_m", "pilot_length", 42, int),
-            ul_snr_db=get("finite_m", "ul_snr_db", 10.0, _parse_snr),
-            pilot_snr_db=get("finite_m", "pilot_snr_db", 10.0, _parse_snr),
-        )
-        qos = QosGrid(
-            sir_db_min=get("qos", "sir_db_min", -5.0, float),
-            sir_db_max=get("qos", "sir_db_max", 45.0, float),
-            sir_db_step=get("qos", "sir_db_step", 0.1, float),
-            alphas=get("qos", "alphas", (0.05,), _parse_alphas),
-        )
-        return ScenarioConfig(
-            geometry=geometry,
-            pilot_budget=get("pilots", "budget", 42, int),
-            scheme=get("pilots", "scheme", "both", lambda s: s.strip().lower()),
-            qos=qos,
-            trials=get("montecarlo", "trials", 100_000, int),
-            seed=get("montecarlo", "seed", 20260808, int),
-            finite_m=finite_m,
-            finite_m_trials=get("finite_m", "trials", 10_000, int),
-            circle_mode=get("model", "circle_mode", "equal_area", lambda s: s.strip().lower()),
-            tier_count=get("model", "tier_count", 1, int),
-            region=get("model", "region", "hexagon", lambda s: s.strip().lower()),
-            workers=get("montecarlo", "workers", 0, int),
-        )
+        # field by field, so errors surface in the order the fields are built
+        for f in fields(ScenarioConfig):
+            given = {
+                sub: _parse(section, key, parse, raw[section, key])
+                for (section, key), (name, sub, parse) in _KEYS.items()
+                if name == f.name and (section, key) in raw
+            }
+            if given:
+                nested = getattr(default, f.name)
+                changes[f.name] = replace(nested, **given) if is_dataclass(nested) else given[None]
+        return replace(default, **changes)
     except ValueError as exc:  # dataclass validation
         raise ConfigError(str(exc)) from exc
 
@@ -215,24 +200,11 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> ScenarioConfig:
 def config_hash(config: ScenarioConfig) -> str:
     """Stable short hash of every field, for CSV header provenance."""
     lines = []
-    for name, obj in (
-        ("geometry", config.geometry),
-        ("finite_m", config.finite_m),
-        ("qos", config.qos),
-    ):
-        for key, val in sorted(vars(obj).items()):
-            lines.append(f"{name}.{key}={val!r}")
-    for key in (
-        "pilot_budget",
-        "scheme",
-        "trials",
-        "seed",
-        "finite_m_trials",
-        "circle_mode",
-        "tier_count",
-        "region",
-        "workers",
-    ):
-        lines.append(f"{key}={getattr(config, key)!r}")
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            lines += [f"{f.name}.{key}={val!r}" for key, val in sorted(vars(value).items())]
+        else:
+            lines.append(f"{f.name}={value!r}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return digest[:16]

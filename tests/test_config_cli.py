@@ -1,10 +1,11 @@
+import dataclasses
 import os
 import pathlib
 
 import pytest
 
 from mimocap.cli import main
-from mimocap.config import ConfigError, QosGrid, config_hash, load_config
+from mimocap.config import _KEYS, ConfigError, QosGrid, ScenarioConfig, config_hash, load_config
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -24,10 +25,43 @@ seed = 42
 """
 
 
+# one valid, non-default --set value per config key, and what it parses to
+OVERRIDES = {
+    ("geometry", "cell_radius_m"): ("900", 900.0),
+    ("geometry", "hole_radius_m"): ("50", 50.0),
+    ("geometry", "reuse_factor"): ("3", 3),
+    ("geometry", "path_loss_exponent"): ("3.5", 3.5),
+    ("finite_m", "antennas"): ("64", 64),
+    ("finite_m", "pilot_length"): ("9", 9),
+    ("finite_m", "ul_snr_db"): ("none", None),
+    ("finite_m", "pilot_snr_db"): ("3", 3.0),
+    ("qos", "sir_db_min"): ("0", 0.0),
+    ("qos", "sir_db_max"): ("12", 12.0),
+    ("qos", "sir_db_step"): ("0.5", 0.5),
+    ("qos", "alphas"): ("0.01 0.05", (0.01, 0.05)),
+    ("pilots", "budget"): ("21", 21),
+    ("pilots", "scheme"): (" Reused", "reused"),
+    ("montecarlo", "trials"): ("9", 9),
+    ("montecarlo", "seed"): ("7", 7),
+    ("montecarlo", "workers"): ("1", 1),
+    ("finite_m", "trials"): ("300", 300),
+    ("model", "circle_mode"): ("match_radius", "match_radius"),
+    ("model", "tier_count"): ("2", 2),
+    ("model", "region"): ("CIRCLE", "circle"),
+}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "scenario.ini"
     path.write_text(MINIMAL)
+    return str(path)
+
+
+@pytest.fixture
+def empty_file(tmp_path):
+    path = tmp_path / "empty.ini"
+    path.write_text("[pilots]\n")
     return str(path)
 
 
@@ -49,12 +83,22 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text(MINIMAL + "\n[geometry]\ncell_radiu_m = 3\n")
-        with pytest.raises(Exception):  # configparser duplicate or ConfigError
+        with pytest.raises(ConfigError, match="malformed"):  # duplicate section
             load_config(str(path))
         path2 = tmp_path / "bad2.ini"
         path2.write_text("[geometry]\ntypo_key = 3\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(str(path2))
+
+    def test_malformed_file_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        for text in ("budget = 42\n", "[qos]\nalphas = 5%\n", "[pilots]\nbudget = 1\nbudget = 2\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="malformed"):
+                load_config(str(path))
+        path.write_bytes(b"\xff\xfe[pilots]\n")  # not text in any UTF encoding
+        with pytest.raises(ConfigError, match="malformed"):
+            load_config(str(path))
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -104,6 +148,78 @@ class TestConfig:
             load_config(config_file, (f"montecarlo.workers={os.cpu_count() + 1}",))
         with pytest.raises(ConfigError, match="workers"):
             load_config(config_file, ("montecarlo.workers=-1",))
+
+    def test_defaults_live_in_the_dataclasses(self, empty_file):
+        assert load_config(empty_file) == ScenarioConfig()
+        assert load_config(str(CONFIGS / "default.ini")) == ScenarioConfig()
+
+    @pytest.mark.parametrize("section,key", list(_KEYS))
+    def test_each_key_reaches_its_field(self, empty_file, section, key):
+        raw, value = OVERRIDES[section, key]
+        name, sub, _parse = _KEYS[section, key]
+        expected = ScenarioConfig()
+        if sub is None:
+            expected = dataclasses.replace(expected, **{name: value})
+        else:
+            nested = dataclasses.replace(getattr(expected, name), **{sub: value})
+            expected = dataclasses.replace(expected, **{name: nested})
+        assert expected != ScenarioConfig()
+        assert load_config(empty_file, (f"{section}.{key}={raw}",)) == expected
+
+    def test_shipped_config_hashes_are_pinned(self):
+        # CSV headers carry these; a changed hash breaks provenance of old outputs
+        assert config_hash(load_config(str(CONFIGS / "default.ini"))) == "5f47e765af87d529"
+        assert config_hash(load_config(str(CONFIGS / "smoke.ini"))) == "25fdae328781d9c2"
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "qos.sir_db_max=inf",
+            "qos.sir_db_min=nan",
+            "geometry.cell_radius_m=1e999",
+            "geometry.path_loss_exponent=nan",
+            "finite_m.ul_snr_db=nan",
+            "finite_m.pilot_snr_db=-inf",
+        ],
+    )
+    def test_non_finite_floats_rejected(self, empty_file, override):
+        with pytest.raises(ConfigError, match="bad value"):
+            load_config(empty_file, (override,))
+
+    def test_snr_inf_still_disables_noise(self, empty_file):
+        assert load_config(empty_file, ("finite_m.pilot_snr_db=inf",)).finite_m.pilot_snr_db is None
+
+    def test_sir_grid_size_bounded_before_it_is_built(self, empty_file):
+        grid = ("qos.sir_db_min=0", "qos.sir_db_step=1")
+        cfg = load_config(empty_file, grid + ("qos.sir_db_max=99999",))
+        assert len(cfg.qos.sir_db_values()) == 100_000
+        for extra in (("qos.sir_db_max=100000",), ("qos.sir_db_step=1e-9",)):
+            with pytest.raises(ConfigError, match="SIR points"):
+                load_config(empty_file, grid + extra)
+        with pytest.raises(ConfigError, match="SIR points"):
+            load_config(empty_file, ("qos.sir_db_min=-1e308", "qos.sir_db_max=1e308"))
+
+    @pytest.mark.parametrize(
+        "largest,too_large",
+        [
+            (("pilots.budget=10000",), ("pilots.budget=10001",)),
+            (
+                ("finite_m.pilot_length=10000", "finite_m.trials=4200"),
+                ("finite_m.pilot_length=10001", "finite_m.trials=1"),
+            ),
+            (("montecarlo.trials=10000000",), ("montecarlo.trials=10000001",)),
+            (
+                ("finite_m.pilot_length=42", "finite_m.trials=1000000"),
+                ("finite_m.pilot_length=42", "finite_m.trials=1000001"),
+            ),
+            (("model.tier_count=50",), ("model.tier_count=51",)),
+        ],
+    )
+    def test_sizes_bounded_at_load_time(self, empty_file, largest, too_large):
+        # loaded only: none of these configs is ever run
+        load_config(empty_file, largest)
+        with pytest.raises(ConfigError, match="must be <="):
+            load_config(empty_file, too_large)
 
     def test_hash_stability(self, config_file):
         a = config_hash(load_config(config_file))
@@ -253,6 +369,8 @@ class TestCli:
         assert main(["capacity-table", "/does/not/exist.ini"]) == 2
         bad = tmp_path / "bad.ini"
         bad.write_text("[mystery]\nx = 1\n")
+        assert main(["validate", str(bad)]) == 2
+        bad.write_text("budget = 42\n")  # no section header
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
