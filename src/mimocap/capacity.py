@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .geometry import NetworkGeometry, circle_approximation, tier_specs
 from .interference import QosTarget, TierMoments, compute_tier_moments, q_inverse, qos_feasible
@@ -27,19 +29,26 @@ _FLOOR_GUARD = 1e-9
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Capacity figures for one (scheme, reuse factor, QoS) operating point."""
+    """Capacity figures for one (scheme, reuse factor) over the SIR points
+    of one QoS target.
 
-    effective_interference: float
-    n_max: int
-    k_u: float
-    k_max: int
-    chosen_reuse: int
-    pilot_budget: int
-    feasible: bool
+    Every field has the shape of the target's min_sir_linear, except that
+    a single reuse factor's report holds chosen_reuse and pilot_budget as
+    ints.  n_max is integer-valued but kept as float, since it is unbounded
+    as the SIR threshold goes to zero.
+    """
+
+    effective_interference: np.ndarray
+    n_max: np.ndarray
+    k_u: np.ndarray
+    k_max: np.ndarray
+    chosen_reuse: int | np.ndarray
+    pilot_budget: int | np.ndarray
+    feasible: np.ndarray
 
 
-def effective_interference(moments: TierMoments, qos: QosTarget) -> float:
-    """Per-interferer effective interference y_E.
+def effective_interference(moments: TierMoments, qos: QosTarget) -> np.ndarray:
+    """Per-interferer effective interference y_E at each SIR point.
 
     Closed form of the feasibility equality: with z = 4 mu / (Qinv(alpha)^2
     sigma^2 S), y_E = mu / (1 + (2/z)(1 - sqrt(1+z))), evaluated as
@@ -54,19 +63,21 @@ def effective_interference(moments: TierMoments, qos: QosTarget) -> float:
         raise ValueError("mean interference must be positive")
     if var < 0.0:
         raise ValueError("interference variance must be non-negative")
+    s = qos.min_sir_linear
     q = q_inverse(qos.outage)
     if var == 0.0 or q == 0.0:
-        return mu
-    z = 4.0 * mu / (q * q * var * qos.min_sir_linear)
-    root = math.sqrt(1.0 + z)
+        return np.full(np.shape(s), mu)
+    z = 4.0 * mu / (q * q * var * s)
+    root = np.sqrt(1.0 + z)
     return mu * (root + 1.0) ** 2 / z
 
 
-def max_interferers(effective: float, sir_linear: float) -> int:
-    """n_max = floor(1 / (y_E S)); the only place a floor is applied."""
-    if effective <= 0.0 or sir_linear <= 0.0:
+def max_interferers(effective, sir_linear) -> np.ndarray:
+    """n_max = floor(1 / (y_E S)), elementwise; the only place a floor is
+    applied."""
+    if np.any(np.asarray(effective) <= 0.0) or np.any(np.asarray(sir_linear) <= 0.0):
         raise ValueError("effective interference and SIR must be positive")
-    return int(math.floor(1.0 / (effective * sir_linear) + _FLOOR_GUARD))
+    return np.floor(1.0 / (effective * sir_linear) + _FLOOR_GUARD)
 
 
 def tier1_moments(
@@ -102,7 +113,8 @@ def capacity_for_reuse(
     reuse: int,
     moments: list[tuple[int, TierMoments]],
 ) -> CapacityReport:
-    """Capacity report for one reuse factor from its tier moments.
+    """Capacity report for one reuse factor from its tier moments, at
+    every SIR point of qos.
 
     moments is the tier1_moments output for the same scheme, pilot budget
     and reuse factor; it does not depend on the QoS point, so a sweep
@@ -124,10 +136,10 @@ def capacity_for_reuse(
         # One interferer per co-channel cell regardless of load: a reuse
         # factor is either feasible at full pilot budget or not at all.
         feasible, _ = qos_feasible(moments, qos)
-        k_max = budget if feasible else 0
+        k_max = np.where(feasible, budget, 0)
     else:
         if len(moments) == 1:
-            k_cap = int(math.floor(k_u + _FLOOR_GUARD))
+            k_cap = np.floor(k_u + _FLOOR_GUARD)
         else:
             # Outer tiers scale with the per-cell load as well; solve the
             # feasibility equality in k through the aggregate moments.
@@ -139,15 +151,15 @@ def capacity_for_reuse(
                 var_y=sum(c * tm.var_y for c, tm in moments),
             )
             k_root = 1.0 / (effective_interference(agg, qos) * s)
-            k_cap = int(math.floor(k_root + _FLOOR_GUARD))
-        k_max = min(k_cap, budget)
+            k_cap = np.floor(k_root + _FLOOR_GUARD)
+        k_max = np.minimum(k_cap, budget).astype(np.int64)
         feasible = k_max >= 1
 
     return CapacityReport(
         effective_interference=y_e,
         n_max=n_max,
         k_u=k_u,
-        k_max=max(k_max, 0),
+        k_max=k_max,
         chosen_reuse=reuse,
         pilot_budget=budget,
         feasible=feasible,
@@ -155,9 +167,17 @@ def capacity_for_reuse(
 
 
 def best_reuse(reports: Iterable[CapacityReport]) -> CapacityReport:
-    """The report with the largest k_max among per-reuse-factor reports,
-    ties toward the smaller reuse factor."""
-    return max(reports, key=lambda rep: (rep.k_max, -rep.chosen_reuse))
+    """Per SIR point, the report with the largest k_max among
+    per-reuse-factor reports, ties toward the smaller reuse factor
+    (np.argmax takes the first maximum)."""
+    reports = sorted(reports, key=lambda rep: rep.chosen_reuse)
+    pick = np.argmax([rep.k_max for rep in reports], axis=0)
+    return CapacityReport(
+        **{
+            f.name: np.choose(pick, [getattr(rep, f.name) for rep in reports])
+            for f in fields(CapacityReport)
+        }
+    )
 
 
 def root_interferer_count(moments: TierMoments, qos: QosTarget) -> float:

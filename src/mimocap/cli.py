@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import sys
 
@@ -37,12 +38,6 @@ _QOS_PRESETS = (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".10g")
-    return str(x)
-
-
 def _header(command: str, config: ScenarioConfig) -> list[str]:
     return [
         f"# mimocap {command}",
@@ -61,16 +56,53 @@ def _open_out(path: str):
             yield fh
 
 
-def _write_rows(stream, comments, header, rows):
-    for line in comments:
-        print(line, file=stream)
-    print(",".join(header), file=stream)
-    for row in rows:
-        print(",".join(_fmt(v) for v in row), file=stream)
+# %-format of each declared column type; '%.10g' % x == format(x, '.10g')
+# for every double, nan, infinities and -0.0 included
+_FORMATS = {float: "%.10g", int: "%d", str: "%s"}
+_CHUNK_ROWS = 8192
+
+_TABLE_COLUMNS = (
+    ("sir_db", float), ("alpha", float), ("scheme", str), ("w_best", int),
+    ("k_u", float), ("k_max", int), ("y_e", float), ("n_max", int),
+)
+_DIAGNOSTIC_COLUMNS = (
+    ("sir_db", float), ("alpha", float), ("scheme", str), ("w", int), ("feasible", int),
+    ("k_u", float), ("k_max", int), ("y_e", float), ("n_max", int), ("pilot_budget", int),
+)
+# CapacityReport fields behind the diagnostics columns from "w" on
+_DIAGNOSTIC_FIELDS = (
+    "chosen_reuse", "feasible", "k_u", "k_max", "effective_interference", "n_max", "pilot_budget",
+)
+_SIR_CDF_COLUMNS = (("curve", str), ("sir_db", float), ("cdf", float))
+_FINITE_M_COLUMNS = (
+    ("qos", str), ("sir_db", float), ("alpha", float), ("scheme", str), ("w_best", int),
+    ("k_max", int), ("k_w1", int), ("k_w3", int), ("k_w7", int),
+    ("outage", float), ("wilson_lo", float), ("wilson_hi", float),
+)
+
+
+def _write_rows(stream, comments, columns, rows):
+    """Comment lines, the header, then one line per row tuple through a
+    %-template built from the declared (name, type) columns."""
+    names, types = zip(*columns)
+    template = ",".join(_FORMATS[t] for t in types) + "\n"
+    stream.write("".join(f"{line}\n" for line in comments) + ",".join(names) + "\n")
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        stream.write("".join(map(template.__mod__, chunk)))
+
+
+def _interleave(reports, name: str, n: int) -> list:
+    """Field `name` of per-reuse-factor reports over n SIR points, as one
+    list ordered by SIR point, then by report."""
+    per_rep = [np.broadcast_to(getattr(rep, name), (n,)) for rep in reports]
+    return np.stack(per_rep, axis=1).ravel().tolist()
 
 
 def cmd_capacity_table(config: ScenarioConfig, out: str, diagnostics: str | None) -> int:
-    sir_values = config.qos.sir_db_values()
+    sir_db = config.qos.sir_db_values()
+    n = len(sir_db)
+    reuses = (1, 3, 7)
     rows = []
     diag_rows = []
     switch_notes = []
@@ -85,77 +117,45 @@ def cmd_capacity_table(config: ScenarioConfig, out: str, diagnostics: str | None
                 config.circle_mode,
                 tier_count=config.tier_count,
             )
-            for w in (1, 3, 7)
+            for w in reuses
         }
         for alpha in config.qos.alphas:
-            prev_w = None
-            for sir_db in sir_values:
-                qos = QosTarget.from_db(sir_db, alpha)
-                per_w = {
-                    w: cap.capacity_for_reuse(scheme, qos, config.pilot_budget, w, moments[w])
-                    for w in (1, 3, 7)
-                }
-                best = cap.best_reuse(per_w.values())
-                rows.append(
-                    (
-                        sir_db,
-                        alpha,
-                        scheme_name,
-                        best.chosen_reuse,
-                        best.k_u,
-                        best.k_max,
-                        best.effective_interference,
-                        best.n_max,
-                    )
-                )
-                if prev_w is not None and best.chosen_reuse != prev_w:
-                    switch_notes.append(
-                        f"# switch: scheme={scheme_name} alpha={_fmt(alpha)} "
-                        f"w{prev_w}->w{best.chosen_reuse} at {_fmt(sir_db)} dB"
-                    )
-                prev_w = best.chosen_reuse
-                for w, rep in per_w.items():
-                    diag_rows.append(
-                        (
-                            sir_db,
-                            alpha,
-                            scheme_name,
-                            w,
-                            int(rep.feasible),
-                            rep.k_u,
-                            rep.k_max,
-                            rep.effective_interference,
-                            rep.n_max,
-                            rep.pilot_budget,
-                        )
-                    )
+            qos = QosTarget.from_db(sir_db, alpha)
+            per_w = [
+                cap.capacity_for_reuse(scheme, qos, config.pilot_budget, w, moments[w])
+                for w in reuses
+            ]
+            best = cap.best_reuse(per_w)
+            chosen = best.chosen_reuse.tolist()
+            rows += zip(
+                sir_db,
+                [alpha] * n,
+                [scheme_name] * n,
+                chosen,
+                best.k_u.tolist(),
+                best.k_max.tolist(),
+                best.effective_interference.tolist(),
+                best.n_max.tolist(),
+            )
+            switch_notes += [
+                f"# switch: scheme={scheme_name} alpha={alpha:.10g} "
+                f"w{chosen[i - 1]}->w{chosen[i]} at {sir_db[i]:.10g} dB"
+                for i in range(1, n)
+                if chosen[i] != chosen[i - 1]
+            ]
+            diag_rows += zip(
+                [s for s in sir_db for _ in reuses],
+                [alpha] * (n * len(reuses)),
+                [scheme_name] * (n * len(reuses)),
+                *(_interleave(per_w, name, n) for name in _DIAGNOSTIC_FIELDS),
+            )
     comments = _header("capacity-table", config) + switch_notes
     with _open_out(out) as fh:
-        _write_rows(
-            fh,
-            comments,
-            ("sir_db", "alpha", "scheme", "w_best", "k_u", "k_max", "y_e", "n_max"),
-            rows,
-        )
+        _write_rows(fh, comments, _TABLE_COLUMNS, rows)
     if diagnostics is not None:
         with _open_out(diagnostics) as fh:
-            _write_rows(
-                fh,
-                _header("capacity-table-diagnostics", config),
-                (
-                    "sir_db",
-                    "alpha",
-                    "scheme",
-                    "w",
-                    "feasible",
-                    "k_u",
-                    "k_max",
-                    "y_e",
-                    "n_max",
-                    "pilot_budget",
-                ),
-                diag_rows,
-            )
+            header = _header("capacity-table-diagnostics", config)
+            _write_rows(fh, header, _DIAGNOSTIC_COLUMNS, diag_rows)
     return 0
 
 
@@ -193,13 +193,11 @@ def cmd_sir_cdf(config: ScenarioConfig, out: str) -> int:
         sirs = samples.sorted_samples[idx]
         cdf = (idx + 1) / n
         approx = intf.sir_outage_gaussian(sirs, gi)
-        sir_db = 10.0 * np.log10(sirs)
-        for i in range(len(idx)):
-            rows.append((f"{scheme_name}-empirical", float(sir_db[i]), float(cdf[i])))
-        for i in range(len(idx)):
-            rows.append((f"{scheme_name}-approx", float(sir_db[i]), float(approx[i])))
+        sir_db = (10.0 * np.log10(sirs)).tolist()
+        rows += zip([f"{scheme_name}-empirical"] * len(idx), sir_db, cdf.tolist())
+        rows += zip([f"{scheme_name}-approx"] * len(idx), sir_db, approx.tolist())
     with _open_out(out) as fh:
-        _write_rows(fh, _header("sir-cdf", config), ("curve", "sir_db", "cdf"), rows)
+        _write_rows(fh, _header("sir-cdf", config), _SIR_CDF_COLUMNS, rows)
     return 0
 
 
@@ -237,25 +235,7 @@ def cmd_finite_m_table(config: ScenarioConfig, out: str) -> int:
                 )
             )
     with _open_out(out) as fh:
-        _write_rows(
-            fh,
-            _header("finite-m-table", config),
-            (
-                "qos",
-                "sir_db",
-                "alpha",
-                "scheme",
-                "w_best",
-                "k_max",
-                "k_w1",
-                "k_w3",
-                "k_w7",
-                "outage",
-                "wilson_lo",
-                "wilson_hi",
-            ),
-            rows,
-        )
+        _write_rows(fh, _header("finite-m-table", config), _FINITE_M_COLUMNS, rows)
     return 0
 
 

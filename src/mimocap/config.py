@@ -16,8 +16,8 @@ import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .geometry import NetworkGeometry
-from .simulate import FiniteMConfig
+from .geometry import NetworkGeometry, cochannel_cells
+from .simulate import _BLOCK, FiniteMConfig
 
 # Bounds on what a config may ask of the machine; none of them is a knob.
 _MAX_SIR_POINTS = 100_000  # per alpha; checked before the grid list is built
@@ -25,6 +25,10 @@ _MAX_PILOTS = 10_000  # a pilot book is budget x budget complex per cell (1.6 GB
 _MAX_TRIALS = 10_000_000  # sir-cdf keeps every limit sample: 80 MB per scheme at 10^7
 _MAX_FINITE_M_SINRS = 42_000_000  # _sinr_by_load holds one float per trial per pilot
 _MAX_TIERS = 50  # 50 co-channel tiers already hold 534 cells at w = 1
+# The samplers draw _BLOCK trials x (co-channel cells + 1) x users per cell
+# values per array; _finite_block keeps five complex arrays of that size,
+# 400 MB at this bound.  The per-key bounds above do not cap the product.
+_MAX_BLOCK_VALUES = 5_000_000
 
 
 class ConfigError(Exception):
@@ -96,6 +100,15 @@ class ScenarioConfig:
             raise ConfigError(f"finite_m.trials x pilot_length must be <= {_MAX_FINITE_M_SINRS}")
         if self.tier_count > _MAX_TIERS:
             raise ConfigError(f"model.tier_count must be <= {_MAX_TIERS}")
+        # the cell count of a tier does not depend on w, and w = 1 has the most users
+        cells = len(cochannel_cells(self.geometry, self.tier_count)) + 1
+        users = max(self.pilot_budget, self.finite_m.pilot_length)
+        if _BLOCK * cells * users > _MAX_BLOCK_VALUES:
+            raise ConfigError(
+                f"a sampler block of {_BLOCK} trials x {cells} cells x {users} users must be <= "
+                f"{_MAX_BLOCK_VALUES} values (lower model.tier_count, pilots.budget or "
+                "finite_m.pilot_length)"
+            )
 
     @property
     def schemes(self) -> tuple[str, ...]:

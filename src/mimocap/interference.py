@@ -15,18 +15,22 @@ SIR target S and outage alpha is the admission feasibility condition.
 
 from __future__ import annotations
 
+import functools
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc, ndtri
 
 from .geometry import CirclePatch
 from .pilots import PilotScheme
 
 # Relative agreement of two successive quadrature orders that ends refinement.
 _QUAD_RTOL = 1e-8
+
+_STANDARD_NORMAL = statistics.NormalDist()
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -57,20 +61,34 @@ class GaussianInterference:
 
 @dataclass(frozen=True)
 class QosTarget:
-    """Minimum SIR (linear) and allowed outage probability."""
+    """Minimum SIR (linear) and allowed outage probability.
 
-    min_sir_linear: float
+    min_sir_linear is one threshold, or an array of thresholds that share
+    the outage; the capacity functions then answer for every SIR point at
+    once, in the array's shape.
+    """
+
+    min_sir_linear: float | np.ndarray
     outage: float
 
     def __post_init__(self):
-        if not self.min_sir_linear > 0.0:
+        if not np.all(np.asarray(self.min_sir_linear) > 0.0):
             raise ValueError("SIR threshold must be positive")
         if not 0.0 < self.outage < 0.5:
             raise ValueError("outage must lie in (0, 0.5)")
 
     @classmethod
-    def from_db(cls, min_sir_db: float, outage: float) -> "QosTarget":
-        return cls(min_sir_linear=10.0 ** (min_sir_db / 10.0), outage=outage)
+    def from_db(cls, min_sir_db, outage: float) -> "QosTarget":
+        """From a threshold in dB, or a 1-D sequence of them.
+
+        Each point goes through Python's float power, so a grid point equals
+        its lone target bit for bit; numpy's vectorised power can differ in
+        the last bit.
+        """
+        if isinstance(min_sir_db, (int, float)):
+            return cls(min_sir_linear=10.0 ** (min_sir_db / 10.0), outage=outage)
+        points = np.asarray(min_sir_db, dtype=float).tolist()
+        return cls(min_sir_linear=np.array([10.0 ** (s / 10.0) for s in points]), outage=outage)
 
 
 class QuadratureError(RuntimeError):
@@ -98,14 +116,21 @@ def interference_ratio(r_l, theta, separation: float, gamma: float):
     return (r2 / rj2) ** gamma
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the order-point rule on [-1, 1]."""
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _disc_average(fn, radius: float, order: int) -> float:
     """Average of fn(r, theta) over the disc density 2r/b^2 x 1/pi."""
-    xr, wr = leggauss(order)
-    r = 0.5 * radius * (xr + 1.0)
-    wr = 0.5 * radius * wr * (2.0 * r / radius**2)
-    xt, wt = leggauss(order)
-    theta = 0.5 * math.pi * (xt + 1.0)
-    wt = 0.5 * math.pi * wt / math.pi
+    x, weights = _gauss_legendre(order)
+    r = 0.5 * radius * (x + 1.0)
+    wr = 0.5 * radius * weights * (2.0 * r / radius**2)
+    theta = 0.5 * math.pi * (x + 1.0)
+    wt = 0.5 * math.pi * weights / math.pi
     vals = fn(r[:, None], theta[None, :])
     return float(wr @ vals @ wt)
 
@@ -163,15 +188,18 @@ def compute_tier_moments(
 
 
 def q_function(x) -> float | np.ndarray:
-    """Standard normal tail probability Q(x) = 1 - Phi(x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    """Standard normal tail probability Q(x) = 1 - Phi(x): a float for a
+    scalar, an array of the same shape for an array."""
+    z = np.asarray(x, dtype=float) / _SQRT2
+    q = np.array([0.5 * math.erfc(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    return float(q) if q.ndim == 0 else q
 
 
 def q_inverse(alpha: float) -> float:
     """Inverse of the normal tail, Q^-1(alpha) = -Phi^-1(alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    return -float(ndtri(alpha))
+    return -_STANDARD_NORMAL.inv_cdf(alpha)
 
 
 def total_interference(load) -> GaussianInterference:
@@ -186,21 +214,22 @@ def total_interference(load) -> GaussianInterference:
     return GaussianInterference(mean=mean, variance=var)
 
 
-def qos_feasible(load, qos: QosTarget) -> tuple[bool, float]:
+def qos_feasible(load, qos: QosTarget) -> tuple:
     """Gaussian admission condition for a multi-tier load.
 
     Returns (feasible, slack) where slack is the left side of
 
         (1/S - sum n_t mu_y_t) / sqrt(sum n_t var_y_t) >= Qinv(alpha)
 
-    minus the right side.  A zero-variance load degenerates to the direct
-    mean comparison, reported with infinite slack magnitude.
+    minus the right side, both in the shape of the target's SIR points.  A
+    zero-variance load degenerates to the direct mean comparison, reported
+    with infinite slack magnitude.
     """
     gi = total_interference(load)
     budget = 1.0 / qos.min_sir_linear
     if gi.variance == 0.0:
         ok = budget >= gi.mean
-        return ok, math.inf if ok else -math.inf
+        return ok, np.where(ok, math.inf, -math.inf)
     slack = (budget - gi.mean) / math.sqrt(gi.variance) - q_inverse(qos.outage)
     return slack >= 0.0, slack
 

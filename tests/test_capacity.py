@@ -13,7 +13,7 @@ from mimocap.capacity import (
     root_interferer_count,
     tier1_moments,
 )
-from mimocap.interference import QosTarget, TierMoments, qos_feasible
+from mimocap.interference import QosTarget, TierMoments, q_inverse, qos_feasible
 from mimocap.pilots import PilotScheme
 
 K = 42
@@ -68,8 +68,6 @@ class TestEffectiveInterference:
         # y_E is the closed form of the feasibility equality's root n,
         # via y_E = 1 / (n S); the oracle root-solves the equality itself
         from scipy.optimize import brentq
-
-        from mimocap.interference import q_inverse
 
         moments = tm(mu, ratio * mu * mu)
         qos = QosTarget.from_db(sdb, alpha)
@@ -196,3 +194,62 @@ class TestBestReuse:
         rep = best(moments_by_reuse, PilotScheme.REUSED_SETS, qos)
         assert rep.k_max == 0
         assert rep.chosen_reuse == 1
+
+
+def _oracle_point(scheme, moments, pilot_budget, reuse, qos):
+    """(y_E, n_max, k_u, k_max, feasible) at one reuse factor and one SIR
+    point, in scalar floats straight from the paper's formulas: y_E from
+    the feasibility equality, n_max = floor(1 / (y_E S)), reused sets all
+    or nothing, different sets capped by the aggregate-moment root."""
+    s = qos.min_sir_linear
+    q = q_inverse(qos.outage)
+
+    def y_eff(mu, var):
+        z = 4.0 * mu / (q * q * var * s)
+        root = math.sqrt(1.0 + z)
+        return mu * ((root + 1.0) * (root + 1.0)) / z
+
+    count1, tm1 = moments[0]
+    mean = sum(c * tm.mu_y for c, tm in moments)
+    var = sum(c * tm.var_y for c, tm in moments)
+    y_e = y_eff(tm1.mu_y, tm1.var_y)
+    n_max = math.floor(1.0 / (y_e * s) + 1e-9)
+    k_u = n_max / count1
+    budget = pilot_budget // reuse
+    if scheme is PilotScheme.REUSED_SETS:
+        feasible = (1.0 / s - mean) / math.sqrt(var) >= q
+        k_max = budget if feasible else 0
+    else:
+        k_root = k_u if len(moments) == 1 else 1.0 / (y_eff(mean, var) * s)
+        k_max = min(math.floor(k_root + 1e-9), budget)
+        feasible = k_max >= 1
+    return y_e, n_max, k_u, k_max, feasible
+
+
+@pytest.mark.parametrize("tier_count", [1, 2])
+@pytest.mark.parametrize("scheme", list(PilotScheme))
+def test_array_sweep_matches_per_point_oracle(geometry, scheme, tier_count):
+    from mimocap.config import QosGrid
+
+    sir_db = QosGrid().sir_db_values()
+    fields = ("effective_interference", "n_max", "k_u", "k_max", "feasible")
+    moments = {w: tier1_moments(geometry, scheme, K, w, tier_count=tier_count) for w in (1, 3, 7)}
+    for alpha in (0.005, 0.05, 0.2):
+        qos = QosTarget.from_db(sir_db, alpha)
+        per_w = {w: capacity_for_reuse(scheme, qos, K, w, moments[w]) for w in (1, 3, 7)}
+        best_rep = best_reuse(per_w.values())
+        expect_best = []
+        for w, rep in per_w.items():
+            assert rep.chosen_reuse == w and rep.pilot_budget == K // w
+            expect = [
+                _oracle_point(scheme, moments[w], K, w, QosTarget.from_db(s, alpha)) for s in sir_db
+            ]
+            for name, column in zip(fields, zip(*expect)):
+                assert getattr(rep, name).tolist() == list(column), (w, alpha, name)
+            expect_best.append([(w, *point) for point in expect])
+        # per SIR point, the largest k_max, ties toward the smaller w
+        chosen = [max(points, key=lambda p: (p[4], -p[0])) for points in zip(*expect_best)]
+        assert best_rep.chosen_reuse.tolist() == [p[0] for p in chosen], alpha
+        assert best_rep.pilot_budget.tolist() == [K // p[0] for p in chosen]
+        for i, name in enumerate(fields, start=1):
+            assert getattr(best_rep, name).tolist() == [p[i] for p in chosen], (alpha, name)

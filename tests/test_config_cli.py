@@ -1,9 +1,15 @@
 import dataclasses
+import io
+import math
 import os
 import pathlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mimocap import cli
 from mimocap.cli import main
 from mimocap.config import _KEYS, ConfigError, QosGrid, ScenarioConfig, config_hash, load_config
 
@@ -221,6 +227,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be <="):
             load_config(empty_file, too_large)
 
+    def test_sampler_block_bounded_jointly(self, empty_file):
+        # loaded only: 64 trials x cells x users per block; each key alone
+        # is within its own bound.  Tier 2 has 13 cells with the centre,
+        # and 64 x 13 x 6009 <= 5e6 < 64 x 13 x 6010.
+        load_config(empty_file, ("model.tier_count=50",))
+        load_config(
+            empty_file, ("model.tier_count=2", "finite_m.pilot_length=6009", "finite_m.trials=1000")
+        )
+        load_config(empty_file, ("model.tier_count=2", "pilots.budget=6009"))
+        for too_large in (
+            ("model.tier_count=2", "finite_m.pilot_length=6010", "finite_m.trials=1000"),
+            ("model.tier_count=2", "pilots.budget=6010"),
+            ("model.tier_count=50", "finite_m.pilot_length=10000", "finite_m.trials=4200"),
+        ):
+            with pytest.raises(ConfigError, match="sampler block .* must be <="):
+                load_config(empty_file, too_large)
+        # exit 2 before any command runs
+        argv = ["capacity-table", empty_file, "--set", "model.tier_count=50"]
+        assert main([*argv, "--set", "pilots.budget=200", "--out", os.devnull]) == 2
+
     def test_hash_stability(self, config_file):
         a = config_hash(load_config(config_file))
         b = config_hash(load_config(config_file))
@@ -374,3 +400,48 @@ class TestCli:
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+
+
+def _per_cell_format(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".10g")
+    return str(x)
+
+
+_CELLS = {
+    float: st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 0.1, 1e22]),
+    ),
+    int: st.integers(),
+    str: st.text(),
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from([float, int, str]), min_size=1, max_size=6))
+    columns = tuple((f"c{i}", kind) for i, kind in enumerate(kinds))
+    row = st.tuples(*(_CELLS[kind] for kind in kinds))
+    return columns, draw(st.lists(row, max_size=20))
+
+
+class TestCsvWriter:
+    @given(table=_tables(), comments=st.lists(st.text(), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_template_matches_per_cell_format(self, table, comments):
+        # the writer's bytes equal the per-cell format(x, ".10g") / str(x) join
+        columns, rows = table
+        expect = "".join(f"{line}\n" for line in comments)
+        expect += ",".join(name for name, _ in columns) + "\n"
+        expect += "".join(",".join(_per_cell_format(v) for v in row) + "\n" for row in rows)
+        out = io.StringIO()
+        with mock.patch.object(cli, "_CHUNK_ROWS", 7):  # several chunks per table
+            cli._write_rows(out, comments, columns, rows)
+        assert out.getvalue() == expect
+
+    def test_bools_in_int_columns_write_as_digits(self):
+        # the diagnostics' feasible column holds numpy bools as Python bools
+        out = io.StringIO()
+        cli._write_rows(out, [], (("feasible", int),), [(True,), (False,)])
+        assert out.getvalue() == "feasible\n1\n0\n"

@@ -82,6 +82,26 @@ class TestQInverse:
                 q_inverse(bad)
 
 
+class TestQFunction:
+    def test_scalar_gives_float(self):
+        # validate round-trips scalars through float(q_function(z))
+        for z in (1.5, np.float64(1.5), np.array(1.5), 2):
+            q = q_function(z)
+            assert type(q) is float
+            assert q == pytest.approx(0.5 * float(erfc(float(z) / math.sqrt(2.0))), rel=1e-14)
+
+    def test_array_keeps_shape(self):
+        for z in (np.linspace(-8.0, 8.0, 1000), np.ones((3, 4)), np.empty(0), [0.0, 1.0]):
+            q = q_function(z)
+            assert isinstance(q, np.ndarray) and q.shape == np.shape(z)
+            np.testing.assert_allclose(q, 0.5 * erfc(np.asarray(z) / math.sqrt(2.0)), rtol=1e-13)
+
+    def test_tails(self):
+        assert q_function(0.0) == 0.5
+        assert q_function(-np.inf) == 1.0 and q_function(np.inf) == 0.0
+        assert math.isnan(q_function(np.nan))
+
+
 @pytest.fixture(scope="module")
 def tier1_patch(request):
     from mimocap import NetworkGeometry

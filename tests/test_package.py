@@ -7,3 +7,26 @@ def test_public_names_resolve_and_star_import_succeeds():
     namespace: dict = {}
     exec("from mimocap import *", namespace)
     assert set(mimocap.__all__) <= set(namespace)
+
+
+def test_library_runs_without_scipy():
+    # scipy costs most of the CLI's start-up and is a test-only dependency
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = (
+        "import os, sys\n"
+        "import mimocap.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "rc = mimocap.cli.main(['capacity-table', 'configs/smoke.ini', '--out', os.devnull])\n"
+        "assert rc == 0\n"
+        "assert 'scipy' not in sys.modules, 'capacity-table'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
