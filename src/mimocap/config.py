@@ -14,7 +14,7 @@ import configparser
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .geometry import NetworkGeometry, cochannel_cells
 from .simulate import _BLOCK, FiniteMConfig
@@ -193,9 +193,10 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> ScenarioConfig:
             raise ConfigError(f"unknown override target {section}.{key}")
         raw[section, key] = value.strip()  # as configparser strips file values
 
-    default, changes = ScenarioConfig(), {}
+    changes = {}
     try:
-        # field by field, so errors surface in the order the fields are built
+        # field by field, so errors surface in the order the fields are built;
+        # a nested dataclass field's default_factory is its class
         for f in fields(ScenarioConfig):
             given = {
                 sub: _parse(section, key, parse, raw[section, key])
@@ -203,9 +204,9 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> ScenarioConfig:
                 if name == f.name and (section, key) in raw
             }
             if given:
-                nested = getattr(default, f.name)
-                changes[f.name] = replace(nested, **given) if is_dataclass(nested) else given[None]
-        return replace(default, **changes)
+                nested = f.default_factory is not MISSING
+                changes[f.name] = f.default_factory(**given) if nested else given[None]
+        return ScenarioConfig(**changes)
     except ValueError as exc:  # dataclass validation
         raise ConfigError(str(exc)) from exc
 

@@ -29,13 +29,13 @@ class NetworkGeometry:
     """Hexagonal network scenario parameters.
 
     cell_radius_m is the hexagon circumradius; users are excluded within
-    hole_radius_m of their serving base station.
+    hole_radius_m of their serving base station.  Co-channel cells are
+    chosen by tier count (cochannel_cells, tier_specs).
     """
 
     cell_radius_m: float = 1600.0
     hole_radius_m: float = 100.0
     reuse_factor: int = 1
-    ring_count: int = 2
     path_loss_exponent: float = 4.0
 
     def __post_init__(self):
@@ -46,8 +46,6 @@ class NetworkGeometry:
             )
         if not 0.0 <= self.hole_radius_m < self.cell_radius_m:
             raise ValueError("hole radius must satisfy 0 <= a_h < a")
-        if self.ring_count < 1:
-            raise ValueError("ring_count must be >= 1")
         if self.path_loss_exponent <= 2.0:
             raise ValueError(
                 "path loss exponent must exceed 2 for finite interference moments"
@@ -104,27 +102,21 @@ def axial_to_xy(m: int, n: int, spacing: float) -> tuple[float, float]:
     return spacing * (m + 0.5 * n), spacing * (math.sqrt(3.0) / 2.0) * n
 
 
-def cochannel_cells(geometry: NetworkGeometry, max_tier: int | None = None) -> list[Cell]:
-    """Co-channel cells of the center cell, excluding the center itself,
-    ordered by (ring, angle).
+def cochannel_cells(geometry: NetworkGeometry, max_tier: int) -> list[Cell]:
+    """Co-channel cells of the first max_tier tiers of the center cell,
+    excluding the center itself, ordered by (ring, angle); none for
+    max_tier < 1.
 
     Under reuse w = i^2 + i*j + j^2 they are the sublattice spanned by the
     axial vectors (i, j) and (-j, i + j), its 60-degree rotation (MacDonald,
     "The Cellular Concept", BSTJ 1979).  The point a*(i, j) + b*(-j, i + j)
     sits sqrt(a^2 + a*b + b^2) tier-1 separations away, so its tier is the
-    rank of that norm among the shells of tier_specs.  max_tier=None keeps
-    every co-channel cell within geometry.ring_count rings, and at least the
-    tier-1 ring (a ring-2 lattice has no reuse-7 co-channel cell at all); a
-    given max_tier keeps every cell of the first max_tier tiers.
+    rank of that norm among the shells of tier_specs.
     """
-    if max_tier is not None and max_tier < 1:
+    if max_tier < 1:
         return []
-    w = geometry.reuse_factor
-    i, j = REUSE_SHIFTS[w]
-    rings = max(geometry.ring_count, hex_ring(i, j))
-    # A cell within `rings` rings has norm at most rings^2 / w, and the t-th
-    # shell norm is at least t, so the first rings^2 // w shells hold it.
-    shells = tier_specs(geometry, rings * rings // w if max_tier is None else max_tier)
+    i, j = REUSE_SHIFTS[geometry.reuse_factor]
+    shells = tier_specs(geometry, max_tier)
     tier_of = {
         round((s.separation_m / shells[0].separation_m) ** 2): s.tier_index for s in shells
     }
@@ -133,13 +125,12 @@ def cochannel_cells(geometry: NetworkGeometry, max_tier: int | None = None) -> l
     found = []
     for a in range(-reach, reach + 1):
         for b in range(-reach, reach + 1):
-            m, n = a * i - b * j, a * j + b * (i + j)
             tier = tier_of.get(a * a + a * b + b * b)
-            ring = hex_ring(m, n)
-            if tier is None or (max_tier is None and ring > rings):
+            if tier is None:
                 continue
+            m, n = a * i - b * j, a * j + b * (i + j)
             x, y = axial_to_xy(m, n, d)
-            found.append(((ring, math.atan2(y, x) % (2 * math.pi)), Cell((x, y), tier)))
+            found.append(((hex_ring(m, n), math.atan2(y, x) % (2 * math.pi)), Cell((x, y), tier)))
     found.sort(key=lambda entry: entry[0])
     return [cell for _, cell in found]
 

@@ -336,6 +336,8 @@ def _run_blocks(block_fn, scn: _Scenario, seed: int, trials: int, workers) -> li
     """block_fn(scn, seed, block, count) for every block of _BLOCK trials
     covering [0, trials), in block order; count is _BLOCK except in the last
     block.  Workers get whole blocks, so the output does not depend on them."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     blocks = -(-trials // _BLOCK)
     if workers is None or workers <= 1 or blocks < 2:
         return _block_worker((block_fn, scn, seed, trials, 0, blocks))
@@ -355,7 +357,7 @@ def _cochannel_scenario(
     users_per_cell: int,
     pilot_dim: int | None,
     region: str,
-    max_tier: int | None,
+    max_tier: int,
 ) -> _Scenario:
     if users_per_cell < 1:
         raise ValueError("users_per_cell must be >= 1")
@@ -364,27 +366,19 @@ def _cochannel_scenario(
     cells = cochannel_cells(geometry, max_tier)
     centers = np.array([c.center for c in cells]).reshape(-1, 2)
     tiers = np.array([c.tier for c in cells], dtype=int)
-    if scheme is PilotScheme.DIFFERENT_SETS:
-        if pilot_dim is None:
+    if pilot_dim is None:
+        if scheme is PilotScheme.DIFFERENT_SETS:
             raise ValueError("different-sets sampling needs the pilot dimension")
-        if users_per_cell > pilot_dim:
-            raise ValueError(
-                f"cannot admit {users_per_cell} users on {pilot_dim} pilot sequences"
-            )
-        dim = pilot_dim
-    else:
-        dim = pilot_dim if pilot_dim is not None else users_per_cell
-        if users_per_cell > dim:
-            raise ValueError(
-                f"cannot admit {users_per_cell} users on {dim} pilot sequences"
-            )
+        pilot_dim = users_per_cell
+    if users_per_cell > pilot_dim:
+        raise ValueError(f"cannot admit {users_per_cell} users on {pilot_dim} pilot sequences")
     return _Scenario(
         geometry=geometry,
         centers=centers,
         tiers=tiers,
         users_per_cell=users_per_cell,
         scheme=scheme,
-        pilot_dim=dim,
+        pilot_dim=pilot_dim,
         region=region,
     )
 
@@ -394,7 +388,7 @@ def _finite_scenario(
     scheme: PilotScheme,
     users_per_cell: int,
     config: FiniteMConfig,
-    max_tier: int | None,
+    max_tier: int,
 ) -> _Scenario:
     """Scenario of the finite-M sampler: hexagon drops, a per-cell pilot
     space of pilot_length // reuse_factor, and linear-scale SNRs."""
@@ -451,19 +445,18 @@ def sample_sir_limit(
     pilot_dim: int | None = None,
     pilot_book: PilotBook | None = None,
     region: str = "hexagon",
-    max_tier: int | None = None,
+    max_tier: int = 3,
     workers: int | None = None,
 ) -> SirSampleSet:
     """Limiting-SIR samples: per trial, drop users in every cell of
     cochannel_cells(geometry, max_tier), draw pilot collisions per scheme,
     and evaluate the contamination-only SIR under uplink power control.
+    The default of 3 tiers holds 18 co-channel cells at every reuse factor.
 
     pilot_book fixes the different-sets pilot matrices across trials (only
     the column assignment is redrawn); by default pilots are redrawn every
     trial, matching the analytic averaging over the Haar measure.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = _attach_book(scn, pilot_book)
     results = _run_blocks(_limit_block, scn, seed, trials, workers)
@@ -479,7 +472,7 @@ def sample_sir_limit_shadowed(
     seed: int,
     pilot_dim: int | None = None,
     region: str = "hexagon",
-    max_tier: int | None = None,
+    max_tier: int = 3,
     workers: int | None = None,
     diagnostics: bool = False,
 ):
@@ -492,11 +485,9 @@ def sample_sir_limit_shadowed(
     on the center cell's own orthogonal pilots).
 
     With shadow_sigma_db = 0 this reproduces sample_sir_limit bit-for-bit
-    for equal seeds and regions; shadow_sigma_db > 0 needs the hexagon
-    region.
+    for equal seeds, regions and max_tier (both default to 3 tiers);
+    shadow_sigma_db > 0 needs the hexagon region.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if shadow_sigma_db < 0.0:
         raise ValueError("shadow standard deviation must be >= 0 dB")
     if shadow_sigma_db > 0.0 and region == "circle":
@@ -529,7 +520,7 @@ def sample_sir_finite_m(
     config: FiniteMConfig,
     trials: int,
     seed: int,
-    max_tier: int | None = 1,
+    max_tier: int = 1,
     workers: int | None = None,
 ) -> SirSampleSet:
     """Finite-antenna uplink SINR of the tagged user under pilot-matched
@@ -542,8 +533,6 @@ def sample_sir_finite_m(
     the co-channel network (own cell included) adds non-coherent
     interference, and the SNRs set the pilot and data noise levels.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     scn = _finite_scenario(geometry, scheme, users_per_cell, config, max_tier)
     sinr = _run_blocks(_finite_block, scn, seed, trials, workers)
     return SirSampleSet(np.concatenate([by_load[:, -1] for by_load in sinr]))
@@ -603,8 +592,6 @@ def empirical_capacity_search(
     of sample_sir_finite_m at k and all loads share the draws (common
     random numbers).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     per_reuse: dict[int, int] = {}
     outage_at_k: dict[int, tuple[float, tuple[float, float]]] = {}
     for w in (1, 3, 7):

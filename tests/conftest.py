@@ -6,7 +6,7 @@ from mimocap import NetworkGeometry
 
 @pytest.fixture
 def geometry():
-    """The shipped scenario: a = 1600 m, hole 100 m, gamma = 4, two rings."""
+    """The shipped scenario: a = 1600 m, hole 100 m, gamma = 4, reuse 1."""
     return NetworkGeometry()
 
 

@@ -7,7 +7,7 @@ geometry.cochannel_cells, which generates the sublattice directly.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from mimocap.geometry import REUSE_SHIFTS, NetworkGeometry, axial_to_xy, hex_ring
 
@@ -32,14 +32,13 @@ def min_rings_for_cochannel(reuse_factor: int) -> int:
     return hex_ring(*REUSE_SHIFTS[reuse_factor])
 
 
-def ring_lattice(geometry: NetworkGeometry) -> list[LatticeCell]:
-    """Every cell within geometry.ring_count rings, ordered by (ring, angle).
+def ring_lattice(geometry: NetworkGeometry, rings: int) -> list[LatticeCell]:
+    """Every cell within `rings` rings, ordered by (ring, angle).
 
     Resource indices are the cosets of the reuse sublattice, numbered in
     order of first appearance; the center cell always gets resource 1.
     """
     d = geometry.center_spacing_m
-    rings = geometry.ring_count
     coords = [
         (m, n)
         for m in range(-rings, rings + 1)
@@ -65,16 +64,16 @@ def ring_lattice(geometry: NetworkGeometry) -> list[LatticeCell]:
     return cells
 
 
-def cochannel_with_tiers(geometry: NetworkGeometry) -> list[tuple[LatticeCell, int]]:
+def cochannel_with_tiers(geometry: NetworkGeometry, rings: int) -> list[tuple[LatticeCell, int]]:
     """(cell, tier) for the co-channel cells of the center cell within
-    max(ring_count, min_rings_for_cochannel) rings, in lattice order.
+    max(rings, min_rings_for_cochannel) rings, in lattice order.
 
     The tier is the rank of the cell's squared axial norm among those of a
     lattice twice as wide, which holds every nearer shell in full: a cell
     within r rings lies within distance r, and every cell within distance r
     lies within 2r / sqrt(3) < 2r rings.
     """
-    rings = max(geometry.ring_count, min_rings_for_cochannel(geometry.reuse_factor))
+    rings = max(rings, min_rings_for_cochannel(geometry.reuse_factor))
 
     def cochannel(lattice):
         return [c for c in lattice if c.resource == 1 and c.axial != (0, 0)]
@@ -83,7 +82,7 @@ def cochannel_with_tiers(geometry: NetworkGeometry) -> list[tuple[LatticeCell, i
         m, n = c.axial
         return m * m + m * n + n * n
 
-    wide = cochannel(ring_lattice(replace(geometry, ring_count=2 * rings)))
+    wide = cochannel(ring_lattice(geometry, 2 * rings))
     shells = sorted({norm(c) for c in wide})
-    near = cochannel(ring_lattice(replace(geometry, ring_count=rings)))
+    near = cochannel(ring_lattice(geometry, rings))
     return [(c, shells.index(norm(c)) + 1) for c in near]

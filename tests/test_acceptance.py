@@ -198,7 +198,7 @@ def test_05_worst_case_gaussian_cdf(capsys, moments_by_reuse):
     max_gap = {}
     for scheme in PilotScheme:
         samples = sample_sir_limit(
-            geo, scheme, k, trials=100_000, seed=SEED, pilot_dim=k
+            geo, scheme, k, trials=100_000, seed=SEED, pilot_dim=k, max_tier=1
         )
         count, tm = moments_by_reuse[(scheme, 7)][0]
         n_terms = count * (k if scheme is PilotScheme.DIFFERENT_SETS else 1)
@@ -254,16 +254,19 @@ def test_06_finite_m_table_pattern(capsys):
 
 
 def test_07_finite_m_convergence_to_limit(capsys):
-    # noise-free M = 1e7 on a reduced lattice, paired with the limiting
+    # noise-free M = 1e7 on the tier-1 cells, paired with the limiting
     # sampler through the shared position/pilot streams.  At M = 1e5 the
     # finite-M mean sits about 17% below the limit mean (the non-coherent
     # term caps the limit's heavy right tail), which exceeds the bound; at
     # 1e7 that bias is about 0.3%.
-    geo = NetworkGeometry(ring_count=1)
     trials = 400
-    lim = sample_sir_limit(geo, PilotScheme.DIFFERENT_SETS, 2, trials=trials, seed=SEED, pilot_dim=42)
+    lim = sample_sir_limit(
+        GEO, PilotScheme.DIFFERENT_SETS, 2, trials=trials, seed=SEED, pilot_dim=42, max_tier=1
+    )
     cfg = FiniteMConfig(antennas=10_000_000, pilot_length=42, ul_snr_db=None, pilot_snr_db=None)
-    fin = sample_sir_finite_m(geo, PilotScheme.DIFFERENT_SETS, 2, cfg, trials=trials, seed=SEED)
+    fin = sample_sir_finite_m(
+        GEO, PilotScheme.DIFFERENT_SETS, 2, cfg, trials=trials, seed=SEED, max_tier=1
+    )
     rel = abs(fin.samples.mean() / lim.samples.mean() - 1.0)
     assert rel <= 0.15
     announce(

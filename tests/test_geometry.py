@@ -28,45 +28,45 @@ def cell_distances(layout, resource=1):
 class TestLayout:
     # checks the brute-force ring lattice that cochannel_cells is compared with
     def test_reuse1_two_rings(self, geometry):
-        layout = ring_lattice(geometry)
+        layout = ring_lattice(geometry, 2)
         assert len(layout) == 19
         assert all(c.resource == 1 for c in layout)
 
     def test_cell_count_formula(self, geometry):
         for rings in (1, 2, 3, 4):
-            layout = ring_lattice(replace(geometry, ring_count=rings))
+            layout = ring_lattice(geometry, rings)
             assert len(layout) == 1 + 3 * rings * (rings + 1)
 
     def test_center_cell_uses_resource_one(self, geometry):
         for w in (1, 3, 7):
-            layout = ring_lattice(replace(geometry, reuse_factor=w, ring_count=3))
+            layout = ring_lattice(replace(geometry, reuse_factor=w), 3)
             assert layout[0].axial == (0, 0)
             assert layout[0].resource == 1
 
     def test_reuse3_ring1_has_no_cochannel(self, geometry):
         # nearest reuse-3 co-channel cells sit in ring 2
-        layout = ring_lattice(replace(geometry, reuse_factor=3, ring_count=1))
+        layout = ring_lattice(replace(geometry, reuse_factor=3), 1)
         assert len(layout) == 7
         assert cell_distances(layout) == []
 
     def test_reuse7_six_cochannel_in_ring3(self, geometry):
-        layout = ring_lattice(replace(geometry, reuse_factor=7, ring_count=3))
+        layout = ring_lattice(replace(geometry, reuse_factor=7), 3)
         dists = cell_distances(layout)
         assert len(dists) == 6
         assert np.allclose(dists, 1600.0 * math.sqrt(21.0))
         # a two-ring lattice contains none of them
-        small = ring_lattice(replace(geometry, reuse_factor=7, ring_count=2))
+        small = ring_lattice(replace(geometry, reuse_factor=7), 2)
         assert len(small) == 19 and cell_distances(small) == []
 
     def test_color_count_equals_reuse_factor(self, geometry):
         for w in (1, 3, 7):
-            layout = ring_lattice(replace(geometry, reuse_factor=w, ring_count=4))
+            layout = ring_lattice(replace(geometry, reuse_factor=w), 4)
             assert len({c.resource for c in layout}) == w
 
     def test_cochannel_distance_multiplicity(self, geometry):
         # co-channel distances come in multiples of 6 per tier
         for w in (1, 3):
-            layout = ring_lattice(replace(geometry, reuse_factor=w, ring_count=3))
+            layout = ring_lattice(replace(geometry, reuse_factor=w), 3)
             dists = np.array(cell_distances(layout))
             for d in np.unique(np.round(dists, 6)):
                 assert np.sum(np.isclose(dists, d)) % 6 == 0
@@ -80,8 +80,6 @@ class TestLayout:
             NetworkGeometry(hole_radius_m=2000.0)
         with pytest.raises(ValueError):
             NetworkGeometry(path_loss_exponent=2.0)
-        with pytest.raises(ValueError):
-            NetworkGeometry(ring_count=0)
 
 
 class TestTiers:
@@ -89,9 +87,9 @@ class TestTiers:
         # the analytic tier-1 separation must equal the minimum co-channel
         # distance found in an explicitly built lattice
         for w in (1, 3, 7):
-            geo = replace(geometry, reuse_factor=w, ring_count=4)
+            geo = replace(geometry, reuse_factor=w)
             spec = tier_specs(geo, 1)[0]
-            brute = cell_distances(ring_lattice(geo))[0]
+            brute = cell_distances(ring_lattice(geo, 4))[0]
             assert spec.separation_m == pytest.approx(brute, rel=1e-12)
             assert spec.cell_count == 6
 
@@ -114,36 +112,30 @@ class TestTiers:
     def test_min_rings(self, geometry):
         # the tier-1 ring first appears in ring 1, 2 and 3 of the lattice
         for w, rings in ((1, 1), (3, 2), (7, 3)):
-            layout = ring_lattice(replace(geometry, reuse_factor=w, ring_count=4))
+            layout = ring_lattice(replace(geometry, reuse_factor=w), 4)
             first = min(c.ring for c in layout if c.resource == 1 and c.axial != (0, 0))
             assert first == rings == min_rings_for_cochannel(w)
 
-    def test_cochannel_cells_autoextend(self, geometry):
-        cells = cochannel_cells(replace(geometry, reuse_factor=7))
-        assert len(cells) == 6  # despite ring_count=2
-        cells1 = cochannel_cells(geometry, max_tier=1)
-        assert len(cells1) == 6
-        assert len(cochannel_cells(geometry)) == 18  # tiers 1..3 of the 2-ring lattice
-
     def test_cochannel_cells_match_bruteforce(self, geometry):
-        # same cells, same order, same tiers as the colored ring lattice
+        # the colored ring lattice holds whole tiers: its co-channel cells
+        # are those of the first t tiers, same cells, same order, same tiers
         for w in (1, 3, 7):
+            geo = replace(geometry, reuse_factor=w)
             for rings in range(1, 6):
-                geo = replace(geometry, reuse_factor=w, ring_count=rings)
-                got = [(c.center, c.tier) for c in cochannel_cells(geo)]
-                assert got == [(c.center, tier) for c, tier in cochannel_with_tiers(geo)]
+                want = [(c.center, tier) for c, tier in cochannel_with_tiers(geo, rings)]
+                t = max(tier for _, tier in want)
+                assert [(c.center, c.tier) for c in cochannel_cells(geo, t)] == want
 
     def test_cochannel_cells_fill_whole_tiers(self, geometry):
         for w in (1, 3, 7):
-            for rings in (1, 2):
-                geo = replace(geometry, reuse_factor=w, ring_count=rings)
-                for t in range(1, 5):
-                    specs = tier_specs(geo, t)
-                    cells = cochannel_cells(geo, t)
-                    assert len(cells) == sum(s.cell_count for s in specs)
-                    for c in cells:
-                        sep = specs[c.tier - 1].separation_m
-                        assert math.hypot(*c.center) == pytest.approx(sep, rel=1e-12)
+            geo = replace(geometry, reuse_factor=w)
+            for t in range(1, 5):
+                specs = tier_specs(geo, t)
+                cells = cochannel_cells(geo, t)
+                assert len(cells) == sum(s.cell_count for s in specs)
+                for c in cells:
+                    sep = specs[c.tier - 1].separation_m
+                    assert math.hypot(*c.center) == pytest.approx(sep, rel=1e-12)
 
 
 class TestCircleApproximation:

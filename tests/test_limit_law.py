@@ -25,6 +25,7 @@ from mimocap.simulate import (
 TRIALS = 2000
 SEED = 5200
 K = 4
+TIERS = {1: 3, 3: 1, 7: 1}  # 18, 6 and 6 co-channel cells
 # (scheme, region, w, sigma dB, fixed book)
 GRID = [
     (scheme, region, w, 0.0, False)
@@ -44,7 +45,7 @@ def test_block_samplers_match_per_trial_oracle_in_law(geometry):
             geo = geometry.with_reuse(w)
             dim = 42 // w
             seed = SEED + 2 * i
-            scn = _cochannel_scenario(geo, scheme, K, dim, region, None)
+            scn = _cochannel_scenario(geo, scheme, K, dim, region, TIERS[w])
             book = None
             if fixed:
                 book = generate_pilot_book(scheme, dim, scn.n_cells + 1, np.random.default_rng(seed))
@@ -52,11 +53,13 @@ def test_block_samplers_match_per_trial_oracle_in_law(geometry):
             if sigma > 0.0:
                 scn = replace(scn, shadow_sigma_db=sigma)
                 fast = sample_sir_limit_shadowed(
-                    geo, scheme, K, sigma, TRIALS, seed + 1, pilot_dim=dim, region=region
+                    geo, scheme, K, sigma, TRIALS, seed + 1, pilot_dim=dim, region=region,
+                    max_tier=TIERS[w],
                 )
             else:
                 fast = sample_sir_limit(
-                    geo, scheme, K, TRIALS, seed + 1, pilot_dim=dim, pilot_book=book, region=region
+                    geo, scheme, K, TRIALS, seed + 1, pilot_dim=dim, pilot_book=book,
+                    region=region, max_tier=TIERS[w],
                 )
             label = f"{scheme.value} {region} w={w} sigma={sigma} dB{' book' if fixed else ''}"
             yield label, oracle_limit(scn, seed, TRIALS), fast.samples

@@ -9,6 +9,26 @@ def test_public_names_resolve_and_star_import_succeeds():
     assert set(mimocap.__all__) <= set(namespace)
 
 
+def test_traced_names_resolve():
+    # the benchmark tracer wraps these by name; one that no longer resolves
+    # would read as zero calls instead of failing
+    import importlib
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    deleted = {"geometry.build_layout"}  # still spanned, no longer in mimocap
+    missing = []
+    for qual in tracer.SPANNED + tracer.COUNTED:
+        module, name = qual.split(".")
+        if qual not in deleted and not hasattr(importlib.import_module(f"mimocap.{module}"), name):
+            missing.append(qual)
+    assert not missing
+
+
 def test_library_runs_without_scipy():
     # scipy costs most of the CLI's start-up and is a test-only dependency
     import os

@@ -127,6 +127,21 @@ class TestLimitSampler:
         se = den.std(ddof=1) / math.sqrt(n)
         assert abs(den.mean() - 6.0 * tm.mu_x) <= 3.0 * se
 
+    def test_default_is_three_tiers(self, geometry):
+        # perfbench's sampler-mix reference law was drawn on these 18 cells
+        different = PilotScheme.DIFFERENT_SETS
+        plain = sample_sir_limit(geometry, different, 4, 300, SEED, pilot_dim=42)
+        tiered = sample_sir_limit(geometry, different, 4, 300, SEED, pilot_dim=42, max_tier=3)
+        assert np.array_equal(plain.samples, tiered.samples)
+        (s, diag), (s3, diag3) = (
+            sample_sir_limit_shadowed(
+                geometry, different, 4, 8.0, 300, SEED, pilot_dim=42, diagnostics=True, **tiers
+            )
+            for tiers in ({}, {"max_tier": 3})
+        )
+        assert np.array_equal(s.samples, s3.samples) and diag == diag3
+        assert set(diag.tier_shares) == {1, 2, 3}
+
     def test_zero_interferers_gives_infinite_sir(self, geometry):
         s = sample_sir_limit(geometry, PilotScheme.REUSED_SETS, 1, 10, SEED, max_tier=0)
         assert np.all(np.isinf(s.samples))
