@@ -61,12 +61,14 @@ def _open_out(path: str):
 _FORMATS = {float: "%.10g", int: "%d", str: "%s"}
 _CHUNK_ROWS = 8192
 
+# capacity-table repeats the same sir_db and alpha values on every row, so it
+# formats them once per table and writes the cells as str
 _TABLE_COLUMNS = (
-    ("sir_db", float), ("alpha", float), ("scheme", str), ("w_best", int),
+    ("sir_db", str), ("alpha", str), ("scheme", str), ("w_best", int),
     ("k_u", float), ("k_max", int), ("y_e", float), ("n_max", int),
 )
 _DIAGNOSTIC_COLUMNS = (
-    ("sir_db", float), ("alpha", float), ("scheme", str), ("w", int), ("feasible", int),
+    ("sir_db", str), ("alpha", str), ("scheme", str), ("w", int), ("feasible", int),
     ("k_u", float), ("k_max", int), ("y_e", float), ("n_max", int), ("pilot_budget", int),
 )
 # CapacityReport fields behind the diagnostics columns from "w" on
@@ -102,6 +104,7 @@ def _interleave(reports, name: str, n: int) -> list:
 def cmd_capacity_table(config: ScenarioConfig, out: str, diagnostics: str | None) -> int:
     sir_db = config.qos.sir_db_values()
     n = len(sir_db)
+    sir_cells = [_FORMATS[float] % s for s in sir_db]
     reuses = (1, 3, 7)
     rows = []
     diag_rows = []
@@ -127,9 +130,10 @@ def cmd_capacity_table(config: ScenarioConfig, out: str, diagnostics: str | None
             ]
             best = cap.best_reuse(per_w)
             chosen = best.chosen_reuse.tolist()
+            alpha_cell = _FORMATS[float] % alpha
             rows += zip(
-                sir_db,
-                [alpha] * n,
+                sir_cells,
+                [alpha_cell] * n,
                 [scheme_name] * n,
                 chosen,
                 best.k_u.tolist(),
@@ -144,8 +148,8 @@ def cmd_capacity_table(config: ScenarioConfig, out: str, diagnostics: str | None
                 if chosen[i] != chosen[i - 1]
             ]
             diag_rows += zip(
-                [s for s in sir_db for _ in reuses],
-                [alpha] * (n * len(reuses)),
+                [s for s in sir_cells for _ in reuses],
+                [alpha_cell] * (n * len(reuses)),
                 [scheme_name] * (n * len(reuses)),
                 *(_interleave(per_w, name, n) for name in _DIAGNOSTIC_FIELDS),
             )

@@ -193,26 +193,38 @@ def point_in_hexagon(x, y, circumradius: float):
     )
 
 
-def sample_circle_position(radius_m: float, rng: np.random.Generator, size: int):
-    """size uniform draws over a disc, returned as arrays (r, theta).
+def sample_circle_position(radius_m: float, rngs, size: int):
+    """size uniform draws over a disc from each stream of the sequence rngs,
+    returned as arrays (r, theta) of shape (len(rngs), size), row i drawn
+    from rngs[i] alone: size uniforms for r, then size for theta.
 
     Radius density is 2r/b^2, the angle uniform on [0, 2*pi).
     """
-    r = radius_m * np.sqrt(rng.random(size))
-    theta = rng.uniform(0.0, 2.0 * math.pi, size)
+    r = np.empty((len(rngs), size))
+    theta = np.empty((len(rngs), size))
+    for rng, r_row, theta_row in zip(rngs, r, theta):
+        rng.random(out=r_row)
+        rng.random(out=theta_row)
+    np.sqrt(r, out=r)
+    r *= radius_m
+    theta *= 2.0 * math.pi
     return r, theta
 
 
-def sample_hexagon_position(geometry: NetworkGeometry, rng: np.random.Generator, size: int):
-    """size uniform draws over the hexagonal cell with the hole disc excluded.
+def sample_hexagon_position(geometry: NetworkGeometry, rngs, size: int):
+    """size uniform draws over the hexagonal cell with the hole disc excluded,
+    from each stream of the sequence rngs.
 
     The hexagon is three equal rhombi, each spanned by two of the alternate
     vertices (0, a), (sqrt(3) a / 2, -a / 2) and (-sqrt(3) a / 2, -a / 2).
     A draw picks a rhombus uniformly and a uniform point inside it; only
     points in the hole (pi a_h^2 of the area) are redrawn.  Two uniforms
     make a draw: the integer part of 3 u picks the rhombus, and the exact
-    fractional part is the first coordinate in it.  Returns arrays of
-    cartesian offsets (x, y) from the cell center.
+    fractional part is the first coordinate in it.  Stream i draws (2, size)
+    uniforms, then (2, p) for the p draws of its row that fell in the hole,
+    and so on; the redraw rounds run across all streams at once.  Returns
+    arrays (x, y) of cartesian offsets from the cell center, of shape
+    (len(rngs), size), row i drawn from rngs[i] alone.
     """
     a = geometry.cell_radius_m
     r3 = math.sqrt(3.0)
@@ -221,17 +233,31 @@ def sample_hexagon_position(geometry: NetworkGeometry, rng: np.random.Generator,
     vx = np.array([0.0, r3 * a / 2.0, -r3 * a / 2.0, 0.0])
     vy = np.array([a, -a / 2.0, -a / 2.0, a])
     hole2 = geometry.hole_radius_m**2
-    xs = np.empty(size)
-    ys = np.empty(size)
-    pending = np.arange(size)
-    while pending.size:
-        s, t = rng.random((2, pending.size))
+
+    def rhombus_points(s, t):
         s *= 3.0
-        first = s.astype(np.intp)
-        s -= first
-        x = s * vx[first] + t * vx[first + 1]
-        y = s * vy[first] + t * vy[first + 1]
-        xs[pending] = x
-        ys[pending] = y
+        j = s.astype(np.intp)
+        s -= j
+        points = []
+        for v in (vx, vy):  # s * v[j] + t * v[j + 1], in place
+            out = v[:3].take(j)
+            out *= s
+            step = v[1:].take(j)
+            step *= t
+            out += step
+            points.append(out)
+        return points
+
+    st = np.empty((len(rngs), 2, size))
+    for rng, out in zip(rngs, st):
+        rng.random(out=out)
+    xs, ys = rhombus_points(st[:, 0], st[:, 1])
+    pending = np.flatnonzero(xs * xs + ys * ys < hole2)  # stream-major, as drawn
+    while pending.size:
+        counts = np.bincount(pending // size, minlength=len(rngs))
+        s, t = np.concatenate([rng.random((2, c)) for rng, c in zip(rngs, counts) if c], axis=1)
+        x, y = rhombus_points(s, t)
+        xs.flat[pending] = x
+        ys.flat[pending] = y
         pending = pending[x * x + y * y < hole2]
     return xs, ys

@@ -11,9 +11,15 @@ Three samplers share one block engine:
                             intra- and inter-cell cross terms and noise.
 
 Trials run in blocks of _BLOCK: a block draws the user drops, pilot
-overlaps, shadowing and fading of all its trials as arrays, and a
-vectorised evaluator turns them into SIRs (_limit_block for the limiting
-and shadowed samplers, _finite_block for finite M).
+overlaps, shadowing and fading of all its trials from its own streams.
+The engine hands an evaluator (_limit_block for the limiting and shadowed
+samplers, _finite_block for finite M) a run of consecutive blocks, up to
+_RUN_VALUES values per array: each block draws into its rows of the run's
+arrays, in the order a lone block would, and one array pass turns the run
+into SIRs.  Users are kept as positions, and an evaluator takes squared
+distances only where it reads them: the unshadowed limit terms
+(r_own / r_ctr)^(2 gamma) = (rho_own / rho_ctr)^gamma of the same-index
+user only under reused sets, every user's amplitude in the finite-M one.
 
 The finite-M simulator never draws the M x N channel matrix: i.i.d.
 Rayleigh fading is invariant in law under rotations of the user space, and
@@ -28,18 +34,17 @@ Randomness is drawn from counter-based Philox streams keyed by
 (seed, block, role) (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC 2011).  Every block draws all of its trials, the last one
 included, and workers get whole blocks, so results are reproducible
-bit-for-bit, a shorter run is a prefix of a longer one, and the worker
-count changes nothing.  All samplers draw positions and pilots through
-the same block helpers in the same order, which makes paired comparisons
-across samplers (same user drops, same pilot collisions) possible by
-reusing a seed.
+bit-for-bit, a shorter run is a prefix of a longer one, and neither the
+worker count nor the grouping of blocks into runs changes anything.  All
+samplers draw positions and pilots through the same block helpers in the
+same order, which makes paired comparisons across samplers (same user
+drops, same pilot collisions) possible by reusing a seed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,15 +65,41 @@ _ROLE_SHADOW = 3
 _ROLE_FADING = 4
 
 _BLOCK = 64  # trials per block of streams
+# (trial x cell x user) values per run of blocks that an evaluator draws and
+# evaluates as one array pass; a run holds at least one block.  Runs twice
+# as long made sir-cdf fault in fresh pages on every run and run slower.
+_RUN_VALUES = 1 << 13
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 
 
+@functools.cache
+def _stream_key_type() -> type:
+    """A seed sequence that hands Philox its key as given.
+
+    Philox(key=...) still builds a SeedSequence from OS entropy and then
+    discards it; seeding through this type yields the same generator state
+    without that cost.  The class is made on first use, so that importing
+    mimocap does not load numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return StreamKey
+
+
 def trial_rng(seed: int, block: int, role: int) -> np.random.Generator:
-    """Philox stream for one (seed, block, role) triple."""
+    """Philox stream for one (seed, block, role) triple: key (seed, 0),
+    counter (0, 0, block, role)."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     counter = np.array([0, 0, block, role], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return np.random.Generator(np.random.Philox(_stream_key_type()(key), counter=counter))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +158,7 @@ class _Scenario:
     pilot_dim: int
     region: str
     shadow_sigma_db: float = 0.0
+    tier_diagnostics: bool = False  # _limit_block sums per-cell interference
     # finite-M extras
     antennas: int = 0
     ul_snr: float = math.inf
@@ -144,45 +176,70 @@ class _Scenario:
         return self.geometry.path_loss_exponent
 
 
-def _draw_users(scn: _Scenario, seed: int, block: int, count: int):
-    """User drops (role 1) and pilot overlaps (role 2) of one block.
+def _block_streams(seed: int, first: int, blocks: int, role: int):
+    """(stream, rows) per block of the run first .. first + blocks - 1: the
+    block's own role stream and its _BLOCK rows of the run's trial axis."""
+    for j in range(blocks):
+        yield trial_rng(seed, first + j, role), slice(j * _BLOCK, (j + 1) * _BLOCK)
 
-    Returns (r_own, r_ctr, offsets, phi), each (count, n_cells,
-    users_per_cell): distances to the own and the center base station, the
-    offsets (xs, ys) from the own cell center (None for circles), and the
-    overlaps |<psi, psi_tagged>|^2 (None under reused sets, where only the
-    same-index user of each cell collides, fully).  Every block draws all
-    _BLOCK trials and keeps the first count, so a shorter run is a prefix
-    of a longer one.
+
+def _draw_users(scn: _Scenario, seed: int, first: int, blocks: int, count: int):
+    """User drops (role 1) and pilot overlaps (role 2) of a run of blocks.
+
+    Returns (positions, phi), arrays of shape (count, n_cells,
+    users_per_cell): the positions (x, y) of the users as offsets from their
+    own cell center, or (r, theta) about their own station for circles (see
+    _squared_distances), and the overlaps |<psi, psi_tagged>|^2 (None under
+    reused sets, where only the same-index user of each cell collides,
+    fully).  Every block draws all _BLOCK trials from its own streams and the
+    run keeps the first count, so a shorter run is a prefix of a longer one.
     """
     n, k = scn.n_cells, scn.users_per_cell
-    shape = (_BLOCK, n, k)
-    rng = trial_rng(seed, block, _ROLE_POSITIONS)
+    shape = (blocks * _BLOCK, n, k)
+    size = _BLOCK * n * k
+    rngs = [rng for rng, _ in _block_streams(seed, first, blocks, _ROLE_POSITIONS)]
     if scn.region == "circle":
         # the analytic disc density about the own station
         b = equal_area_radius(scn.geometry.cell_radius_m)
-        r_own, ang = sample_circle_position(b, rng, _BLOCK * n * k)
-        r_own = r_own.reshape(shape)[:count]
-        ang = ang.reshape(shape)[:count]
-        d = np.hypot(scn.centers[:, 0], scn.centers[:, 1])[:, None]
-        r_ctr = np.sqrt(r_own**2 + d**2 - 2.0 * d * r_own * np.cos(ang))
-        offsets = None
+        positions = sample_circle_position(b, rngs, size)
     else:
-        xs, ys = sample_hexagon_position(scn.geometry, rng, _BLOCK * n * k)
-        xs = xs.reshape(shape)[:count]
-        ys = ys.reshape(shape)[:count]
-        r_own = np.hypot(xs, ys)
-        r_ctr = np.hypot(xs + scn.centers[:, 0][:, None], ys + scn.centers[:, 1][:, None])
-        offsets = (xs, ys)
+        positions = sample_hexagon_position(scn.geometry, rngs, size)
+    positions = tuple(p.reshape(shape)[:count] for p in positions)
     phi = None
     if scn.scheme is PilotScheme.DIFFERENT_SETS:
-        phi = _draw_overlaps(scn, trial_rng(seed, block, _ROLE_PILOTS))[:count]
-    return r_own, r_ctr, offsets, phi
+        phi = _draw_overlaps(scn, seed, first, blocks)[:count]
+    return positions, phi
 
 
-def _draw_overlaps(scn: _Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Different-sets pilot overlaps of every interferer, (_BLOCK, n_cells,
-    users_per_cell).
+def _squared_distances(scn: _Scenario, positions):
+    """Squared distances (rho_own, rho_ctr) of users at positions, as
+    _draw_users returns them or a slice of the users, to their own and to
+    the center station."""
+    u, v = positions
+    cx, cy = scn.centers[:, 0][:, None], scn.centers[:, 1][:, None]
+    rho_own = u * u
+    if scn.region == "circle":
+        # law of cosines about the own station, d away from the center one:
+        # (rho_own + d^2) - (2 d u) cos(v), in place
+        d = np.hypot(cx, cy)
+        cross = 2.0 * d * u
+        cross *= np.cos(v)
+        rho_ctr = rho_own + d * d
+        rho_ctr -= cross
+        return rho_own, rho_ctr
+    rho_own += v * v
+    rho_ctr = u + cx
+    rho_ctr *= rho_ctr
+    dy = v + cy
+    dy *= dy
+    rho_ctr += dy
+    return rho_own, rho_ctr
+
+
+def _draw_overlaps(scn: _Scenario, seed: int, first: int, blocks: int) -> np.ndarray:
+    """Different-sets pilot overlaps of every interferer of a run of blocks,
+    (blocks * _BLOCK, n_cells, users_per_cell), each block from its role-2
+    stream.
 
     With a fixed book, each trial draws the tagged user's column and, per
     cell, a uniform assignment of columns to users, and reads the overlaps
@@ -194,43 +251,61 @@ def _draw_overlaps(scn: _Scenario, rng: np.random.Generator) -> np.ndarray:
     remainder.
     """
     n, k = scn.n_cells, scn.users_per_cell
+    phi = np.empty((blocks * _BLOCK, n, k))
+    streams = _block_streams(seed, first, blocks, _ROLE_PILOTS)
     if scn.book_grams is not None:
         dim = scn.book_dim
-        tagged = rng.integers(dim, size=_BLOCK)
-        cols = rng.permuted(np.tile(np.arange(dim), (_BLOCK, n, 1)), axis=2)[:, :, :k]
-        return scn.book_grams[np.arange(n)[:, None], tagged[:, None, None], cols]
-    e = rng.standard_exponential((_BLOCK, n, k))
-    rest = rng.standard_gamma(scn.pilot_dim - k, (_BLOCK, n, 1))
-    return e / (e.sum(axis=2, keepdims=True) + rest)
+        for rng, rows in streams:
+            tagged = rng.integers(dim, size=_BLOCK)
+            cols = rng.permuted(np.tile(np.arange(dim), (_BLOCK, n, 1)), axis=2)[:, :, :k]
+            phi[rows] = scn.book_grams[np.arange(n)[:, None], tagged[:, None, None], cols]
+        return phi
+    rest = np.empty((blocks * _BLOCK, n, 1))
+    for rng, rows in streams:
+        rng.standard_exponential(out=phi[rows])
+        rng.standard_gamma(scn.pilot_dim - k, out=rest[rows])
+    phi /= phi.sum(axis=2, keepdims=True) + rest
+    return phi
 
 
-def _limit_block(scn: _Scenario, seed: int, block: int, count: int):
-    """Limiting SIR of one block, shadowed when scn.shadow_sigma_db > 0.
+def _limit_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int):
+    """Limiting SIR of a run of blocks, shadowed when scn.shadow_sigma_db > 0.
 
-    Returns (sir, per-cell interference summed over the block's trials,
-    largest interference ratio of a contaminating user).
+    Returns (sir, per-cell interference summed over the trials of each
+    block if scn.tier_diagnostics else None, largest interference ratio of a
+    contaminating user).
     """
-    r_own, r_ctr, offsets, phi = _draw_users(scn, seed, block, count)
+    positions, phi = _draw_users(scn, seed, first, blocks, count)
     if scn.shadow_sigma_db > 0.0:
-        ratio = _shadowed_ratio(scn, offsets, trial_rng(seed, block, _ROLE_SHADOW), count)
+        ratio = _shadowed_ratio(scn, positions, seed, first, blocks, count)
     else:
         # No shadowing: nearest-station service keeps every user on its own
-        # cell, and the terms are the unshadowed power-control ratios.
-        ratio = (r_own / r_ctr) ** (2.0 * scn.gamma)
+        # cell, and the terms are the unshadowed power-control ratios
+        # (r_own / r_ctr)^(2 gamma), of the same-index user only under
+        # reused sets.
+        if phi is None:
+            positions = [p[:, :, :1] for p in positions]
+        # (rho_own / rho_ctr)^gamma, in place in rho_own
+        ratio, rho_ctr = _squared_distances(scn, positions)
+        ratio /= rho_ctr
+        ratio **= scn.gamma
     # contaminating terms at the center station: the same-index user of each
     # cell under reused sets, every user weighted by its overlap otherwise
     counted = ratio[:, :, :1] if phi is None else ratio
-    terms = counted if phi is None else phi * ratio
+    terms = counted if phi is None else np.multiply(phi, ratio, out=phi)
     total = terms.sum(axis=(1, 2))
     sir = np.divide(1.0, total, out=np.full(count, math.inf), where=total > 0.0)
-    per_cell = terms.sum(axis=(0, 2))
+    per_cell = None
+    if scn.tier_diagnostics:
+        per_cell = [terms[s : s + _BLOCK].sum(axis=(0, 2)) for s in range(0, count, _BLOCK)]
     peak = float(counted.max()) if counted.size else 0.0
     return sir, per_cell, peak
 
 
-def _shadowed_ratio(scn: _Scenario, offsets, rng: np.random.Generator, count: int) -> np.ndarray:
+def _shadowed_ratio(scn: _Scenario, offsets, seed: int, first: int, blocks: int, count: int):
     """(beta_center / beta_serving)^2 per user under log-normal shadowing
-    and best-station selection, 0 for users the center station serves.
+    (role 3) and best-station selection, 0 for users the center station
+    serves.
 
     Gains beta = 10^(z/10) r^-gamma go to every candidate station, column 0
     the center one and column 1 + l co-channel cell l; they are compared in
@@ -248,7 +323,10 @@ def _shadowed_ratio(scn: _Scenario, offsets, rng: np.random.Generator, count: in
     log_gain += dy
     np.log(log_gain, out=log_gain)
     log_gain *= -scn.gamma / 2.0
-    z = rng.standard_normal((_BLOCK, *log_gain.shape[1:]))[:count]
+    z = np.empty((blocks * _BLOCK, *log_gain.shape[1:]))
+    for rng, rows in _block_streams(seed, first, blocks, _ROLE_SHADOW):
+        rng.standard_normal(out=z[rows])
+    z = z[:count]
     z *= scn.shadow_sigma_db * math.log(10.0) / 10.0
     log_gain += z
     best = log_gain.max(axis=3)
@@ -258,11 +336,12 @@ def _shadowed_ratio(scn: _Scenario, offsets, rng: np.random.Generator, count: in
     return ratio
 
 
-def _finite_block(scn: _Scenario, seed: int, block: int, count: int) -> np.ndarray:
-    """Tagged-user SINR of one block at every load 1..users_per_cell, where
-    load k keeps the first k users of each cell: (count, users_per_cell),
-    column k - 1 for load k."""
-    r_own, r_ctr, _, phi = _draw_users(scn, seed, block, count)
+def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int) -> np.ndarray:
+    """Tagged-user SINR of a run of blocks at every load 1..users_per_cell,
+    where load k keeps the first k users of each cell: (count,
+    users_per_cell), column k - 1 for load k."""
+    positions, phi = _draw_users(scn, seed, first, blocks, count)
+    rho_own, rho_ctr = _squared_distances(scn, positions)
     n, k = scn.n_cells, scn.users_per_cell
     n_users = (n + 1) * k
 
@@ -271,7 +350,8 @@ def _finite_block(scn: _Scenario, seed: int, block: int, count: int) -> np.ndarr
     # coherent interference scales as amp^4 = (r_own / r_center)^(2 gamma),
     # matching the limiting SIR terms.  Cell 0 is the center cell.
     amp = np.ones((count, n + 1, k))
-    amp[:, 1:] = (r_own / r_ctr) ** (scn.gamma / 2.0)
+    rho_own /= rho_ctr
+    amp[:, 1:] = rho_own ** (scn.gamma / 4.0)
 
     # pilot-matched-filter weights a = c * amp: own-cell pilots are
     # orthogonal, so only the tagged user survives from the center cell, and
@@ -296,9 +376,13 @@ def _finite_block(scn: _Scenario, seed: int, block: int, count: int) -> np.ndarr
     # over the in-cell index, and the denominator, summed over interferers,
     # is sum amp^2 |a g + w|^2 = |g|^2 A + 2 Re(g conj(B)) + C.
     noisy = math.isfinite(scn.pilot_snr)
-    rng = trial_rng(seed, block, _ROLE_FADING)
-    z_norm = np.sqrt(rng.standard_gamma(scn.antennas, _BLOCK)[:count, None])
-    w = rng.standard_normal((_BLOCK, 2 * (n_users + noisy)))[:count].view(complex) * math.sqrt(0.5)
+    z_norm = np.empty(blocks * _BLOCK)
+    w = np.empty((blocks * _BLOCK, 2 * (n_users + noisy)))
+    for rng, rows in _block_streams(seed, first, blocks, _ROLE_FADING):
+        rng.standard_gamma(scn.antennas, out=z_norm[rows])
+        rng.standard_normal(out=w[rows])
+    z_norm = np.sqrt(z_norm[:count, None])
+    w = w[:count].view(complex) * math.sqrt(0.5)
     w_users = w[:, :n_users].reshape(count, n + 1, k)
     weight = amp * amp
     weight[:, 0, 0] = 0.0  # the tagged user is no interferer
@@ -325,29 +409,50 @@ def _finite_block(scn: _Scenario, seed: int, block: int, count: int) -> np.ndarr
     return np.divide(num, den, out=np.full((count, k), math.inf), where=den > 0.0)
 
 
-def _block_worker(args):
-    block_fn, scn, seed, trials, start, stop = args
-    return [
-        block_fn(scn, seed, b, min(_BLOCK, trials - b * _BLOCK)) for b in range(start, stop)
-    ]
+def _run_length(scn: _Scenario) -> int:
+    """Blocks per run: as many as keep the evaluator's widest array within
+    _RUN_VALUES values, (cells + 1) x users per trial, times the cells + 1
+    candidate stations under shadowing; at least one."""
+    values = _BLOCK * (scn.n_cells + 1) * scn.users_per_cell
+    if scn.shadow_sigma_db > 0.0:
+        values *= scn.n_cells + 1
+    return max(1, _RUN_VALUES // values)
 
 
-def _run_blocks(block_fn, scn: _Scenario, seed: int, trials: int, workers) -> list:
-    """block_fn(scn, seed, block, count) for every block of _BLOCK trials
-    covering [0, trials), in block order; count is _BLOCK except in the last
-    block.  Workers get whole blocks, so the output does not depend on them."""
+def _run_worker(args):
+    run_fn, scn, seed, trials, start, stop = args
+    per_run = _run_length(scn)
+    results = []
+    for first in range(start, stop, per_run):
+        blocks = min(per_run, stop - first)
+        count = min((first + blocks) * _BLOCK, trials) - first * _BLOCK
+        results.append(run_fn(scn, seed, first, blocks, count))
+    return results
+
+
+def _run_blocks(run_fn, scn: _Scenario, seed: int, trials: int, workers) -> list:
+    """run_fn(scn, seed, first, blocks, count) for runs of consecutive blocks
+    of _BLOCK trials covering [0, trials), in block order: blocks first ..
+    first + blocks - 1, of which count trials are kept (all but in the last
+    block).  Workers get whole blocks, and every draw and every evaluated
+    trial depends on its block alone, so the output depends neither on the
+    workers nor on the grouping into runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     blocks = -(-trials // _BLOCK)
     if workers is None or workers <= 1 or blocks < 2:
-        return _block_worker((block_fn, scn, seed, trials, 0, blocks))
+        return _run_worker((run_fn, scn, seed, trials, 0, blocks))
+    # imported here, not at module level: most calls run serially, and the
+    # import would cost every CLI start
+    from concurrent.futures import ProcessPoolExecutor
+
     per_task = -(-blocks // workers)
     tasks = [
-        (block_fn, scn, seed, trials, s, min(s + per_task, blocks))
+        (run_fn, scn, seed, trials, s, min(s + per_task, blocks))
         for s in range(0, blocks, per_task)
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_block_worker, tasks))
+        parts = list(pool.map(_run_worker, tasks))
     return [r for part in parts for r in part]
 
 
@@ -495,7 +600,7 @@ def sample_sir_limit_shadowed(
         # station; circle users are drawn relative to their own station only
         raise ValueError("shadow_sigma_db > 0 needs region 'hexagon', not 'circle'")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
-    scn = replace(scn, shadow_sigma_db=shadow_sigma_db)
+    scn = replace(scn, shadow_sigma_db=shadow_sigma_db, tier_diagnostics=diagnostics)
     results = _run_blocks(_limit_block, scn, seed, trials, workers)
     max_term = max(peak for _, _, peak in results)
     if shadow_sigma_db > 0.0 and max_term > 1.0 + 1e-9:
@@ -505,7 +610,7 @@ def sample_sir_limit_shadowed(
     sample_set = SirSampleSet(np.concatenate([sir for sir, _, _ in results]))
     if not diagnostics:
         return sample_set
-    per_cell = sum(cells for _, cells, _ in results)
+    per_cell = sum(cells for _, run_cells, _ in results for cells in run_cells)
     tiers = np.unique(scn.tiers)
     tier_sums = [float(per_cell[scn.tiers == t].sum()) for t in tiers]
     total = sum(tier_sums)

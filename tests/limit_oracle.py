@@ -46,7 +46,7 @@ def _draw_distances(scn, rng):
     n, k = scn.n_cells, scn.users_per_cell
     if scn.region == "circle":
         b = equal_area_radius(scn.geometry.cell_radius_m)
-        r_own, ang = sample_circle_position(b, rng, n * k)
+        [r_own], [ang] = sample_circle_position(b, [rng], n * k)
         r_own = r_own.reshape(n, k)
         d = np.hypot(scn.centers[:, 0], scn.centers[:, 1])[:, None]
         r_ctr = np.sqrt(r_own**2 + d**2 - 2.0 * d * r_own * np.cos(ang.reshape(n, k)))

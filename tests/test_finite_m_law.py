@@ -3,8 +3,9 @@
 `brute_force_block` draws the full fading matrix and the pilot-noise vector
 of every trial and forms |h_i^H ghat|^2 and |ghat|^2 directly, as the
 sampler did before it used the rotation identity.  It draws positions and
-pilots through the sampler's block helpers, so the two differ only in how
-fading and pilot noise are drawn.  Seeds are unpaired: the comparison is of
+pilots through the sampler's block helpers and takes distances with
+np.hypot, so the two differ only in how fading and pilot noise are drawn
+and in how distances are rounded.  Seeds are unpaired: the comparison is of
 laws, not of shared user drops.  The sampler is checked at its own load,
 and every load of the capacity search's full-budget pass against the k-user
 oracle.
@@ -17,6 +18,7 @@ import numpy as np
 from law_checks import law_failures
 from mimocap.pilots import PilotScheme
 from mimocap.simulate import (
+    _BLOCK,
     _ROLE_FADING,
     FiniteMConfig,
     _draw_users,
@@ -30,14 +32,20 @@ from mimocap.simulate import (
 _ROLE_NOISE = 5  # the oracle's own pilot-noise stream; the sampler has none
 
 
-def brute_force_block(scn, seed: int, block: int, count: int) -> np.ndarray:
-    r_own, r_ctr, _, phi = _draw_users(scn, seed, block, count)
-    rng_fad = trial_rng(seed, block, _ROLE_FADING)
-    rng_noise = trial_rng(seed, block, _ROLE_NOISE)
-    phis = [None] * count if phi is None else phi
-    return np.array([
-        brute_force_trial(scn, r_own[t], r_ctr[t], phis[t], rng_fad, rng_noise) for t in range(count)
-    ])
+def brute_force_block(scn, seed: int, first: int, blocks: int, count: int) -> np.ndarray:
+    """Oracle SINRs of a run of blocks, in the sampler's evaluator signature;
+    distances by np.hypot, and per block its own fading and noise streams."""
+    (xs, ys), phi = _draw_users(scn, seed, first, blocks, count)
+    r_own = np.hypot(xs, ys)
+    r_ctr = np.hypot(xs + scn.centers[:, 0][:, None], ys + scn.centers[:, 1][:, None])
+    sinr = []
+    for t in range(count):
+        if t % _BLOCK == 0:
+            rng_fad = trial_rng(seed, first + t // _BLOCK, _ROLE_FADING)
+            rng_noise = trial_rng(seed, first + t // _BLOCK, _ROLE_NOISE)
+        trial_phi = None if phi is None else phi[t]
+        sinr.append(brute_force_trial(scn, r_own[t], r_ctr[t], trial_phi, rng_fad, rng_noise))
+    return np.array(sinr)
 
 
 def brute_force_trial(scn, r_own, r_ctr, phi, rng_fad, rng_noise) -> float:

@@ -168,12 +168,41 @@ class TestCircleApproximation:
             circle_approximation(geometry, tier_specs(geometry, 1)[0], "bogus")
 
 
+def _one_stream_hexagon(geometry, rng, size):
+    """The hexagon sampler on one stream, one redraw round at a time: (2,
+    size) uniforms, then (2, p) for the p draws that fell in the hole."""
+    a = geometry.cell_radius_m
+    r3 = math.sqrt(3.0)
+    vx = np.array([0.0, r3 * a / 2.0, -r3 * a / 2.0, 0.0])
+    vy = np.array([a, -a / 2.0, -a / 2.0, a])
+    xs = np.empty(size)
+    ys = np.empty(size)
+    pending = np.arange(size)
+    while pending.size:
+        s, t = rng.random((2, pending.size))
+        s *= 3.0
+        first = s.astype(np.intp)
+        s -= first
+        x = s * vx[first] + t * vx[first + 1]
+        y = s * vy[first] + t * vy[first + 1]
+        xs[pending] = x
+        ys[pending] = y
+        pending = pending[x * x + y * y < geometry.hole_radius_m**2]
+    return xs, ys
+
+
+def _one_stream_circle(radius_m, rng, size):
+    """The disc sampler on one stream: size uniforms for the radius, then
+    size uniform angles."""
+    return radius_m * np.sqrt(rng.random(size)), rng.uniform(0.0, 2.0 * math.pi, size)
+
+
 class TestSampling:
     def test_circle_mean_radius(self, rng):
         # E[r] = integral of r * 2r/b^2 = 2b/3; Var[r] = b^2/18
         b = equal_area_radius(1600.0)
         n = 1_000_000
-        r, _ = sample_circle_position(b, rng, n)
+        [r], _ = sample_circle_position(b, [rng], n)
         se = b / math.sqrt(18.0 * n)
         assert abs(r.mean() - 2.0 * b / 3.0) <= 3.0 * se
 
@@ -182,7 +211,7 @@ class TestSampling:
         # uniforms; bin both and chi-square the joint histogram
         b = 1455.0
         n = 1_000_000
-        r, theta = sample_circle_position(b, rng, n)
+        [r], [theta] = sample_circle_position(b, [rng], n)
         u = (r / b) ** 2
         v = theta / (2.0 * math.pi)
         bins = 8
@@ -192,7 +221,7 @@ class TestSampling:
 
     def test_hexagon_sampler_contract(self, geometry, rng):
         n = 200_000
-        x, y = sample_hexagon_position(geometry, rng, n)
+        [x], [y] = sample_hexagon_position(geometry, [rng], n)
         assert np.all(point_in_hexagon(x, y, geometry.cell_radius_m))
         assert np.all(x * x + y * y >= geometry.hole_radius_m**2)
 
@@ -205,7 +234,7 @@ class TestSampling:
         a, hole = geometry.cell_radius_m, geometry.hole_radius_m
         r3 = math.sqrt(3.0)
         n, sectors, shells = 400_000, 12, 8
-        x, y = sample_hexagon_position(geometry, rng, n)
+        [x], [y] = sample_hexagon_position(geometry, [rng], n)
         rho2 = np.maximum(np.abs(x) / (r3 * a / 2.0), (np.abs(x) + r3 * np.abs(y)) / (r3 * a)) ** 2
         angle = np.arctan2(y, x) % (2.0 * math.pi)
         hist, _, _ = np.histogram2d(
@@ -219,9 +248,37 @@ class TestSampling:
         _stat, p = chisquare(hist.ravel(), expected.ravel())
         assert p > 0.01
 
+    def test_each_row_is_drawn_from_its_own_stream(self):
+        # row i of a call over streams [a, b, c] is the one-stream draw of a
+        # fresh copy of stream i, which ends where that draw ends; the wide
+        # hole makes several hexagon redraw rounds of unequal sizes
+        geo = NetworkGeometry(hole_radius_m=900.0)
+        samplers = (
+            (
+                lambda rngs: sample_hexagon_position(geo, rngs, 500),
+                lambda rng: _one_stream_hexagon(geo, rng, 500),
+            ),
+            (
+                lambda rngs: sample_circle_position(1455.0, rngs, 500),
+                lambda rng: _one_stream_circle(1455.0, rng, 500),
+            ),
+        )
+        seeds = (1, 2, 3)
+        for sample, reference in samplers:
+            streams = [np.random.default_rng(s) for s in seeds]
+            xs, ys = sample(streams)
+            assert xs.shape == ys.shape == (3, 500)
+            for i, s in enumerate(seeds):
+                fresh = np.random.default_rng(s)
+                x, y = reference(fresh)
+                assert np.array_equal(xs[i], x) and np.array_equal(ys[i], y)
+                assert fresh.random() == streams[i].random()
+                [x], [y] = sample([np.random.default_rng(s)])
+                assert np.array_equal(xs[i], x) and np.array_equal(ys[i], y)
+
     def test_hexagon_without_hole(self, rng):
         geo = NetworkGeometry(hole_radius_m=0.0)
-        x, y = sample_hexagon_position(geo, rng, 10_000)
+        [x], [y] = sample_hexagon_position(geo, [rng], 10_000)
         assert np.min(x * x + y * y) < 100.0**2  # points reach the center
 
     def test_hexagon_area_vs_rejection_rate(self, geometry, rng):
@@ -230,7 +287,7 @@ class TestSampling:
         a = geometry.cell_radius_m
         hole = geometry.hole_radius_m
         n = 400_000
-        x, y = sample_hexagon_position(geometry, rng, n)
+        [x], [y] = sample_hexagon_position(geometry, [rng], n)
         r2 = x * x + y * y
         # E[r^2] over hexagon = 5 a^2 / 12; hole correction is O((a_h/a)^4)
         hex_area = 3.0 * math.sqrt(3.0) / 2.0 * a * a

@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from mimocap import simulate
 from mimocap.capacity import tier1_moments
 from mimocap.interference import QosTarget
 from mimocap.pilots import PilotScheme, generate_pilot_book
 from mimocap.simulate import (
     FiniteMConfig,
     SirSampleSet,
+    _cochannel_scenario,
+    _draw_users,
+    _finite_block,
+    _finite_scenario,
+    _limit_block,
+    _run_length,
     _sinr_by_load,
     empirical_capacity_search,
     sample_sir_finite_m,
     sample_sir_limit,
     sample_sir_limit_shadowed,
+    trial_rng,
     wilson_interval,
 )
 from pilot_oracles import beta_law_var_y
@@ -31,6 +39,13 @@ class TestDeterminism:
         assert np.array_equal(a.samples, b.samples)
         c = sample_sir_limit(geometry, PilotScheme.DIFFERENT_SETS, 4, 400, SEED + 1, pilot_dim=42)
         assert not np.array_equal(a.samples, c.samples)
+
+    def test_streams_are_philox_keyed_by_seed_block_and_role(self):
+        for seed, block, role in ((SEED, 0, 1), (2**64 - 1, 10**6, 4)):
+            key = np.array([seed, 0], dtype=np.uint64)
+            counter = np.array([0, 0, block, role], dtype=np.uint64)
+            expect = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            assert np.array_equal(trial_rng(seed, block, role).random(100), expect.random(100))
 
     def test_limit_worker_count_invariant(self, geometry):
         serial = sample_sir_limit(geometry, PilotScheme.REUSED_SETS, 3, 300, SEED)
@@ -68,6 +83,99 @@ class TestDeterminism:
         ]
         for run in runs:
             assert np.array_equal(run(300)[:100], run(100))
+
+
+def _sampler_outputs(geometry, book, trials, workers) -> list:
+    """Samples and diagnostics of every sampler path at small loads, where
+    the default run holds several blocks."""
+    w7, w3 = geometry.with_reuse(7), geometry.with_reuse(3)
+    cfg = FiniteMConfig(antennas=16, pilot_length=6)
+    out = []
+    for scheme in PilotScheme:
+        for region in ("hexagon", "circle"):
+            samples = sample_sir_limit(
+                w7, scheme, 2, trials, SEED, 3, region=region, max_tier=1, workers=workers
+            )
+            out.append(samples.samples)
+        for sigma_db, max_tier in ((0.0, 2), (8.0, 1)):
+            samples, diag = sample_sir_limit_shadowed(
+                w7, scheme, 1, sigma_db, trials, SEED, 3,
+                max_tier=max_tier, workers=workers, diagnostics=True,
+            )
+            out += [samples.samples, diag.max_interference_ratio, diag.tier_shares]
+        out.append(sample_sir_finite_m(w3, scheme, 2, cfg, trials, SEED, workers=workers).samples)
+        # past the memo, so that every call draws
+        out.append(_sinr_by_load.__wrapped__(w3, scheme, cfg, 1, trials, SEED, workers))
+    for region in ("hexagon", "circle"):
+        samples = sample_sir_limit(
+            w7, PilotScheme.DIFFERENT_SETS, 2, trials, SEED, 3, book, region, 1, workers
+        )
+        out.append(samples.samples)
+    return out
+
+
+class TestRunsOfBlocks:
+    """Runs of blocks change no draw and no evaluated trial."""
+
+    def test_default_runs_group_several_blocks(self, geometry):
+        w7 = geometry.with_reuse(7)
+        scn = _cochannel_scenario(w7, PilotScheme.REUSED_SETS, 2, 3, "hexagon", 1)
+        assert _run_length(scn) > 1
+
+    @pytest.mark.parametrize("trials", [1, 63, 65, 700])
+    def test_one_block_runs_match_default_runs(self, geometry, monkeypatch, trials):
+        book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, 3, 7, np.random.default_rng(SEED))
+        reference = _sampler_outputs(geometry, book, trials, 0)
+        runs = [_sampler_outputs(geometry, book, trials, 2)]
+        monkeypatch.setattr(simulate, "_RUN_VALUES", 1)  # every run one block
+        runs += [_sampler_outputs(geometry, book, trials, workers) for workers in (0, 2)]
+        for outputs in runs:
+            assert len(outputs) == len(reference)
+            for got, expect in zip(outputs, reference):
+                if isinstance(expect, np.ndarray):
+                    assert np.array_equal(got, expect)
+                else:
+                    assert got == expect
+
+
+def _hypot_distances(scn, u, v):
+    """Distances of users at positions (u, v) to their own and the center
+    station by np.hypot, the formula of the samplers before they took
+    squared distances."""
+    cx, cy = scn.centers[:, 0][:, None], scn.centers[:, 1][:, None]
+    if scn.region == "circle":
+        d = np.hypot(cx, cy)
+        return u, np.sqrt(u**2 + d**2 - 2.0 * d * u * np.cos(v))
+    return np.hypot(u, v), np.hypot(u + cx, v + cy)
+
+
+class TestSquaredDistances:
+    """The squared-distance evaluators against hypot distances on the same
+    draws."""
+
+    def test_limit_sir(self, geometry):
+        for region in ("hexagon", "circle"):
+            for scheme in PilotScheme:
+                scn = _cochannel_scenario(geometry.with_reuse(3), scheme, 4, 14, region, 2)
+                sir, _, _ = _limit_block(scn, SEED, 0, 3, 150)
+                positions, phi = _draw_users(scn, SEED, 0, 3, 150)
+                r_own, r_ctr = _hypot_distances(scn, *positions)
+                ratio = (r_own / r_ctr) ** (2.0 * scn.gamma)
+                terms = ratio[:, :, :1] if phi is None else phi * ratio
+                np.testing.assert_allclose(sir, 1.0 / terms.sum(axis=(1, 2)), rtol=1e-12, atol=0.0)
+
+    def test_finite_m_sinr(self, geometry, monkeypatch):
+        for scheme in PilotScheme:
+            scn = _finite_scenario(geometry.with_reuse(3), scheme, 4, FiniteMConfig(antennas=64), 2)
+            sinr = _finite_block(scn, SEED, 0, 3, 150)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    simulate,
+                    "_squared_distances",
+                    lambda scn, positions: tuple(r * r for r in _hypot_distances(scn, *positions)),
+                )
+                expect = _finite_block(scn, SEED, 0, 3, 150)
+            np.testing.assert_allclose(sinr, expect, rtol=1e-12, atol=0.0)
 
 
 class TestLimitSampler:
