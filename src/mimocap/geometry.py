@@ -193,15 +193,15 @@ def point_in_hexagon(x, y, circumradius: float):
     )
 
 
-def sample_circle_position(radius_m: float, rngs, size: int):
+def sample_circle_position(radius_m: float, rngs, size: int, out=None):
     """size uniform draws over a disc from each stream of the sequence rngs,
     returned as arrays (r, theta) of shape (len(rngs), size), row i drawn
-    from rngs[i] alone: size uniforms for r, then size for theta.
+    from rngs[i] alone: size uniforms for r, then size for theta.  out, a
+    pair of such arrays, receives them in place of new ones.
 
     Radius density is 2r/b^2, the angle uniform on [0, 2*pi).
     """
-    r = np.empty((len(rngs), size))
-    theta = np.empty((len(rngs), size))
+    r, theta = out if out is not None else (np.empty((len(rngs), size)) for _ in range(2))
     for rng, r_row, theta_row in zip(rngs, r, theta):
         rng.random(out=r_row)
         rng.random(out=theta_row)
@@ -211,7 +211,7 @@ def sample_circle_position(radius_m: float, rngs, size: int):
     return r, theta
 
 
-def sample_hexagon_position(geometry: NetworkGeometry, rngs, size: int):
+def sample_hexagon_position(geometry: NetworkGeometry, rngs, size: int, out=None):
     """size uniform draws over the hexagonal cell with the hole disc excluded,
     from each stream of the sequence rngs.
 
@@ -224,7 +224,8 @@ def sample_hexagon_position(geometry: NetworkGeometry, rngs, size: int):
     uniforms, then (2, p) for the p draws of its row that fell in the hole,
     and so on; the redraw rounds run across all streams at once.  Returns
     arrays (x, y) of cartesian offsets from the cell center, of shape
-    (len(rngs), size), row i drawn from rngs[i] alone.
+    (len(rngs), size), row i drawn from rngs[i] alone; out, a pair of such
+    arrays, receives them in place of new ones.
     """
     a = geometry.cell_radius_m
     r3 = math.sqrt(3.0)
@@ -240,18 +241,19 @@ def sample_hexagon_position(geometry: NetworkGeometry, rngs, size: int):
         s -= j
         points = []
         for v in (vx, vy):  # s * v[j] + t * v[j + 1], in place
-            out = v[:3].take(j)
-            out *= s
+            point = v[:3].take(j)
+            point *= s
             step = v[1:].take(j)
             step *= t
-            out += step
-            points.append(out)
+            point += step
+            points.append(point)
         return points
 
-    st = np.empty((len(rngs), 2, size))
-    for rng, out in zip(rngs, st):
-        rng.random(out=out)
-    xs, ys = rhombus_points(st[:, 0], st[:, 1])
+    xs, ys = out if out is not None else (np.empty((len(rngs), size)) for _ in range(2))
+    for rng, s_row, t_row in zip(rngs, xs, ys):  # (2, size) uniforms per stream
+        rng.random(out=s_row)
+        rng.random(out=t_row)
+    xs[...], ys[...] = rhombus_points(xs, ys)
     pending = np.flatnonzero(xs * xs + ys * ys < hole2)  # stream-major, as drawn
     while pending.size:
         counts = np.bincount(pending // size, minlength=len(rngs))

@@ -16,7 +16,11 @@ The engine hands an evaluator (_limit_block for the limiting and shadowed
 samplers, _finite_block for finite M) a run of consecutive blocks, up to
 _RUN_VALUES values per array: each block draws into its rows of the run's
 arrays, in the order a lone block would, and one array pass turns the run
-into SIRs.  Users are kept as positions, and an evaluator takes squared
+into SIRs.  Each worker of a sampler call owns one workspace (_Workspace),
+whose arrays its first and longest run sizes: every run draws and
+evaluates in place in them and writes its SIRs into its rows of one
+preallocated trial-ordered output, so a call touches fresh pages once, not
+once per run.  Users are kept as positions, and an evaluator takes squared
 distances only where it reads them: the unshadowed limit terms
 (r_own / r_ctr)^(2 gamma) = (rho_own / rho_ctr)^gamma of the same-index
 user only under reused sets, every user's amplitude in the finite-M one.
@@ -66,8 +70,10 @@ _ROLE_FADING = 4
 
 _BLOCK = 64  # trials per block of streams
 # (trial x cell x user) values per run of blocks that an evaluator draws and
-# evaluates as one array pass; a run holds at least one block.  Runs twice
-# as long made sir-cdf fault in fresh pages on every run and run slower.
+# evaluates as one array pass; a run holds at least one block.  The workspace
+# makes longer runs fault no fresh pages, but at 2^15 the finite-M kernel's
+# complex arrays leave the cache: on a 2-vCPU x86-64 VM a 400-trial call at
+# 14 users ran 13-23% slower, while sir-cdf's limit calls ran 4-16% faster.
 _RUN_VALUES = 1 << 13
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
@@ -158,7 +164,6 @@ class _Scenario:
     pilot_dim: int
     region: str
     shadow_sigma_db: float = 0.0
-    tier_diagnostics: bool = False  # _limit_block sums per-cell interference
     # finite-M extras
     antennas: int = 0
     ul_snr: float = math.inf
@@ -176,6 +181,31 @@ class _Scenario:
         return self.geometry.path_loss_exponent
 
 
+class _Workspace:
+    """The scratch arrays of one sampler call in one worker.
+
+    ws(name, shape, dtype) is a view of the array of that name, made on
+    first use and kept for the call: a worker's first run is its longest,
+    so every later run draws and evaluates in the same memory instead of
+    fresh pages.  A workspace dies with its worker loop, and no sampler
+    output is a view of it.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}  # the runs of a call repeat their shapes
+
+    def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        view = self._views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            base = self._arrays.get(name)
+            if base is None or base.size < size:
+                base = self._arrays[name] = np.empty(size, dtype)
+            view = self._views[name, shape] = base[:size].reshape(shape)
+        return view
+
+
 def _block_streams(seed: int, first: int, blocks: int, role: int):
     """(stream, rows) per block of the run first .. first + blocks - 1: the
     block's own role stream and its _BLOCK rows of the run's trial axis."""
@@ -183,10 +213,10 @@ def _block_streams(seed: int, first: int, blocks: int, role: int):
         yield trial_rng(seed, first + j, role), slice(j * _BLOCK, (j + 1) * _BLOCK)
 
 
-def _draw_users(scn: _Scenario, seed: int, first: int, blocks: int, count: int):
+def _draw_users(scn: _Scenario, seed: int, first: int, blocks: int, count: int, ws: _Workspace):
     """User drops (role 1) and pilot overlaps (role 2) of a run of blocks.
 
-    Returns (positions, phi), arrays of shape (count, n_cells,
+    Returns (positions, phi), views of ws of shape (count, n_cells,
     users_per_cell): the positions (x, y) of the users as offsets from their
     own cell center, or (r, theta) about their own station for circles (see
     _squared_distances), and the overlaps |<psi, psi_tagged>|^2 (None under
@@ -196,50 +226,52 @@ def _draw_users(scn: _Scenario, seed: int, first: int, blocks: int, count: int):
     """
     n, k = scn.n_cells, scn.users_per_cell
     shape = (blocks * _BLOCK, n, k)
-    size = _BLOCK * n * k
+    positions = ws("u", shape), ws("v", shape)
+    rows = tuple(p.reshape(blocks, -1) for p in positions)  # one row per block
     rngs = [rng for rng, _ in _block_streams(seed, first, blocks, _ROLE_POSITIONS)]
     if scn.region == "circle":
         # the analytic disc density about the own station
         b = equal_area_radius(scn.geometry.cell_radius_m)
-        positions = sample_circle_position(b, rngs, size)
+        sample_circle_position(b, rngs, _BLOCK * n * k, out=rows)
     else:
-        positions = sample_hexagon_position(scn.geometry, rngs, size)
-    positions = tuple(p.reshape(shape)[:count] for p in positions)
+        sample_hexagon_position(scn.geometry, rngs, _BLOCK * n * k, out=rows)
+    positions = tuple(p[:count] for p in positions)
     phi = None
     if scn.scheme is PilotScheme.DIFFERENT_SETS:
-        phi = _draw_overlaps(scn, seed, first, blocks)[:count]
+        phi = _draw_overlaps(scn, seed, first, blocks, ws)[:count]
     return positions, phi
 
 
-def _squared_distances(scn: _Scenario, positions):
-    """Squared distances (rho_own, rho_ctr) of users at positions, as
-    _draw_users returns them or a slice of the users, to their own and to
-    the center station."""
+def _squared_distances(scn: _Scenario, positions, ws: _Workspace):
+    """Squared distances (rho_own, rho_ctr), views of ws, of users at
+    positions, as _draw_users returns them or a slice of the users, to their
+    own and to the center station."""
     u, v = positions
     cx, cy = scn.centers[:, 0][:, None], scn.centers[:, 1][:, None]
-    rho_own = u * u
+    rho_own = np.multiply(u, u, out=ws("rho_own", u.shape))
+    rho_ctr = ws("rho_ctr", u.shape)
     if scn.region == "circle":
         # law of cosines about the own station, d away from the center one:
-        # (rho_own + d^2) - (2 d u) cos(v), in place
+        # (rho_own + d^2) - (2 d u) cos(v)
         d = np.hypot(cx, cy)
-        cross = 2.0 * d * u
-        cross *= np.cos(v)
-        rho_ctr = rho_own + d * d
+        cross = np.cos(v, out=ws("cross", u.shape))
+        cross *= np.multiply(2.0 * d, u, out=rho_ctr)  # rho_ctr is formed below
+        np.add(rho_own, d * d, out=rho_ctr)
         rho_ctr -= cross
         return rho_own, rho_ctr
-    rho_own += v * v
-    rho_ctr = u + cx
+    np.add(u, cx, out=rho_ctr)
     rho_ctr *= rho_ctr
-    dy = v + cy
+    dy = np.add(v, cy, out=ws("dy", u.shape))
     dy *= dy
     rho_ctr += dy
+    rho_own += np.multiply(v, v, out=dy)
     return rho_own, rho_ctr
 
 
-def _draw_overlaps(scn: _Scenario, seed: int, first: int, blocks: int) -> np.ndarray:
+def _draw_overlaps(scn: _Scenario, seed: int, first: int, blocks: int, ws: _Workspace):
     """Different-sets pilot overlaps of every interferer of a run of blocks,
-    (blocks * _BLOCK, n_cells, users_per_cell), each block from its role-2
-    stream.
+    (blocks * _BLOCK, n_cells, users_per_cell) in ws, each block from its
+    role-2 stream.
 
     With a fixed book, each trial draws the tagged user's column and, per
     cell, a uniform assignment of columns to users, and reads the overlaps
@@ -251,117 +283,140 @@ def _draw_overlaps(scn: _Scenario, seed: int, first: int, blocks: int) -> np.nda
     remainder.
     """
     n, k = scn.n_cells, scn.users_per_cell
-    phi = np.empty((blocks * _BLOCK, n, k))
+    phi = ws("phi", (blocks * _BLOCK, n, k))
     streams = _block_streams(seed, first, blocks, _ROLE_PILOTS)
     if scn.book_grams is not None:
         dim = scn.book_dim
+        grams = scn.book_grams.reshape(-1)
+        cols = ws("cols", (_BLOCK, n, dim), np.intp)
+        template = np.broadcast_to(np.arange(dim), cols.shape)
+        index = ws("gram_index", (_BLOCK, n, k), np.intp)
+        cell_offset = np.arange(0, n * dim * dim, dim * dim)[:, None]
         for rng, rows in streams:
             tagged = rng.integers(dim, size=_BLOCK)
-            cols = rng.permuted(np.tile(np.arange(dim), (_BLOCK, n, 1)), axis=2)[:, :, :k]
-            phi[rows] = scn.book_grams[np.arange(n)[:, None], tagged[:, None, None], cols]
+            rng.permuted(template, axis=2, out=cols)
+            # flat index of book_grams[cell, tagged, column]
+            np.add(cols[:, :, :k], (tagged * dim)[:, None, None], out=index)
+            index += cell_offset
+            np.take(grams, index, out=phi[rows], mode="clip")
         return phi
-    rest = np.empty((blocks * _BLOCK, n, 1))
+    rest = ws("rest", (blocks * _BLOCK, n, 1))
     for rng, rows in streams:
         rng.standard_exponential(out=phi[rows])
         rng.standard_gamma(scn.pilot_dim - k, out=rest[rows])
-    phi /= phi.sum(axis=2, keepdims=True) + rest
+    total = phi.sum(axis=2, keepdims=True, out=ws("phi_total", rest.shape))
+    total += rest
+    phi /= total
     return phi
 
 
-def _limit_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int):
-    """Limiting SIR of a run of blocks, shadowed when scn.shadow_sigma_db > 0.
+def _limit_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int, ws, sir, stats):
+    """Limiting SIR of a run of blocks into sir (count,), shadowed when
+    scn.shadow_sigma_db > 0.
 
-    Returns (sir, per-cell interference summed over the trials of each
-    block if scn.tier_diagnostics else None, largest interference ratio of a
-    contaminating user).
+    stats has one row per block: if it has columns, column 0 receives the
+    largest interference ratio of a contaminating user, and columns 1 ..
+    n_cells, if present, the per-cell interference summed over the block's
+    trials.
     """
-    positions, phi = _draw_users(scn, seed, first, blocks, count)
+    positions, phi = _draw_users(scn, seed, first, blocks, count, ws)
+    if phi is None:
+        # under reused sets only the same-index user of each cell contaminates
+        positions = [p[:, :, :1] for p in positions]
     if scn.shadow_sigma_db > 0.0:
-        ratio = _shadowed_ratio(scn, positions, seed, first, blocks, count)
+        ratio = _shadowed_ratio(scn, positions, seed, first, blocks, count, ws)
     else:
         # No shadowing: nearest-station service keeps every user on its own
         # cell, and the terms are the unshadowed power-control ratios
-        # (r_own / r_ctr)^(2 gamma), of the same-index user only under
-        # reused sets.
-        if phi is None:
-            positions = [p[:, :, :1] for p in positions]
-        # (rho_own / rho_ctr)^gamma, in place in rho_own
-        ratio, rho_ctr = _squared_distances(scn, positions)
+        # (r_own / r_ctr)^(2 gamma) = (rho_own / rho_ctr)^gamma, in rho_own.
+        ratio, rho_ctr = _squared_distances(scn, positions, ws)
         ratio /= rho_ctr
         ratio **= scn.gamma
     # contaminating terms at the center station: the same-index user of each
     # cell under reused sets, every user weighted by its overlap otherwise
-    counted = ratio[:, :, :1] if phi is None else ratio
-    terms = counted if phi is None else np.multiply(phi, ratio, out=phi)
-    total = terms.sum(axis=(1, 2))
-    sir = np.divide(1.0, total, out=np.full(count, math.inf), where=total > 0.0)
-    per_cell = None
-    if scn.tier_diagnostics:
-        per_cell = [terms[s : s + _BLOCK].sum(axis=(0, 2)) for s in range(0, count, _BLOCK)]
-    peak = float(counted.max()) if counted.size else 0.0
-    return sir, per_cell, peak
+    terms = ratio if phi is None else np.multiply(phi, ratio, out=phi)
+    terms.sum(axis=(1, 2), out=sir)
+    with np.errstate(divide="ignore"):  # no interference: infinite SIR
+        np.divide(1.0, sir, out=sir)
+    if not stats.shape[1]:
+        return
+    for b, s in enumerate(range(0, count, _BLOCK)):
+        stats[b, 0] = ratio[s : s + _BLOCK].max() if ratio.size else 0.0
+        if stats.shape[1] > 1:
+            terms[s : s + _BLOCK].sum(axis=(0, 2), out=stats[b, 1:])
 
 
-def _shadowed_ratio(scn: _Scenario, offsets, seed: int, first: int, blocks: int, count: int):
-    """(beta_center / beta_serving)^2 per user under log-normal shadowing
-    (role 3) and best-station selection, 0 for users the center station
-    serves.
+def _shadowed_ratio(scn: _Scenario, offsets, seed: int, first: int, blocks: int, count: int, ws):
+    """(beta_center / beta_serving)^2 per user at offsets, in ws, under
+    log-normal shadowing (role 3) and best-station selection, 0 for users
+    the center station serves.
 
-    Gains beta = 10^(z/10) r^-gamma go to every candidate station, column 0
-    the center one and column 1 + l co-channel cell l; they are compared in
-    the log domain, in place, on one (count, n_cells, users_per_cell,
-    n_cells + 1) array.
+    Gains beta = 10^(z/10) r^-gamma go to every candidate station, 0 the
+    center one and 1 + l co-channel cell l; they are compared in the log
+    domain on one station-major (n_cells + 1, count, n_cells, users) array,
+    so the best station is an elementwise maximum over its leading axis.
+    The shadow normals are drawn in (trial, cell, user, station) order.
     """
     xs, ys = offsets
-    cx, cy = scn.centers[:, 0], scn.centers[:, 1]
-    bs_x = np.concatenate(([0.0], cx))
-    bs_y = np.concatenate(([0.0], cy))
-    log_gain = np.subtract.outer(xs + cx[:, None], bs_x)
+    shape = xs.shape  # (count, n_cells, users kept)
+    n, k = scn.n_cells, scn.users_per_cell
+    # squared distances of the users, about the center station, to each station
+    stations = np.vstack(([0.0, 0.0], scn.centers))[:, :, None, None, None]
+    user_x = np.add(xs, scn.centers[:, 0][:, None], out=ws("user_x", shape))
+    user_y = np.add(ys, scn.centers[:, 1][:, None], out=ws("user_y", shape))
+    log_gain = np.subtract(user_x, stations[:, 0], out=ws("log_gain", (n + 1, *shape)))
     log_gain *= log_gain
-    dy = np.subtract.outer(ys + cy[:, None], bs_y)
+    dy = np.subtract(user_y, stations[:, 1], out=ws("dy", log_gain.shape))
     dy *= dy
     log_gain += dy
     np.log(log_gain, out=log_gain)
     log_gain *= -scn.gamma / 2.0
-    z = np.empty((blocks * _BLOCK, *log_gain.shape[1:]))
+    z = ws("z", (blocks * _BLOCK, n, k, n + 1))
     for rng, rows in _block_streams(seed, first, blocks, _ROLE_SHADOW):
         rng.standard_normal(out=z[rows])
-    z = z[:count]
+    z = z[:count, :, : shape[2]]
     z *= scn.shadow_sigma_db * math.log(10.0) / 10.0
-    log_gain += z
-    best = log_gain.max(axis=3)
-    center = log_gain[..., 0]
-    ratio = np.exp(2.0 * (center - best))
-    ratio[center == best] = 0.0  # handed over to the center station
+    log_gain += np.moveaxis(z, 3, 0)
+    best = np.maximum.reduce(log_gain, axis=0, out=ws("best", shape))
+    center = log_gain[0]
+    handed = center == best  # over to the center station
+    ratio = np.subtract(center, best, out=best)
+    ratio *= 2.0
+    np.exp(ratio, out=ratio)
+    ratio[handed] = 0.0
     return ratio
 
 
-def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int) -> np.ndarray:
+def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int, ws, sinr, stats):
     """Tagged-user SINR of a run of blocks at every load 1..users_per_cell,
-    where load k keeps the first k users of each cell: (count,
-    users_per_cell), column k - 1 for load k."""
-    positions, phi = _draw_users(scn, seed, first, blocks, count)
-    rho_own, rho_ctr = _squared_distances(scn, positions)
+    where load k keeps the first k users of each cell, into sinr (count,
+    users_per_cell), column k - 1 for load k; stats is not used."""
+    positions, phi = _draw_users(scn, seed, first, blocks, count, ws)
+    rho_own, rho_ctr = _squared_distances(scn, positions, ws)
     n, k = scn.n_cells, scn.users_per_cell
     n_users = (n + 1) * k
+    shape = (count, n + 1, k)
 
     # ULPC effective channel amplitude at the center station is
     # sqrt(beta_center / beta_own); beta = r^-gamma is a power gain, so the
     # coherent interference scales as amp^4 = (r_own / r_center)^(2 gamma),
     # matching the limiting SIR terms.  Cell 0 is the center cell.
-    amp = np.ones((count, n + 1, k))
-    rho_own /= rho_ctr
-    amp[:, 1:] = rho_own ** (scn.gamma / 4.0)
+    amp = ws("amp", shape)
+    amp[:, 0] = 1.0
+    interferer_amp = np.divide(rho_own, rho_ctr, out=amp[:, 1:])
+    interferer_amp **= scn.gamma / 4.0
 
     # pilot-matched-filter weights a = c * amp: own-cell pilots are
     # orthogonal, so only the tagged user survives from the center cell, and
     # an interferer enters with the modulus sqrt(phi) of its pilot overlap.
-    a = np.zeros((count, n + 1, k))
+    a = ws("a", shape)
+    a[...] = 0.0
     a[:, 0, 0] = 1.0
     if phi is None:
         a[:, 1:, 0] = amp[:, 1:, 0]
     else:
-        a[:, 1:] = np.sqrt(phi) * amp[:, 1:]
+        interferer_a = np.sqrt(phi, out=a[:, 1:])
+        interferer_a *= interferer_amp
 
     # The estimate is ghat = H a over the M x (N+1) channel H with i.i.d.
     # CN(0, 1) entries, a holding one more pilot-noise column of weight
@@ -376,23 +431,27 @@ def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int
     # over the in-cell index, and the denominator, summed over interferers,
     # is sum amp^2 |a g + w|^2 = |g|^2 A + 2 Re(g conj(B)) + C.
     noisy = math.isfinite(scn.pilot_snr)
-    z_norm = np.empty(blocks * _BLOCK)
-    w = np.empty((blocks * _BLOCK, 2 * (n_users + noisy)))
+    z_norm = ws("z_norm", (blocks * _BLOCK, 1))
+    w = ws("w", (blocks * _BLOCK, 2 * (n_users + noisy)))
     for rng, rows in _block_streams(seed, first, blocks, _ROLE_FADING):
-        rng.standard_gamma(scn.antennas, out=z_norm[rows])
+        rng.standard_gamma(scn.antennas, out=z_norm[rows, 0])
         rng.standard_normal(out=w[rows])
-    z_norm = np.sqrt(z_norm[:count, None])
-    w = w[:count].view(complex) * math.sqrt(0.5)
-    w_users = w[:, :n_users].reshape(count, n + 1, k)
-    weight = amp * amp
+    z_norm = np.sqrt(z_norm[:count], out=z_norm[:count])
+    w = w[:count].view(complex)
+    w *= math.sqrt(0.5)
+    w_users = w[:, :n_users].reshape(shape)
+    weight = np.multiply(amp, amp, out=ws("weight", shape))
     weight[:, 0, 0] = 0.0  # the tagged user is no interferer
-    terms = np.empty((5, count, n + 1, k), dtype=complex)  # |a|^2, a w; A, B, C
-    terms[0] = a * a
+    terms = ws("terms", (5, *shape), complex)  # |a|^2, a w; A, B, C
+    np.multiply(a, a, out=terms[0])
     np.multiply(a, w_users, out=terms[1])
     terms[2:4] = terms[:2]
-    terms[4] = w_users.real**2 + w_users.imag**2
-    terms[2:] *= weight
-    sums = terms.sum(axis=2)
+    w2 = np.square(w_users.real, out=ws("w2", shape))
+    w2 += np.square(w_users.imag, out=a)  # a is not read again
+    terms[4] = w2
+    weighted = terms[2:]
+    weighted *= weight
+    sums = terms.sum(axis=2, out=ws("sums", (5, count, k), complex))
     # what every load shares goes into load 1 before the prefix sums
     if noisy:
         a_noise = 1.0 / math.sqrt(scn.pilot_dim * scn.pilot_snr)
@@ -403,10 +462,12 @@ def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int
     np.cumsum(sums, axis=2, out=sums)
     norm2, proj, big_a, big_b, big_c = sums  # proj = |a| u^H w
     norm2 = norm2.real
+    # (count, k) values from here on, a per-trial share of the arrays above
     g = (z_norm * np.sqrt(norm2) - proj) / norm2
     num = np.abs(g + w[:, :1]) ** 2  # a = amp = 1 for the tagged user
     den = (g.real**2 + g.imag**2) * big_a.real + 2.0 * (g * big_b.conj()).real + big_c.real
-    return np.divide(num, den, out=np.full((count, k), math.inf), where=den > 0.0)
+    sinr[...] = math.inf
+    np.divide(num, den, out=sinr, where=den > 0.0)
 
 
 def _run_length(scn: _Scenario) -> int:
@@ -420,40 +481,59 @@ def _run_length(scn: _Scenario) -> int:
 
 
 def _run_worker(args):
-    run_fn, scn, seed, trials, start, stop = args
+    """run_fn over the blocks start .. stop - 1 in runs, in block order, with
+    one workspace; returns the rows of their trials and of the blocks."""
+    run_fn, scn, seed, trials, start, stop, row_shape, block_width = args
     per_run = _run_length(scn)
-    results = []
+    offset = start * _BLOCK
+    rows = np.empty((min(stop * _BLOCK, trials) - offset, *row_shape))
+    block_rows = np.empty((stop - start, block_width))
+    ws = _Workspace()
     for first in range(start, stop, per_run):
         blocks = min(per_run, stop - first)
+        lo = first * _BLOCK - offset
         count = min((first + blocks) * _BLOCK, trials) - first * _BLOCK
-        results.append(run_fn(scn, seed, first, blocks, count))
-    return results
+        run_fn(
+            scn, seed, first, blocks, count, ws,
+            rows[lo : lo + count], block_rows[first - start : first - start + blocks],
+        )
+    return rows, block_rows
 
 
-def _run_blocks(run_fn, scn: _Scenario, seed: int, trials: int, workers) -> list:
-    """run_fn(scn, seed, first, blocks, count) for runs of consecutive blocks
-    of _BLOCK trials covering [0, trials), in block order: blocks first ..
-    first + blocks - 1, of which count trials are kept (all but in the last
-    block).  Workers get whole blocks, and every draw and every evaluated
-    trial depends on its block alone, so the output depends neither on the
-    workers nor on the grouping into runs."""
+def _run_blocks(
+    run_fn, scn: _Scenario, seed: int, trials: int, workers, row_shape=(), block_width=0
+):
+    """run_fn(scn, seed, first, blocks, count, ws, rows, block_rows) for runs
+    of consecutive blocks of _BLOCK trials covering [0, trials), in block
+    order: blocks first .. first + blocks - 1, of which count trials are
+    kept (all but in the last block), into their rows of the trial-ordered
+    (trials, *row_shape) output and of the (blocks, block_width) per-block
+    output, which are returned.  ws is the worker's workspace.  Workers get
+    whole blocks, and every draw and every evaluated trial depends on its
+    block alone, so the output depends neither on the workers nor on the
+    grouping into runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     blocks = -(-trials // _BLOCK)
     if workers is None or workers <= 1 or blocks < 2:
-        return _run_worker((run_fn, scn, seed, trials, 0, blocks))
+        return _run_worker((run_fn, scn, seed, trials, 0, blocks, row_shape, block_width))
     # imported here, not at module level: most calls run serially, and the
     # import would cost every CLI start
     from concurrent.futures import ProcessPoolExecutor
 
     per_task = -(-blocks // workers)
+    starts = range(0, blocks, per_task)
     tasks = [
-        (run_fn, scn, seed, trials, s, min(s + per_task, blocks))
-        for s in range(0, blocks, per_task)
+        (run_fn, scn, seed, trials, s, min(s + per_task, blocks), row_shape, block_width)
+        for s in starts
     ]
+    rows = np.empty((trials, *row_shape))
+    block_rows = np.empty((blocks, block_width))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_worker, tasks))
-    return [r for part in parts for r in part]
+        for s, (part, block_part) in zip(starts, pool.map(_run_worker, tasks)):
+            rows[s * _BLOCK : s * _BLOCK + len(part)] = part
+            block_rows[s : s + len(block_part)] = block_part
+    return rows, block_rows
 
 
 def _cochannel_scenario(
@@ -564,8 +644,8 @@ def sample_sir_limit(
     """
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = _attach_book(scn, pilot_book)
-    results = _run_blocks(_limit_block, scn, seed, trials, workers)
-    return SirSampleSet(np.concatenate([sir for sir, _, _ in results]))
+    sir, _ = _run_blocks(_limit_block, scn, seed, trials, workers)
+    return SirSampleSet(sir)
 
 
 def sample_sir_limit_shadowed(
@@ -600,17 +680,19 @@ def sample_sir_limit_shadowed(
         # station; circle users are drawn relative to their own station only
         raise ValueError("shadow_sigma_db > 0 needs region 'hexagon', not 'circle'")
     scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
-    scn = replace(scn, shadow_sigma_db=shadow_sigma_db, tier_diagnostics=diagnostics)
-    results = _run_blocks(_limit_block, scn, seed, trials, workers)
-    max_term = max(peak for _, _, peak in results)
+    scn = replace(scn, shadow_sigma_db=shadow_sigma_db)
+    # per block: the largest interference ratio, then the per-cell sums
+    width = 1 + scn.n_cells if diagnostics else 1
+    sir, stats = _run_blocks(_limit_block, scn, seed, trials, workers, block_width=width)
+    max_term = float(stats[:, 0].max())
     if shadow_sigma_db > 0.0 and max_term > 1.0 + 1e-9:
         raise RuntimeError(
             f"interference ratio {max_term} exceeds 1; best-station selection is broken"
         )
-    sample_set = SirSampleSet(np.concatenate([sir for sir, _, _ in results]))
+    sample_set = SirSampleSet(sir)
     if not diagnostics:
         return sample_set
-    per_cell = sum(cells for _, run_cells, _ in results for cells in run_cells)
+    per_cell = sum(stats[:, 1:])  # block by block, in block order
     tiers = np.unique(scn.tiers)
     tier_sums = [float(per_cell[scn.tiers == t].sum()) for t in tiers]
     total = sum(tier_sums)
@@ -639,8 +721,8 @@ def sample_sir_finite_m(
     interference, and the SNRs set the pilot and data noise levels.
     """
     scn = _finite_scenario(geometry, scheme, users_per_cell, config, max_tier)
-    sinr = _run_blocks(_finite_block, scn, seed, trials, workers)
-    return SirSampleSet(np.concatenate([by_load[:, -1] for by_load in sinr]))
+    by_load, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (users_per_cell,))
+    return SirSampleSet(by_load[:, -1].copy())
 
 
 def wilson_interval(failures: int, n: int) -> tuple[float, float]:
@@ -674,7 +756,7 @@ def _sinr_by_load(geometry, scheme, finite_m, max_tier, trials, seed, workers) -
     if budget:
         scn = _finite_scenario(geometry, scheme, budget, finite_m, max_tier)
         _require_defined_sinr(scn, 1)
-        sinr = np.concatenate(_run_blocks(_finite_block, scn, seed, trials, workers))
+        sinr, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (budget,))
     sinr.flags.writeable = False
     return sinr
 

@@ -32,20 +32,19 @@ from mimocap.simulate import (
 _ROLE_NOISE = 5  # the oracle's own pilot-noise stream; the sampler has none
 
 
-def brute_force_block(scn, seed: int, first: int, blocks: int, count: int) -> np.ndarray:
-    """Oracle SINRs of a run of blocks, in the sampler's evaluator signature;
-    distances by np.hypot, and per block its own fading and noise streams."""
-    (xs, ys), phi = _draw_users(scn, seed, first, blocks, count)
+def brute_force_block(scn, seed: int, first: int, blocks: int, count: int, ws, sinr, stats):
+    """Oracle SINRs of a run of blocks into sinr, in the sampler's evaluator
+    signature; distances by np.hypot, and per block its own fading and noise
+    streams."""
+    (xs, ys), phi = _draw_users(scn, seed, first, blocks, count, ws)
     r_own = np.hypot(xs, ys)
     r_ctr = np.hypot(xs + scn.centers[:, 0][:, None], ys + scn.centers[:, 1][:, None])
-    sinr = []
     for t in range(count):
         if t % _BLOCK == 0:
             rng_fad = trial_rng(seed, first + t // _BLOCK, _ROLE_FADING)
             rng_noise = trial_rng(seed, first + t // _BLOCK, _ROLE_NOISE)
         trial_phi = None if phi is None else phi[t]
-        sinr.append(brute_force_trial(scn, r_own[t], r_ctr[t], trial_phi, rng_fad, rng_noise))
-    return np.array(sinr)
+        sinr[t] = brute_force_trial(scn, r_own[t], r_ctr[t], trial_phi, rng_fad, rng_noise)
 
 
 def brute_force_trial(scn, r_own, r_ctr, phi, rng_fad, rng_noise) -> float:
@@ -84,7 +83,7 @@ def brute_force_trial(scn, r_own, r_ctr, phi, rng_fad, rng_noise) -> float:
 
 
 def brute_force(scn, seed: int, trials: int) -> np.ndarray:
-    return np.concatenate(_run_blocks(brute_force_block, scn, seed, trials, None))
+    return _run_blocks(brute_force_block, scn, seed, trials, None)[0]
 
 
 TRIALS = 400

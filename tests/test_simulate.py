@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +10,18 @@ from mimocap.capacity import tier1_moments
 from mimocap.interference import QosTarget
 from mimocap.pilots import PilotScheme, generate_pilot_book
 from mimocap.simulate import (
+    _BLOCK,
+    _ROLE_SHADOW,
     FiniteMConfig,
     SirSampleSet,
+    _Workspace,
     _cochannel_scenario,
     _draw_users,
     _finite_block,
     _finite_scenario,
     _limit_block,
     _run_length,
+    _shadowed_ratio,
     _sinr_by_load,
     empirical_capacity_search,
     sample_sir_finite_m,
@@ -138,6 +143,37 @@ class TestRunsOfBlocks:
                     assert got == expect
 
 
+class TestWorkspace:
+    """Every call draws and evaluates in its own workspace; no output is a
+    view of it."""
+
+    def test_later_calls_leave_earlier_outputs_unchanged(self, geometry):
+        different, reused = PilotScheme.DIFFERENT_SETS, PilotScheme.REUSED_SETS
+        book = generate_pilot_book(different, 9, 7, np.random.default_rng(SEED))
+        cfg = FiniteMConfig(antennas=24, pilot_length=9)
+
+        def outputs(scheme, trials, seed):
+            limit = sample_sir_limit(geometry, scheme, 3, trials, seed, pilot_dim=9)
+            booked = sample_sir_limit(geometry, different, 3, trials, seed, 9, book, max_tier=1)
+            shadowed, diag = sample_sir_limit_shadowed(
+                geometry, scheme, 3, 8.0, trials, seed, 9, diagnostics=True
+            )
+            finite = sample_sir_finite_m(geometry, scheme, 3, cfg, trials, seed)
+            by_load = _sinr_by_load(geometry, scheme, cfg, 1, trials, seed, None)
+            shares = np.array(list(diag.tier_shares.values()))
+            samples = [limit, booked, shadowed, finite]
+            return [a for s in samples for a in (s.samples, s.sorted_samples)] + [shares, by_load]
+
+        first = outputs(different, 200, SEED)
+        kept = [a.copy() for a in first]
+        # fewer trials first: a shared buffer would be reused, not regrown
+        outputs(reused, 130, SEED + 1)
+        outputs(different, 300, SEED + 2)
+        for got, expect in zip(first, kept):
+            assert np.array_equal(got, expect)
+        assert not first[-1].flags.writeable  # the memoised array stays read-only
+
+
 def _hypot_distances(scn, u, v):
     """Distances of users at positions (u, v) to their own and the center
     station by np.hypot, the formula of the samplers before they took
@@ -157,8 +193,9 @@ class TestSquaredDistances:
         for region in ("hexagon", "circle"):
             for scheme in PilotScheme:
                 scn = _cochannel_scenario(geometry.with_reuse(3), scheme, 4, 14, region, 2)
-                sir, _, _ = _limit_block(scn, SEED, 0, 3, 150)
-                positions, phi = _draw_users(scn, SEED, 0, 3, 150)
+                sir = np.empty(150)
+                _limit_block(scn, SEED, 0, 3, 150, _Workspace(), sir, np.empty((3, 0)))
+                positions, phi = _draw_users(scn, SEED, 0, 3, 150, _Workspace())
                 r_own, r_ctr = _hypot_distances(scn, *positions)
                 ratio = (r_own / r_ctr) ** (2.0 * scn.gamma)
                 terms = ratio[:, :, :1] if phi is None else phi * ratio
@@ -167,14 +204,17 @@ class TestSquaredDistances:
     def test_finite_m_sinr(self, geometry, monkeypatch):
         for scheme in PilotScheme:
             scn = _finite_scenario(geometry.with_reuse(3), scheme, 4, FiniteMConfig(antennas=64), 2)
-            sinr = _finite_block(scn, SEED, 0, 3, 150)
+            sinr, expect = np.empty((150, 4)), np.empty((150, 4))
+            _finite_block(scn, SEED, 0, 3, 150, _Workspace(), sinr, np.empty((3, 0)))
             with monkeypatch.context() as m:
                 m.setattr(
                     simulate,
                     "_squared_distances",
-                    lambda scn, positions: tuple(r * r for r in _hypot_distances(scn, *positions)),
+                    lambda scn, positions, _ws: tuple(
+                        r * r for r in _hypot_distances(scn, *positions)
+                    ),
                 )
-                expect = _finite_block(scn, SEED, 0, 3, 150)
+                _finite_block(scn, SEED, 0, 3, 150, _Workspace(), expect, np.empty((3, 0)))
             np.testing.assert_allclose(sinr, expect, rtol=1e-12, atol=0.0)
 
 
@@ -277,6 +317,28 @@ class TestLimitSampler:
             )
 
 
+def _trial_major_shadowed_ratio(scn, positions, seed, blocks, trials):
+    """(beta_center / beta_serving)^2 by the trial-major formula the sampler
+    used before its station-major layout: log gains on one (trial, cell,
+    user, station) array, the best station a maximum over the last axis."""
+    xs, ys = positions
+    cx, cy = scn.centers[:, 0], scn.centers[:, 1]
+    stations_x, stations_y = np.concatenate(([0.0], cx)), np.concatenate(([0.0], cy))
+    dx = np.subtract.outer(xs + cx[:, None], stations_x)
+    dy = np.subtract.outer(ys + cy[:, None], stations_y)
+    shape = (_BLOCK, scn.n_cells, scn.users_per_cell, scn.n_cells + 1)
+    z = np.concatenate(
+        [trial_rng(seed, b, _ROLE_SHADOW).standard_normal(shape) for b in range(blocks)]
+    )[:trials]
+    log_gain = np.log(dx * dx + dy * dy) * (-scn.gamma / 2.0)
+    log_gain += z * (scn.shadow_sigma_db * math.log(10.0) / 10.0)
+    best = log_gain.max(axis=3)
+    center = log_gain[..., 0]
+    ratio = np.exp(2.0 * (center - best))
+    ratio[center == best] = 0.0
+    return ratio
+
+
 class TestShadowedSampler:
     def test_sigma_zero_degenerates_bitwise(self, geometry):
         for scheme, dim in ((PilotScheme.REUSED_SETS, None), (PilotScheme.DIFFERENT_SETS, 42)):
@@ -286,6 +348,32 @@ class TestShadowedSampler:
                     geometry, scheme, 5, 0.0, 400, SEED, pilot_dim=dim, region=region
                 )
                 assert np.array_equal(plain.samples, shadow.samples)
+
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    def test_station_major_ratio_matches_trial_major_formula(self, geometry, diagnostics):
+        trials, blocks = 130, 3  # the last block is partial
+        scn = _cochannel_scenario(geometry, PilotScheme.DIFFERENT_SETS, 4, 42, "hexagon", 2)
+        scn = replace(scn, shadow_sigma_db=8.0)
+        positions, phi = _draw_users(scn, SEED, 0, blocks, trials, _Workspace())
+        expect = _trial_major_shadowed_ratio(scn, positions, SEED, blocks, trials)
+        ratio = _shadowed_ratio(scn, positions, SEED, 0, blocks, trials, _Workspace())
+        assert np.array_equal(ratio, expect)
+
+        out = sample_sir_limit_shadowed(
+            geometry, PilotScheme.DIFFERENT_SETS, 4, 8.0, trials, SEED, 42,
+            max_tier=2, diagnostics=diagnostics,
+        )
+        terms = phi * expect
+        sir = 1.0 / terms.sum(axis=(1, 2))
+        if not diagnostics:
+            assert np.array_equal(out.samples, sir)
+            return
+        samples, diag = out
+        assert np.array_equal(samples.samples, sir)
+        assert diag.max_interference_ratio == expect.max()
+        per_cell = sum(terms[s : s + _BLOCK].sum(axis=(0, 2)) for s in range(0, trials, _BLOCK))
+        tier_sums = [per_cell[scn.tiers == t].sum() for t in (1, 2)]
+        assert list(diag.tier_shares.values()) == [v / sum(tier_sums) for v in tier_sums]
 
     def test_interference_constraint_on_every_trial(self, geometry):
         for scheme, dim in ((PilotScheme.REUSED_SETS, None), (PilotScheme.DIFFERENT_SETS, 42)):
