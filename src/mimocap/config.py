@@ -26,12 +26,10 @@ _MAX_TRIALS = 10_000_000  # sir-cdf keeps every limit sample: 80 MB per scheme a
 _MAX_FINITE_M_SINRS = 42_000_000  # _sinr_by_load holds one float per trial per pilot
 _MAX_TIERS = 50  # 50 co-channel tiers already hold 534 cells at w = 1
 # The samplers draw _BLOCK trials x (co-channel cells + 1) x users per cell
-# values per array.  A sampler call keeps the arrays of its longest run in
-# its workspace until it returns; _finite_block's hold about 190 bytes per
-# value (five complex arrays and a dozen float ones), 0.95 GB at this bound.
-# A run of blocks never exceeds one block or the run budget
-# simulate._RUN_VALUES, whichever is larger, so this bounds runs too.  The
-# per-key bounds above do not cap the product.
+# values per array, and a call's workspace holds its longest run at up to
+# simulate._FINITE_BYTES = 208 bytes per value, 1.04 GB at this bound.  A run
+# is one block, or as many as fit simulate._RUN_BYTES (1.7 MB), so this
+# bounds runs too.  The per-key bounds above do not cap the product.
 _MAX_BLOCK_VALUES = 5_000_000
 
 

@@ -185,14 +185,6 @@ def circle_approximation(
     return CirclePatch(circle_radius_m=b, separation_m=tier.separation_m)
 
 
-def point_in_hexagon(x, y, circumradius: float):
-    """Pointy-top hexagon membership test (vectorized)."""
-    r3 = math.sqrt(3.0)
-    return (np.abs(x) <= r3 * circumradius / 2.0) & (
-        np.abs(x) + r3 * np.abs(y) <= r3 * circumradius
-    )
-
-
 def sample_circle_position(radius_m: float, rngs, size: int, out=None):
     """size uniform draws over a disc from each stream of the sequence rngs,
     returned as arrays (r, theta) of shape (len(rngs), size), row i drawn
@@ -211,55 +203,54 @@ def sample_circle_position(radius_m: float, rngs, size: int, out=None):
     return r, theta
 
 
+def rhombus_edges(cell_radius_m: float) -> np.ndarray:
+    """(2, 3, 2) edges of the rhombi of sample_hexagon_position: rhombus j is
+    spanned by [0, j] = v_j and [1, j] = v_(j+1) of the alternate hexagon
+    vertices v = (0, a), (sqrt(3) a / 2, -a / 2), (-sqrt(3) a / 2, -a / 2)."""
+    a, h = cell_radius_m, math.sqrt(3.0) * cell_radius_m / 2.0
+    v = [(0.0, a), (h, -a / 2.0), (-h, -a / 2.0)]
+    return np.array([v, v[1:] + v[:1]])
+
+
 def sample_hexagon_position(geometry: NetworkGeometry, rngs, size: int, out=None):
     """size uniform draws over the hexagonal cell with the hole disc excluded,
-    from each stream of the sequence rngs.
+    from each stream of the sequence rngs, in rhombus coordinates.
 
-    The hexagon is three equal rhombi, each spanned by two of the alternate
-    vertices (0, a), (sqrt(3) a / 2, -a / 2) and (-sqrt(3) a / 2, -a / 2).
-    A draw picks a rhombus uniformly and a uniform point inside it; only
-    points in the hole (pi a_h^2 of the area) are redrawn.  Two uniforms
-    make a draw: the integer part of 3 u picks the rhombus, and the exact
-    fractional part is the first coordinate in it.  Stream i draws (2, size)
-    uniforms, then (2, p) for the p draws of its row that fell in the hole,
-    and so on; the redraw rounds run across all streams at once.  Returns
-    arrays (x, y) of cartesian offsets from the cell center, of shape
-    (len(rngs), size), row i drawn from rngs[i] alone; out, a pair of such
-    arrays, receives them in place of new ones.
+    The hexagon is three equal rhombi: rhombus j holds the points
+    s v_j + t v_(j+1), s and t in [0, 1), of rhombus_edges, which lie
+    rho = a^2 (s^2 - s t + t^2) squared from the cell center (the edges meet
+    at 120 degrees).  A draw picks a rhombus uniformly and a uniform point
+    inside it, and only points in the hole are redrawn: the integer part of
+    3 u picks the rhombus, and the exact fractional part is s.  Stream i
+    draws (2, size) uniforms, then (2, p) for the p draws of its row that
+    fell in the hole, and so on; the redraw rounds run across all streams at
+    once.  Returns arrays (j, s, t, rho) of shape (len(rngs), size), row i
+    drawn from rngs[i] alone; out, four such arrays, receives them instead.
     """
-    a = geometry.cell_radius_m
-    r3 = math.sqrt(3.0)
-    # the same expressions as point_in_hexagon, so no draw leaves the cell;
-    # rhombus j is spanned by vertices j and j + 1 (mod 3)
-    vx = np.array([0.0, r3 * a / 2.0, -r3 * a / 2.0, 0.0])
-    vy = np.array([a, -a / 2.0, -a / 2.0, a])
+    a2 = geometry.cell_radius_m**2
     hole2 = geometry.hole_radius_m**2
 
-    def rhombus_points(s, t):
+    def rhombus_coordinates(s, t, j, rho):  # s * 3 becomes j + s, in place
         s *= 3.0
-        j = s.astype(np.intp)
+        j[...] = s
         s -= j
-        points = []
-        for v in (vx, vy):  # s * v[j] + t * v[j + 1], in place
-            point = v[:3].take(j)
-            point *= s
-            step = v[1:].take(j)
-            step *= t
-            point += step
-            points.append(point)
-        return points
+        np.multiply(np.subtract(s, t, out=rho), s, out=rho)
+        rho += t * t
+        rho *= a2
 
-    xs, ys = out if out is not None else (np.empty((len(rngs), size)) for _ in range(2))
-    for rng, s_row, t_row in zip(rngs, xs, ys):  # (2, size) uniforms per stream
+    dtypes = (np.intp, float, float, float)
+    j, s, t, rho = out if out is not None else (np.empty((len(rngs), size), d) for d in dtypes)
+    for rng, s_row, t_row in zip(rngs, s, t):  # (2, size) uniforms per stream
         rng.random(out=s_row)
         rng.random(out=t_row)
-    xs[...], ys[...] = rhombus_points(xs, ys)
-    pending = np.flatnonzero(xs * xs + ys * ys < hole2)  # stream-major, as drawn
+    rhombus_coordinates(s, t, j, rho)
+    pending = np.flatnonzero(rho < hole2)  # stream-major, as drawn
     while pending.size:
         counts = np.bincount(pending // size, minlength=len(rngs))
-        s, t = np.concatenate([rng.random((2, c)) for rng, c in zip(rngs, counts) if c], axis=1)
-        x, y = rhombus_points(s, t)
-        xs.flat[pending] = x
-        ys.flat[pending] = y
-        pending = pending[x * x + y * y < hole2]
-    return xs, ys
+        s_new, t_new = np.concatenate([rng.random((2, c)) for rng, c in zip(rngs, counts) if c], 1)
+        j_new, rho_new = np.empty(pending.size, np.intp), np.empty(pending.size)
+        rhombus_coordinates(s_new, t_new, j_new, rho_new)
+        for array, new in zip((j, s, t, rho), (j_new, s_new, t_new, rho_new)):
+            array.flat[pending] = new
+        pending = pending[rho_new < hole2]
+    return j, s, t, rho

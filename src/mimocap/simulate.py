@@ -13,17 +13,18 @@ Three samplers share one block engine:
 Trials run in blocks of _BLOCK: a block draws the user drops, pilot
 overlaps, shadowing and fading of all its trials from its own streams.
 The engine hands an evaluator (_limit_block for the limiting and shadowed
-samplers, _finite_block for finite M) a run of consecutive blocks, up to
-_RUN_VALUES values per array: each block draws into its rows of the run's
-arrays, in the order a lone block would, and one array pass turns the run
-into SIRs.  Each worker of a sampler call owns one workspace (_Workspace),
-whose arrays its first and longest run sizes: every run draws and
-evaluates in place in them and writes its SIRs into its rows of one
+samplers, _finite_block for finite M) a run of consecutive blocks, as many
+as keep its workspace within _RUN_BYTES: each block draws into its rows of
+the run's arrays, in the order a lone block would, and one array pass
+turns the run into SIRs.  Each worker of a sampler call owns one workspace
+(_Workspace), sized by its first and longest run: every run draws and
+evaluates in place in it and writes its SIRs into its rows of one
 preallocated trial-ordered output, so a call touches fresh pages once, not
-once per run.  Users are kept as positions, and an evaluator takes squared
-distances only where it reads them: the unshadowed limit terms
-(r_own / r_ctr)^(2 gamma) = (rho_own / rho_ctr)^gamma of the same-index
-user only under reused sets, every user's amplitude in the finite-M one.
+once per run.  Hexagon users are kept in rhombus coordinates with rho_own,
+and an evaluator takes rho_ctr off a per-scenario table where it reads it:
+the unshadowed limit terms (r_own / r_ctr)^(2 gamma) = (rho_own /
+rho_ctr)^gamma of the same-index user only under reused sets, every user's
+amplitude in the finite-M one.
 
 The finite-M simulator never draws the M x N channel matrix: i.i.d.
 Rayleigh fading is invariant in law under rotations of the user space, and
@@ -40,7 +41,7 @@ Randomness is drawn from counter-based Philox streams keyed by
 included, and workers get whole blocks, so results are reproducible
 bit-for-bit, a shorter run is a prefix of a longer one, and neither the
 worker count nor the grouping of blocks into runs changes anything.  All
-samplers draw positions and pilots through the same block helpers in the
+samplers draw users and pilots through the same block helpers in the
 same order, which makes paired comparisons across samplers (same user
 drops, same pilot collisions) possible by reusing a seed.
 """
@@ -57,6 +58,7 @@ from .geometry import (
     NetworkGeometry,
     cochannel_cells,
     equal_area_radius,
+    rhombus_edges,
     sample_circle_position,
     sample_hexagon_position,
 )
@@ -69,12 +71,15 @@ _ROLE_SHADOW = 3
 _ROLE_FADING = 4
 
 _BLOCK = 64  # trials per block of streams
-# (trial x cell x user) values per run of blocks that an evaluator draws and
-# evaluates as one array pass; a run holds at least one block.  The workspace
-# makes longer runs fault no fresh pages, but at 2^15 the finite-M kernel's
-# complex arrays leave the cache: on a 2-vCPU x86-64 VM a 400-trial call at
-# 14 users ran 13-23% slower, while sir-cdf's limit calls ran 4-16% faster.
-_RUN_VALUES = 1 << 13
+# A run holds as many blocks as keep its workspace within _RUN_BYTES: about
+# 2^13 finite-M values (on a 2-vCPU x86-64 VM more runs cost a 300-trial
+# search pass 3-14%; sir-cdf's limit calls took as long at 5 to 16 blocks).
+# Bytes per (trial x (cells + 1) x users) value: the largest workspace after
+# one call (reuse 1/3/7, 1-42 users, 1-3 tiers, both schemes), rounded up.
+_RUN_BYTES = 1_700_000
+_LIMIT_BYTES = 72  # 68.2: four draw arrays, overlaps, rho_ctr and its scratch
+_SHADOWED_BYTES = 32  # per candidate station, 31.3: log gains, scratch, normals
+_FINITE_BYTES = 208  # 204.6: five complex user sums and a dozen real arrays
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 
@@ -158,6 +163,7 @@ class _Scenario:
 
     geometry: NetworkGeometry
     centers: np.ndarray  # (n_cells, 2) co-channel cell centers
+    rhombus_steps: np.ndarray  # (2, 3 * n_cells): 2 v.c at 3 * cell + j, v of rhombus_edges
     tiers: np.ndarray  # (n_cells,) tier index per cell
     users_per_cell: int
     scheme: PilotScheme
@@ -216,9 +222,9 @@ def _block_streams(seed: int, first: int, blocks: int, role: int):
 def _draw_users(scn: _Scenario, seed: int, first: int, blocks: int, count: int, ws: _Workspace):
     """User drops (role 1) and pilot overlaps (role 2) of a run of blocks.
 
-    Returns (positions, phi), views of ws of shape (count, n_cells,
-    users_per_cell): the positions (x, y) of the users as offsets from their
-    own cell center, or (r, theta) about their own station for circles (see
+    Returns (users, phi), views of ws of shape (count, n_cells,
+    users_per_cell): sample_hexagon_position's (j + 3 * cell, s, t, rho_own),
+    or (r, theta) about the own station for circles (see
     _squared_distances), and the overlaps |<psi, psi_tagged>|^2 (None under
     reused sets, where only the same-index user of each cell collides,
     fully).  Every block draws all _BLOCK trials from its own streams and the
@@ -226,45 +232,49 @@ def _draw_users(scn: _Scenario, seed: int, first: int, blocks: int, count: int, 
     """
     n, k = scn.n_cells, scn.users_per_cell
     shape = (blocks * _BLOCK, n, k)
-    positions = ws("u", shape), ws("v", shape)
-    rows = tuple(p.reshape(blocks, -1) for p in positions)  # one row per block
     rngs = [rng for rng, _ in _block_streams(seed, first, blocks, _ROLE_POSITIONS)]
-    if scn.region == "circle":
-        # the analytic disc density about the own station
+    if scn.region == "circle":  # the analytic disc density about the own station
+        users = ws("r", shape), ws("theta", shape)
+        rows = tuple(u.reshape(blocks, -1) for u in users)  # one row per block
         b = equal_area_radius(scn.geometry.cell_radius_m)
         sample_circle_position(b, rngs, _BLOCK * n * k, out=rows)
     else:
+        users = ws("rhombus", shape, np.intp), ws("s", shape), ws("t", shape), ws("rho", shape)
+        rows = tuple(u.reshape(blocks, -1) for u in users)
         sample_hexagon_position(scn.geometry, rngs, _BLOCK * n * k, out=rows)
-    positions = tuple(p[:count] for p in positions)
+        users[0][:count] += np.arange(0, 3 * n, 3)[:, None]  # 3 * cell + j
+    users = tuple(u[:count] for u in users)
     phi = None
     if scn.scheme is PilotScheme.DIFFERENT_SETS:
         phi = _draw_overlaps(scn, seed, first, blocks, ws)[:count]
-    return positions, phi
+    return users, phi
 
 
-def _squared_distances(scn: _Scenario, positions, ws: _Workspace):
-    """Squared distances (rho_own, rho_ctr), views of ws, of users at
-    positions, as _draw_users returns them or a slice of the users, to their
-    own and to the center station."""
-    u, v = positions
-    cx, cy = scn.centers[:, 0][:, None], scn.centers[:, 1][:, None]
-    rho_own = np.multiply(u, u, out=ws("rho_own", u.shape))
-    rho_ctr = ws("rho_ctr", u.shape)
+def _squared_distances(scn: _Scenario, users, ws: _Workspace):
+    """Squared distances (rho_own, rho_ctr), views of ws, of users as
+    _draw_users returns them, or a slice of the users, to their own and to
+    the center station."""
+    rho_ctr = ws("rho_ctr", users[1].shape)
     if scn.region == "circle":
         # law of cosines about the own station, d away from the center one:
-        # (rho_own + d^2) - (2 d u) cos(v)
-        d = np.hypot(cx, cy)
-        cross = np.cos(v, out=ws("cross", u.shape))
-        cross *= np.multiply(2.0 * d, u, out=rho_ctr)  # rho_ctr is formed below
+        # (rho_own + d^2) - (2 d r) cos(theta)
+        r, theta = users
+        d = np.hypot(scn.centers[:, 0], scn.centers[:, 1])[:, None]
+        rho_own = np.multiply(r, r, out=ws("rho_own", r.shape))
+        cross = np.cos(theta, out=ws("cross", r.shape))
+        cross *= np.multiply(2.0 * d, r, out=rho_ctr)  # rho_ctr is formed below
         np.add(rho_own, d * d, out=rho_ctr)
         rho_ctr -= cross
         return rho_own, rho_ctr
-    np.add(u, cx, out=rho_ctr)
-    rho_ctr *= rho_ctr
-    dy = np.add(v, cy, out=ws("dy", u.shape))
-    dy *= dy
-    rho_ctr += dy
-    rho_own += np.multiply(v, v, out=dy)
+    # |p + c|^2 = (s 2 v_j.c + t 2 v_(j+1).c + |c|^2) + rho_own at p = s v_j
+    # + t v_(j+1), in the order that rounds least (2.3 ulps, as x^2 + y^2)
+    index, s, t, rho_own = users
+    np.take(scn.rhombus_steps[0], index, out=rho_ctr, mode="clip")
+    rho_ctr *= s
+    step = np.take(scn.rhombus_steps[1], index, out=ws("step", s.shape), mode="clip")
+    rho_ctr += np.multiply(step, t, out=step)
+    rho_ctr += (scn.centers**2).sum(axis=1)[:, None]
+    rho_ctr += rho_own
     return rho_own, rho_ctr
 
 
@@ -319,17 +329,17 @@ def _limit_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int,
     n_cells, if present, the per-cell interference summed over the block's
     trials.
     """
-    positions, phi = _draw_users(scn, seed, first, blocks, count, ws)
+    users, phi = _draw_users(scn, seed, first, blocks, count, ws)
     if phi is None:
         # under reused sets only the same-index user of each cell contaminates
-        positions = [p[:, :, :1] for p in positions]
+        users = [u[:, :, :1] for u in users]
     if scn.shadow_sigma_db > 0.0:
-        ratio = _shadowed_ratio(scn, positions, seed, first, blocks, count, ws)
+        ratio = _shadowed_ratio(scn, users, seed, first, blocks, count, ws)
     else:
         # No shadowing: nearest-station service keeps every user on its own
         # cell, and the terms are the unshadowed power-control ratios
         # (r_own / r_ctr)^(2 gamma) = (rho_own / rho_ctr)^gamma, in rho_own.
-        ratio, rho_ctr = _squared_distances(scn, positions, ws)
+        ratio, rho_ctr = _squared_distances(scn, users, ws)
         ratio /= rho_ctr
         ratio **= scn.gamma
     # contaminating terms at the center station: the same-index user of each
@@ -346,10 +356,10 @@ def _limit_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int,
             terms[s : s + _BLOCK].sum(axis=(0, 2), out=stats[b, 1:])
 
 
-def _shadowed_ratio(scn: _Scenario, offsets, seed: int, first: int, blocks: int, count: int, ws):
-    """(beta_center / beta_serving)^2 per user at offsets, in ws, under
-    log-normal shadowing (role 3) and best-station selection, 0 for users
-    the center station serves.
+def _shadowed_ratio(scn: _Scenario, users, seed: int, first: int, blocks: int, count: int, ws):
+    """(beta_center / beta_serving)^2 per user of users (as _draw_users
+    returns them for hexagons), in ws, under log-normal shadowing (role 3)
+    and best-station selection, 0 for users the center station serves.
 
     Gains beta = 10^(z/10) r^-gamma go to every candidate station, 0 the
     center one and 1 + l co-channel cell l; they are compared in the log
@@ -357,18 +367,21 @@ def _shadowed_ratio(scn: _Scenario, offsets, seed: int, first: int, blocks: int,
     so the best station is an elementwise maximum over its leading axis.
     The shadow normals are drawn in (trial, cell, user, station) order.
     """
-    xs, ys = offsets
-    shape = xs.shape  # (count, n_cells, users kept)
+    index, s, t, _rho = users
+    shape = s.shape  # (count, n_cells, users kept)
     n, k = scn.n_cells, scn.users_per_cell
-    # squared distances of the users, about the center station, to each station
-    stations = np.vstack(([0.0, 0.0], scn.centers))[:, :, None, None, None]
-    user_x = np.add(xs, scn.centers[:, 0][:, None], out=ws("user_x", shape))
-    user_y = np.add(ys, scn.centers[:, 1][:, None], out=ws("user_y", shape))
-    log_gain = np.subtract(user_x, stations[:, 0], out=ws("log_gain", (n + 1, *shape)))
-    log_gain *= log_gain
-    dy = np.subtract(user_y, stations[:, 1], out=ws("dy", log_gain.shape))
-    dy *= dy
-    log_gain += dy
+    # the users' positions c + s v_j + t v_(j+1) about the center station,
+    # then their squared distances to each station
+    edges = np.tile(rhombus_edges(scn.geometry.cell_radius_m).transpose(0, 2, 1), n)  # 3 * cell + j
+    user = np.take(edges[0], index, axis=1, out=ws("user", (2, *shape)), mode="clip")
+    user *= s
+    step = np.take(edges[1], index, axis=1, out=ws("step", user.shape), mode="clip")
+    user += np.multiply(step, t, out=step)
+    user += scn.centers.T[:, None, :, None]
+    stations = np.vstack(([0.0, 0.0], scn.centers)).T[:, :, None, None, None]
+    offsets = np.subtract(user[:, None], stations, out=ws("offsets", (2, n + 1, *shape)))
+    offsets *= offsets
+    log_gain = np.add(*offsets, out=offsets[0])
     np.log(log_gain, out=log_gain)
     log_gain *= -scn.gamma / 2.0
     z = ws("z", (blocks * _BLOCK, n, k, n + 1))
@@ -390,9 +403,10 @@ def _shadowed_ratio(scn: _Scenario, offsets, seed: int, first: int, blocks: int,
 def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int, ws, sinr, stats):
     """Tagged-user SINR of a run of blocks at every load 1..users_per_cell,
     where load k keeps the first k users of each cell, into sinr (count,
-    users_per_cell), column k - 1 for load k; stats is not used."""
-    positions, phi = _draw_users(scn, seed, first, blocks, count, ws)
-    rho_own, rho_ctr = _squared_distances(scn, positions, ws)
+    users_per_cell), column k - 1 for load k, or at load users_per_cell
+    alone into sinr (count,); stats is not used."""
+    users, phi = _draw_users(scn, seed, first, blocks, count, ws)
+    rho_own, rho_ctr = _squared_distances(scn, users, ws)
     n, k = scn.n_cells, scn.users_per_cell
     n_users = (n + 1) * k
     shape = (count, n + 1, k)
@@ -459,7 +473,10 @@ def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int
         sums[1, :, 0] += a_noise * w[:, n_users]
     if math.isfinite(scn.ul_snr):
         sums[4, :, 0] += 1.0 / scn.ul_snr
-    np.cumsum(sums, axis=2, out=sums)
+    if sinr.ndim == 1:  # one load: a sum in place of the prefix sums
+        sums, sinr = sums.sum(axis=2, keepdims=True), sinr[:, None]
+    else:
+        np.cumsum(sums, axis=2, out=sums)
     norm2, proj, big_a, big_b, big_c = sums  # proj = |a| u^H w
     norm2 = norm2.real
     # (count, k) values from here on, a per-trial share of the arrays above
@@ -471,13 +488,12 @@ def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int
 
 
 def _run_length(scn: _Scenario) -> int:
-    """Blocks per run: as many as keep the evaluator's widest array within
-    _RUN_VALUES values, (cells + 1) x users per trial, times the cells + 1
-    candidate stations under shadowing; at least one."""
-    values = _BLOCK * (scn.n_cells + 1) * scn.users_per_cell
+    """Blocks per run: as many as keep the evaluator's workspace within
+    _RUN_BYTES, and at least one."""
+    per_value = _FINITE_BYTES if scn.antennas else _LIMIT_BYTES
     if scn.shadow_sigma_db > 0.0:
-        values *= scn.n_cells + 1
-    return max(1, _RUN_VALUES // values)
+        per_value = _SHADOWED_BYTES * (scn.n_cells + 1)  # per candidate station
+    return max(1, _RUN_BYTES // (_BLOCK * (scn.n_cells + 1) * scn.users_per_cell * per_value))
 
 
 def _run_worker(args):
@@ -550,6 +566,8 @@ def _cochannel_scenario(
         raise ValueError(f"unknown sampling region {region!r}")
     cells = cochannel_cells(geometry, max_tier)
     centers = np.array([c.center for c in cells]).reshape(-1, 2)
+    edges = rhombus_edges(geometry.cell_radius_m)[:, None]  # products summed: matmul starts BLAS
+    steps = (2.0 * edges * centers[:, None, :]).sum(axis=3).reshape(2, -1)
     tiers = np.array([c.tier for c in cells], dtype=int)
     if pilot_dim is None:
         if scheme is PilotScheme.DIFFERENT_SETS:
@@ -560,6 +578,7 @@ def _cochannel_scenario(
     return _Scenario(
         geometry=geometry,
         centers=centers,
+        rhombus_steps=steps,
         tiers=tiers,
         users_per_cell=users_per_cell,
         scheme=scheme,
@@ -721,8 +740,8 @@ def sample_sir_finite_m(
     interference, and the SNRs set the pilot and data noise levels.
     """
     scn = _finite_scenario(geometry, scheme, users_per_cell, config, max_tier)
-    by_load, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (users_per_cell,))
-    return SirSampleSet(by_load[:, -1].copy())
+    sinr, _ = _run_blocks(_finite_block, scn, seed, trials, workers)
+    return SirSampleSet(sinr)
 
 
 def wilson_interval(failures: int, n: int) -> tuple[float, float]:

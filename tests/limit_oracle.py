@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from mimocap.geometry import equal_area_radius, point_in_hexagon, sample_circle_position
+from hexagon_points import point_in_hexagon
+from mimocap.geometry import equal_area_radius, sample_circle_position
 from mimocap.pilots import PilotScheme
 from mimocap.simulate import trial_rng
 

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from hexagon_points import rhombus_xy
 from law_checks import law_failures
 from mimocap.pilots import PilotScheme
 from mimocap.simulate import (
@@ -36,7 +37,8 @@ def brute_force_block(scn, seed: int, first: int, blocks: int, count: int, ws, s
     """Oracle SINRs of a run of blocks into sinr, in the sampler's evaluator
     signature; distances by np.hypot, and per block its own fading and noise
     streams."""
-    (xs, ys), phi = _draw_users(scn, seed, first, blocks, count, ws)
+    users, phi = _draw_users(scn, seed, first, blocks, count, ws)
+    xs, ys = rhombus_xy(scn.geometry.cell_radius_m, users)
     r_own = np.hypot(xs, ys)
     r_ctr = np.hypot(xs + scn.centers[:, 0][:, None], ys + scn.centers[:, 1][:, None])
     for t in range(count):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from hexagon_points import point_in_hexagon, rhombus_xy
 from lattice_oracle import cochannel_with_tiers, min_rings_for_cochannel, ring_lattice
 from mimocap.geometry import (
     CirclePatch,
@@ -12,7 +13,6 @@ from mimocap.geometry import (
     circle_approximation,
     cochannel_cells,
     equal_area_radius,
-    point_in_hexagon,
     sample_circle_position,
     sample_hexagon_position,
     tier_specs,
@@ -221,9 +221,27 @@ class TestSampling:
 
     def test_hexagon_sampler_contract(self, geometry, rng):
         n = 200_000
-        [x], [y] = sample_hexagon_position(geometry, [rng], n)
+        [x], [y] = rhombus_xy(geometry.cell_radius_m, sample_hexagon_position(geometry, [rng], n))
         assert np.all(point_in_hexagon(x, y, geometry.cell_radius_m))
         assert np.all(x * x + y * y >= geometry.hole_radius_m**2)
+
+    def test_rhombus_form_matches_cartesian_on_the_same_uniforms(self):
+        # The sampler takes rho = a^2 (s^2 - s t + t^2) in place of x^2 + y^2
+        # and decides the hole on it.  On the same uniforms, with a hole that
+        # takes 38% of the first round, both forms agree to 4 ulps (10^8
+        # draws reached 3.8) and take every first-round hole decision alike.
+        geo = NetworkGeometry(hole_radius_m=900.0)
+        a, hole2, n = geo.cell_radius_m, geo.hole_radius_m**2, 200_000
+        [j], [s], [t], [rho] = sample_hexagon_position(geo, [np.random.default_rng(16)], n)
+        s0, t0 = np.random.default_rng(16).random((2, n))  # the first round's uniforms
+        s0 *= 3.0
+        j0 = s0.astype(np.intp)
+        s0 -= j0
+        x0, y0 = rhombus_xy(a, (j0, s0, t0))
+        redrawn = (j != j0) | (s != s0) | (t != t0)
+        assert np.array_equal(redrawn, x0 * x0 + y0 * y0 < hole2)
+        x, y = rhombus_xy(a, (j, s, t))
+        np.testing.assert_allclose(rho, x * x + y * y, rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_hexagon_uniformity_chisquare(self, geometry, rng):
         # Equal-area bins: the 12 sectors of 30 degrees are mirror images
@@ -234,7 +252,7 @@ class TestSampling:
         a, hole = geometry.cell_radius_m, geometry.hole_radius_m
         r3 = math.sqrt(3.0)
         n, sectors, shells = 400_000, 12, 8
-        [x], [y] = sample_hexagon_position(geometry, [rng], n)
+        [x], [y] = rhombus_xy(geometry.cell_radius_m, sample_hexagon_position(geometry, [rng], n))
         rho2 = np.maximum(np.abs(x) / (r3 * a / 2.0), (np.abs(x) + r3 * np.abs(y)) / (r3 * a)) ** 2
         angle = np.arctan2(y, x) % (2.0 * math.pi)
         hist, _, _ = np.histogram2d(
@@ -255,7 +273,7 @@ class TestSampling:
         geo = NetworkGeometry(hole_radius_m=900.0)
         samplers = (
             (
-                lambda rngs: sample_hexagon_position(geo, rngs, 500),
+                lambda rngs: rhombus_xy(geo.cell_radius_m, sample_hexagon_position(geo, rngs, 500)),
                 lambda rng: _one_stream_hexagon(geo, rng, 500),
             ),
             (
@@ -278,7 +296,7 @@ class TestSampling:
 
     def test_hexagon_without_hole(self, rng):
         geo = NetworkGeometry(hole_radius_m=0.0)
-        [x], [y] = sample_hexagon_position(geo, [rng], 10_000)
+        [x], [y] = rhombus_xy(geo.cell_radius_m, sample_hexagon_position(geo, [rng], 10_000))
         assert np.min(x * x + y * y) < 100.0**2  # points reach the center
 
     def test_hexagon_area_vs_rejection_rate(self, geometry, rng):
@@ -287,7 +305,7 @@ class TestSampling:
         a = geometry.cell_radius_m
         hole = geometry.hole_radius_m
         n = 400_000
-        [x], [y] = sample_hexagon_position(geometry, [rng], n)
+        [x], [y] = rhombus_xy(geometry.cell_radius_m, sample_hexagon_position(geometry, [rng], n))
         r2 = x * x + y * y
         # E[r^2] over hexagon = 5 a^2 / 12; hole correction is O((a_h/a)^4)
         hex_area = 3.0 * math.sqrt(3.0) / 2.0 * a * a

@@ -30,6 +30,7 @@ from mimocap.simulate import (
     trial_rng,
     wilson_interval,
 )
+from hexagon_points import rhombus_xy
 from pilot_oracles import beta_law_var_y
 
 SEED = 9221
@@ -127,12 +128,50 @@ class TestRunsOfBlocks:
         scn = _cochannel_scenario(w7, PilotScheme.REUSED_SETS, 2, 3, "hexagon", 1)
         assert _run_length(scn) > 1
 
+    def test_default_call_workspace_within_run_budget(self, geometry, monkeypatch):
+        # After one default call of each evaluator its workspace holds at
+        # most _RUN_BYTES, or one block's worth where one block holds more.
+        made = []
+
+        class Recorded(_Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(simulate, "_Workspace", Recorded)
+        different, reused = PilotScheme.DIFFERENT_SETS, PilotScheme.REUSED_SETS
+        w7, cfg = geometry.with_reuse(7), FiniteMConfig()
+        several_blocks = [
+            lambda: sample_sir_limit(w7, different, 6, 2000, SEED, pilot_dim=6, max_tier=1),
+            lambda: sample_sir_limit(geometry, reused, 1, 2000, SEED),
+            lambda: sample_sir_limit_shadowed(w7, different, 1, 8.0, 2000, SEED, 6, max_tier=1),
+            lambda: sample_sir_finite_m(w7, different, 1, cfg, 2000, SEED),
+        ]
+        one_block_over_budget = [
+            lambda: sample_sir_limit_shadowed(geometry, different, 4, 8.0, 200, SEED, 42),
+            lambda: sample_sir_finite_m(geometry, different, 42, cfg, 200, SEED),
+        ]
+        budget = simulate._RUN_BYTES
+        for call in several_blocks + one_block_over_budget:
+            sizes = []
+            for run_bytes in (budget, 1):  # default runs, then runs of one block
+                monkeypatch.setattr(simulate, "_RUN_BYTES", run_bytes)
+                made.clear()
+                call()
+                sizes.append(sum(a.nbytes for a in made[0]._arrays.values()))
+            default, one_block = sizes
+            assert default <= max(budget, one_block)
+            if call in several_blocks:
+                assert default > one_block
+            else:
+                assert default == one_block > budget
+
     @pytest.mark.parametrize("trials", [1, 63, 65, 700])
     def test_one_block_runs_match_default_runs(self, geometry, monkeypatch, trials):
         book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, 3, 7, np.random.default_rng(SEED))
         reference = _sampler_outputs(geometry, book, trials, 0)
         runs = [_sampler_outputs(geometry, book, trials, 2)]
-        monkeypatch.setattr(simulate, "_RUN_VALUES", 1)  # every run one block
+        monkeypatch.setattr(simulate, "_RUN_BYTES", 1)  # every run one block
         runs += [_sampler_outputs(geometry, book, trials, workers) for workers in (0, 2)]
         for outputs in runs:
             assert len(outputs) == len(reference)
@@ -195,7 +234,8 @@ class TestSquaredDistances:
                 scn = _cochannel_scenario(geometry.with_reuse(3), scheme, 4, 14, region, 2)
                 sir = np.empty(150)
                 _limit_block(scn, SEED, 0, 3, 150, _Workspace(), sir, np.empty((3, 0)))
-                positions, phi = _draw_users(scn, SEED, 0, 3, 150, _Workspace())
+                users, phi = _draw_users(scn, SEED, 0, 3, 150, _Workspace())
+                positions = users if region == "circle" else rhombus_xy(geometry.cell_radius_m, users)
                 r_own, r_ctr = _hypot_distances(scn, *positions)
                 ratio = (r_own / r_ctr) ** (2.0 * scn.gamma)
                 terms = ratio[:, :, :1] if phi is None else phi * ratio
@@ -210,8 +250,8 @@ class TestSquaredDistances:
                 m.setattr(
                     simulate,
                     "_squared_distances",
-                    lambda scn, positions, _ws: tuple(
-                        r * r for r in _hypot_distances(scn, *positions)
+                    lambda scn, users, _ws: tuple(
+                        r * r for r in _hypot_distances(scn, *rhombus_xy(geometry.cell_radius_m, users))
                     ),
                 )
                 _finite_block(scn, SEED, 0, 3, 150, _Workspace(), expect, np.empty((3, 0)))
@@ -354,9 +394,10 @@ class TestShadowedSampler:
         trials, blocks = 130, 3  # the last block is partial
         scn = _cochannel_scenario(geometry, PilotScheme.DIFFERENT_SETS, 4, 42, "hexagon", 2)
         scn = replace(scn, shadow_sigma_db=8.0)
-        positions, phi = _draw_users(scn, SEED, 0, blocks, trials, _Workspace())
+        users, phi = _draw_users(scn, SEED, 0, blocks, trials, _Workspace())
+        positions = rhombus_xy(geometry.cell_radius_m, users)
         expect = _trial_major_shadowed_ratio(scn, positions, SEED, blocks, trials)
-        ratio = _shadowed_ratio(scn, positions, SEED, 0, blocks, trials, _Workspace())
+        ratio = _shadowed_ratio(scn, users, SEED, 0, blocks, trials, _Workspace())
         assert np.array_equal(ratio, expect)
 
         out = sample_sir_limit_shadowed(
