@@ -12,6 +12,7 @@ take an explicit numpy Generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -102,10 +103,11 @@ def axial_to_xy(m: int, n: int, spacing: float) -> tuple[float, float]:
     return spacing * (m + 0.5 * n), spacing * (math.sqrt(3.0) / 2.0) * n
 
 
-def cochannel_cells(geometry: NetworkGeometry, max_tier: int) -> list[Cell]:
+@functools.lru_cache(maxsize=32)
+def cochannel_cells(geometry: NetworkGeometry, max_tier: int) -> tuple[Cell, ...]:
     """Co-channel cells of the first max_tier tiers of the center cell,
     excluding the center itself, ordered by (ring, angle); none for
-    max_tier < 1.
+    max_tier < 1.  Memoised: every sampler call and config check asks again.
 
     Under reuse w = i^2 + i*j + j^2 they are the sublattice spanned by the
     axial vectors (i, j) and (-j, i + j), its 60-degree rotation (MacDonald,
@@ -114,7 +116,7 @@ def cochannel_cells(geometry: NetworkGeometry, max_tier: int) -> list[Cell]:
     rank of that norm among the shells of tier_specs.
     """
     if max_tier < 1:
-        return []
+        return ()
     i, j = REUSE_SHIFTS[geometry.reuse_factor]
     shells = tier_specs(geometry, max_tier)
     tier_of = {
@@ -132,7 +134,7 @@ def cochannel_cells(geometry: NetworkGeometry, max_tier: int) -> list[Cell]:
             x, y = axial_to_xy(m, n, d)
             found.append(((hex_ring(m, n), math.atan2(y, x) % (2 * math.pi)), Cell((x, y), tier)))
     found.sort(key=lambda entry: entry[0])
-    return [cell for _, cell in found]
+    return tuple(cell for _, cell in found)
 
 
 def tier_specs(geometry: NetworkGeometry, max_tier: int) -> list[TierSpec]:
@@ -204,12 +206,12 @@ def sample_circle_position(radius_m: float, rngs, size: int, out=None):
 
 
 def rhombus_edges(cell_radius_m: float) -> np.ndarray:
-    """(2, 3, 2) edges of the rhombi of sample_hexagon_position: rhombus j is
-    spanned by [0, j] = v_j and [1, j] = v_(j+1) of the alternate hexagon
+    """(2, 2, 3) edges of the rhombi of sample_hexagon_position: rhombus j is
+    spanned by [0, :, j] = v_j and [1, :, j] = v_(j+1) of the alternate hexagon
     vertices v = (0, a), (sqrt(3) a / 2, -a / 2), (-sqrt(3) a / 2, -a / 2)."""
     a, h = cell_radius_m, math.sqrt(3.0) * cell_radius_m / 2.0
-    v = [(0.0, a), (h, -a / 2.0), (-h, -a / 2.0)]
-    return np.array([v, v[1:] + v[:1]])
+    x, y = [0.0, h, -h], [a, -a / 2.0, -a / 2.0]
+    return np.array([[x, y], [x[1:] + x[:1], y[1:] + y[:1]]])
 
 
 def sample_hexagon_position(geometry: NetworkGeometry, rngs, size: int, out=None):

@@ -163,7 +163,10 @@ class _Scenario:
 
     geometry: NetworkGeometry
     centers: np.ndarray  # (n_cells, 2) co-channel cell centers
-    rhombus_steps: np.ndarray  # (2, 3 * n_cells): 2 v.c at 3 * cell + j, v of rhombus_edges
+    # hexagon rhombus tables at [..., 3 * cell + j]: the rhombus_edges v_j,
+    # v_(j+1) of every cell, and 2 v.c of each edge v and its cell's center c
+    edge_table: np.ndarray  # (2, 2, 3 * n_cells)
+    step_table: np.ndarray  # (2, 3 * n_cells)
     tiers: np.ndarray  # (n_cells,) tier index per cell
     users_per_cell: int
     scheme: PilotScheme
@@ -269,9 +272,9 @@ def _squared_distances(scn: _Scenario, users, ws: _Workspace):
     # |p + c|^2 = (s 2 v_j.c + t 2 v_(j+1).c + |c|^2) + rho_own at p = s v_j
     # + t v_(j+1), in the order that rounds least (2.3 ulps, as x^2 + y^2)
     index, s, t, rho_own = users
-    np.take(scn.rhombus_steps[0], index, out=rho_ctr, mode="clip")
+    np.take(scn.step_table[0], index, out=rho_ctr, mode="clip")
     rho_ctr *= s
-    step = np.take(scn.rhombus_steps[1], index, out=ws("step", s.shape), mode="clip")
+    step = np.take(scn.step_table[1], index, out=ws("step", s.shape), mode="clip")
     rho_ctr += np.multiply(step, t, out=step)
     rho_ctr += (scn.centers**2).sum(axis=1)[:, None]
     rho_ctr += rho_own
@@ -372,10 +375,9 @@ def _shadowed_ratio(scn: _Scenario, users, seed: int, first: int, blocks: int, c
     n, k = scn.n_cells, scn.users_per_cell
     # the users' positions c + s v_j + t v_(j+1) about the center station,
     # then their squared distances to each station
-    edges = np.tile(rhombus_edges(scn.geometry.cell_radius_m).transpose(0, 2, 1), n)  # 3 * cell + j
-    user = np.take(edges[0], index, axis=1, out=ws("user", (2, *shape)), mode="clip")
+    user = np.take(scn.edge_table[0], index, axis=1, out=ws("user", (2, *shape)), mode="clip")
     user *= s
-    step = np.take(edges[1], index, axis=1, out=ws("step", user.shape), mode="clip")
+    step = np.take(scn.edge_table[1], index, axis=1, out=ws("step", user.shape), mode="clip")
     user += np.multiply(step, t, out=step)
     user += scn.centers.T[:, None, :, None]
     stations = np.vstack(([0.0, 0.0], scn.centers)).T[:, :, None, None, None]
@@ -403,8 +405,7 @@ def _shadowed_ratio(scn: _Scenario, users, seed: int, first: int, blocks: int, c
 def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int, ws, sinr, stats):
     """Tagged-user SINR of a run of blocks at every load 1..users_per_cell,
     where load k keeps the first k users of each cell, into sinr (count,
-    users_per_cell), column k - 1 for load k, or at load users_per_cell
-    alone into sinr (count,); stats is not used."""
+    users_per_cell), column k - 1 for load k; stats is not used."""
     users, phi = _draw_users(scn, seed, first, blocks, count, ws)
     rho_own, rho_ctr = _squared_distances(scn, users, ws)
     n, k = scn.n_cells, scn.users_per_cell
@@ -473,10 +474,7 @@ def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int
         sums[1, :, 0] += a_noise * w[:, n_users]
     if math.isfinite(scn.ul_snr):
         sums[4, :, 0] += 1.0 / scn.ul_snr
-    if sinr.ndim == 1:  # one load: a sum in place of the prefix sums
-        sums, sinr = sums.sum(axis=2, keepdims=True), sinr[:, None]
-    else:
-        np.cumsum(sums, axis=2, out=sums)
+    np.cumsum(sums, axis=2, out=sums)
     norm2, proj, big_a, big_b, big_c = sums  # proj = |a| u^H w
     norm2 = norm2.real
     # (count, k) values from here on, a per-trial share of the arrays above
@@ -566,8 +564,7 @@ def _cochannel_scenario(
         raise ValueError(f"unknown sampling region {region!r}")
     cells = cochannel_cells(geometry, max_tier)
     centers = np.array([c.center for c in cells]).reshape(-1, 2)
-    edges = rhombus_edges(geometry.cell_radius_m)[:, None]  # products summed: matmul starts BLAS
-    steps = (2.0 * edges * centers[:, None, :]).sum(axis=3).reshape(2, -1)
+    edges = rhombus_edges(geometry.cell_radius_m).take(range(3 * len(cells)), axis=2, mode="wrap")
     tiers = np.array([c.tier for c in cells], dtype=int)
     if pilot_dim is None:
         if scheme is PilotScheme.DIFFERENT_SETS:
@@ -578,7 +575,8 @@ def _cochannel_scenario(
     return _Scenario(
         geometry=geometry,
         centers=centers,
-        rhombus_steps=steps,
+        edge_table=edges,
+        step_table=(edges * centers.T.repeat(3, axis=1)).sum(axis=1) * 2.0,
         tiers=tiers,
         users_per_cell=users_per_cell,
         scheme=scheme,
@@ -740,8 +738,8 @@ def sample_sir_finite_m(
     interference, and the SNRs set the pilot and data noise levels.
     """
     scn = _finite_scenario(geometry, scheme, users_per_cell, config, max_tier)
-    sinr, _ = _run_blocks(_finite_block, scn, seed, trials, workers)
-    return SirSampleSet(sinr)
+    by_load, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (users_per_cell,))
+    return SirSampleSet(by_load[:, -1].copy())
 
 
 def wilson_interval(failures: int, n: int) -> tuple[float, float]:

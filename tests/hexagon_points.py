@@ -21,5 +21,5 @@ def rhombus_xy(cell_radius_m: float, coordinates):
     given by rhombus coordinates (j, s, t, ...), as sample_hexagon_position
     or _draw_users (j offset by 3 * cell) returns them."""
     j, s, t = coordinates[:3]
-    v, v_next = rhombus_edges(cell_radius_m)[:, j % 3]
-    return tuple(s * v[..., i] + t * v_next[..., i] for i in (0, 1))
+    v, v_next = rhombus_edges(cell_radius_m)[:, :, j % 3]
+    return tuple(s * v[i] + t * v_next[i] for i in (0, 1))

@@ -137,6 +137,14 @@ class TestTiers:
                     sep = specs[c.tier - 1].separation_m
                     assert math.hypot(*c.center) == pytest.approx(sep, rel=1e-12)
 
+    def test_cochannel_cells_memoised_and_immutable(self, geometry):
+        # every sampler call asks again: an equal geometry gets the same
+        # cells back, as a tuple no caller can change under another
+        cells = cochannel_cells(geometry.with_reuse(3), 2)
+        assert isinstance(cells, tuple)
+        assert cochannel_cells(replace(geometry, reuse_factor=3), 2) is cells
+        assert cochannel_cells(geometry, 0) == ()
+
 
 class TestCircleApproximation:
     def test_equal_area_radius(self, geometry):

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from mimocap import simulate
+from mimocap.geometry import rhombus_edges
 from mimocap.capacity import tier1_moments
 from mimocap.interference import QosTarget
 from mimocap.pilots import PilotScheme, generate_pilot_book
@@ -256,6 +257,18 @@ class TestSquaredDistances:
                 )
                 _finite_block(scn, SEED, 0, 3, 150, _Workspace(), expect, np.empty((3, 0)))
             np.testing.assert_allclose(sinr, expect, rtol=1e-12, atol=0.0)
+
+
+    def test_rhombus_tables(self, geometry):
+        # at 3 * cell + j: the edges v_j, v_(j+1) of rhombus j and 2 v.c
+        scn = _cochannel_scenario(geometry, PilotScheme.REUSED_SETS, 2, None, "hexagon", 2)
+        edges = rhombus_edges(geometry.cell_radius_m)
+        for cell, center in enumerate(scn.centers):
+            for j in range(3):
+                np.testing.assert_array_equal(scn.edge_table[:, :, 3 * cell + j], edges[:, :, j])
+                want = 2.0 * (edges[:, 0, j] * center[0] + edges[:, 1, j] * center[1])
+                scale = geometry.cell_radius_m * math.hypot(*center)
+                np.testing.assert_allclose(scn.step_table[:, 3 * cell + j], want, atol=1e-15 * scale)
 
 
 class TestLimitSampler:
