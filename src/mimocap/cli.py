@@ -147,12 +147,13 @@ def cmd_capacity_table(config: ScenarioConfig, out: str, diagnostics: str | None
                 for i in range(1, n)
                 if chosen[i] != chosen[i - 1]
             ]
-            diag_rows += zip(
-                [s for s in sir_cells for _ in reuses],
-                [alpha_cell] * (n * len(reuses)),
-                [scheme_name] * (n * len(reuses)),
-                *(_interleave(per_w, name, n) for name in _DIAGNOSTIC_FIELDS),
-            )
+            if diagnostics is not None:
+                diag_rows += zip(
+                    [s for s in sir_cells for _ in reuses],
+                    [alpha_cell] * (n * len(reuses)),
+                    [scheme_name] * (n * len(reuses)),
+                    *(_interleave(per_w, name, n) for name in _DIAGNOSTIC_FIELDS),
+                )
     comments = _header("capacity-table", config) + switch_notes
     with _open_out(out) as fh:
         _write_rows(fh, comments, _TABLE_COLUMNS, rows)

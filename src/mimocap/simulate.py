@@ -11,20 +11,20 @@ Three samplers share one block engine:
                             intra- and inter-cell cross terms and noise.
 
 Trials run in blocks of _BLOCK: a block draws the user drops, pilot
-overlaps, shadowing and fading of all its trials from its own streams.
-The engine hands an evaluator (_limit_block for the limiting and shadowed
-samplers, _finite_block for finite M) a run of consecutive blocks, as many
-as keep its workspace within _RUN_BYTES: each block draws into its rows of
-the run's arrays, in the order a lone block would, and one array pass
-turns the run into SIRs.  Each worker of a sampler call owns one workspace
-(_Workspace), sized by its first and longest run: every run draws and
-evaluates in place in it and writes its SIRs into its rows of one
-preallocated trial-ordered output, so a call touches fresh pages once, not
-once per run.  Hexagon users are kept in rhombus coordinates with rho_own,
-and an evaluator takes rho_ctr off a per-scenario table where it reads it:
-the unshadowed limit terms (r_own / r_ctr)^(2 gamma) = (rho_own /
-rho_ctr)^gamma of the same-index user only under reused sets, every user's
-amplitude in the finite-M one.
+overlaps, shadowing and fading of all its trials from its own streams.  A
+run is a range of consecutive blocks, as many as keep its workspace within
+_RUN_BYTES, and an evaluator (_limit_block for the limiting and shadowed
+samplers, _finite_block for finite M) is run_fn(scn, seed, blocks, ws,
+rows, block_rows): each block draws into its rows of the run's arrays, in
+the order a lone block would, and one array pass fills rows, the run's
+slice of a trial-ordered output, whose length is the run's trial count.
+Each worker of a sampler call owns one workspace (_Workspace), sized by its
+first and longest run, in which every run draws and evaluates in place, so
+a call touches fresh pages once, not once per run.  Hexagon users are kept
+in rhombus coordinates with rho_own, and an evaluator takes rho_ctr off a
+per-scenario table where it reads it: the unshadowed limit terms (r_own /
+r_ctr)^(2 gamma) = (rho_own / rho_ctr)^gamma of the same-index user only
+under reused sets, every user's amplitude in the finite-M one.
 
 The finite-M simulator never draws the M x N channel matrix: i.i.d.
 Rayleigh fading is invariant in law under rotations of the user space, and
@@ -179,7 +179,6 @@ class _Scenario:
     pilot_snr: float = math.inf
     # optional fixed pilot book (different-sets validation path)
     book_grams: np.ndarray | None = None  # (n_cells, K, K) |<psi_c, psi_l>|^2
-    book_dim: int = 0
 
     @property
     def n_cells(self) -> int:
@@ -215,41 +214,41 @@ class _Workspace:
         return view
 
 
-def _block_streams(seed: int, first: int, blocks: int, role: int):
-    """(stream, rows) per block of the run first .. first + blocks - 1: the
-    block's own role stream and its _BLOCK rows of the run's trial axis."""
-    for j in range(blocks):
-        yield trial_rng(seed, first + j, role), slice(j * _BLOCK, (j + 1) * _BLOCK)
+def _block_streams(seed: int, blocks: range, role: int):
+    """(stream, rows) per block of the run blocks: the block's own role
+    stream and its _BLOCK rows of the run's trial axis."""
+    for j, block in enumerate(blocks):
+        yield trial_rng(seed, block, role), slice(j * _BLOCK, (j + 1) * _BLOCK)
 
 
-def _draw_users(scn: _Scenario, seed: int, first: int, blocks: int, count: int, ws: _Workspace):
-    """User drops (role 1) and pilot overlaps (role 2) of a run of blocks.
+def _draw_users(scn: _Scenario, seed: int, blocks: range, ws: _Workspace, rows):
+    """User drops (role 1) and pilot overlaps (role 2) of the run blocks.
 
-    Returns (users, phi), views of ws of shape (count, n_cells,
-    users_per_cell): sample_hexagon_position's (j + 3 * cell, s, t, rho_own),
-    or (r, theta) about the own station for circles (see
-    _squared_distances), and the overlaps |<psi, psi_tagged>|^2 (None under
-    reused sets, where only the same-index user of each cell collides,
-    fully).  Every block draws all _BLOCK trials from its own streams and the
-    run keeps the first count, so a shorter run is a prefix of a longer one.
+    Returns (users, phi) for the trials of the output rows, views of ws of
+    shape (len(rows), n_cells, users_per_cell): sample_hexagon_position's
+    (j + 3 * cell, s, t, rho_own), or (r, theta) about the own station for
+    circles (see _squared_distances), and the overlaps |<psi, psi_tagged>|^2
+    (None under reused sets, where only the same-index user of each cell
+    collides, fully).  Every block draws all _BLOCK trials from its own
+    streams, so a shorter run is a prefix of a longer one.
     """
-    n, k = scn.n_cells, scn.users_per_cell
-    shape = (blocks * _BLOCK, n, k)
-    rngs = [rng for rng, _ in _block_streams(seed, first, blocks, _ROLE_POSITIONS)]
+    n, k, count = scn.n_cells, scn.users_per_cell, len(rows)
+    shape = (len(blocks) * _BLOCK, n, k)
+    rngs = [rng for rng, _ in _block_streams(seed, blocks, _ROLE_POSITIONS)]
     if scn.region == "circle":  # the analytic disc density about the own station
         users = ws("r", shape), ws("theta", shape)
-        rows = tuple(u.reshape(blocks, -1) for u in users)  # one row per block
+        per_block = tuple(u.reshape(len(blocks), -1) for u in users)
         b = equal_area_radius(scn.geometry.cell_radius_m)
-        sample_circle_position(b, rngs, _BLOCK * n * k, out=rows)
+        sample_circle_position(b, rngs, _BLOCK * n * k, out=per_block)
     else:
         users = ws("rhombus", shape, np.intp), ws("s", shape), ws("t", shape), ws("rho", shape)
-        rows = tuple(u.reshape(blocks, -1) for u in users)
-        sample_hexagon_position(scn.geometry, rngs, _BLOCK * n * k, out=rows)
+        per_block = tuple(u.reshape(len(blocks), -1) for u in users)
+        sample_hexagon_position(scn.geometry, rngs, _BLOCK * n * k, out=per_block)
         users[0][:count] += np.arange(0, 3 * n, 3)[:, None]  # 3 * cell + j
     users = tuple(u[:count] for u in users)
     phi = None
     if scn.scheme is PilotScheme.DIFFERENT_SETS:
-        phi = _draw_overlaps(scn, seed, first, blocks, ws)[:count]
+        phi = _draw_overlaps(scn, seed, blocks, ws)[:count]
     return users, phi
 
 
@@ -281,10 +280,10 @@ def _squared_distances(scn: _Scenario, users, ws: _Workspace):
     return rho_own, rho_ctr
 
 
-def _draw_overlaps(scn: _Scenario, seed: int, first: int, blocks: int, ws: _Workspace):
-    """Different-sets pilot overlaps of every interferer of a run of blocks,
-    (blocks * _BLOCK, n_cells, users_per_cell) in ws, each block from its
-    role-2 stream.
+def _draw_overlaps(scn: _Scenario, seed: int, blocks: range, ws: _Workspace):
+    """Different-sets pilot overlaps of every interferer of the run blocks,
+    (len(blocks) * _BLOCK, n_cells, users_per_cell) in ws, each block from
+    its role-2 stream.
 
     With a fixed book, each trial draws the tagged user's column and, per
     cell, a uniform assignment of columns to users, and reads the overlaps
@@ -296,10 +295,10 @@ def _draw_overlaps(scn: _Scenario, seed: int, first: int, blocks: int, ws: _Work
     remainder.
     """
     n, k = scn.n_cells, scn.users_per_cell
-    phi = ws("phi", (blocks * _BLOCK, n, k))
-    streams = _block_streams(seed, first, blocks, _ROLE_PILOTS)
+    phi = ws("phi", (len(blocks) * _BLOCK, n, k))
+    streams = _block_streams(seed, blocks, _ROLE_PILOTS)
     if scn.book_grams is not None:
-        dim = scn.book_dim
+        dim = scn.book_grams.shape[-1]
         grams = scn.book_grams.reshape(-1)
         cols = ws("cols", (_BLOCK, n, dim), np.intp)
         template = np.broadcast_to(np.arange(dim), cols.shape)
@@ -313,7 +312,7 @@ def _draw_overlaps(scn: _Scenario, seed: int, first: int, blocks: int, ws: _Work
             index += cell_offset
             np.take(grams, index, out=phi[rows], mode="clip")
         return phi
-    rest = ws("rest", (blocks * _BLOCK, n, 1))
+    rest = ws("rest", (len(blocks) * _BLOCK, n, 1))
     for rng, rows in streams:
         rng.standard_exponential(out=phi[rows])
         rng.standard_gamma(scn.pilot_dim - k, out=rest[rows])
@@ -323,8 +322,8 @@ def _draw_overlaps(scn: _Scenario, seed: int, first: int, blocks: int, ws: _Work
     return phi
 
 
-def _limit_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int, ws, sir, stats):
-    """Limiting SIR of a run of blocks into sir (count,), shadowed when
+def _limit_block(scn: _Scenario, seed: int, blocks: range, ws, sir, stats):
+    """Limiting SIR of the run blocks into sir, one per trial, shadowed when
     scn.shadow_sigma_db > 0.
 
     stats has one row per block: if it has columns, column 0 receives the
@@ -332,12 +331,12 @@ def _limit_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int,
     n_cells, if present, the per-cell interference summed over the block's
     trials.
     """
-    users, phi = _draw_users(scn, seed, first, blocks, count, ws)
+    users, phi = _draw_users(scn, seed, blocks, ws, sir)
     if phi is None:
         # under reused sets only the same-index user of each cell contaminates
         users = [u[:, :, :1] for u in users]
     if scn.shadow_sigma_db > 0.0:
-        ratio = _shadowed_ratio(scn, users, seed, first, blocks, count, ws)
+        ratio = _shadowed_ratio(scn, users, seed, blocks, ws)
     else:
         # No shadowing: nearest-station service keeps every user on its own
         # cell, and the terms are the unshadowed power-control ratios
@@ -353,25 +352,25 @@ def _limit_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int,
         np.divide(1.0, sir, out=sir)
     if not stats.shape[1]:
         return
-    for b, s in enumerate(range(0, count, _BLOCK)):
+    for b, s in enumerate(range(0, len(sir), _BLOCK)):
         stats[b, 0] = ratio[s : s + _BLOCK].max() if ratio.size else 0.0
         if stats.shape[1] > 1:
             terms[s : s + _BLOCK].sum(axis=(0, 2), out=stats[b, 1:])
 
 
-def _shadowed_ratio(scn: _Scenario, users, seed: int, first: int, blocks: int, count: int, ws):
+def _shadowed_ratio(scn: _Scenario, users, seed: int, blocks: range, ws):
     """(beta_center / beta_serving)^2 per user of users (as _draw_users
     returns them for hexagons), in ws, under log-normal shadowing (role 3)
     and best-station selection, 0 for users the center station serves.
 
     Gains beta = 10^(z/10) r^-gamma go to every candidate station, 0 the
     center one and 1 + l co-channel cell l; they are compared in the log
-    domain on one station-major (n_cells + 1, count, n_cells, users) array,
+    domain on one station-major (n_cells + 1, trials, n_cells, users) array,
     so the best station is an elementwise maximum over its leading axis.
     The shadow normals are drawn in (trial, cell, user, station) order.
     """
     index, s, t, _rho = users
-    shape = s.shape  # (count, n_cells, users kept)
+    shape = s.shape  # (trials, n_cells, users kept)
     n, k = scn.n_cells, scn.users_per_cell
     # the users' positions c + s v_j + t v_(j+1) about the center station,
     # then their squared distances to each station
@@ -386,10 +385,10 @@ def _shadowed_ratio(scn: _Scenario, users, seed: int, first: int, blocks: int, c
     log_gain = np.add(*offsets, out=offsets[0])
     np.log(log_gain, out=log_gain)
     log_gain *= -scn.gamma / 2.0
-    z = ws("z", (blocks * _BLOCK, n, k, n + 1))
-    for rng, rows in _block_streams(seed, first, blocks, _ROLE_SHADOW):
+    z = ws("z", (len(blocks) * _BLOCK, n, k, n + 1))
+    for rng, rows in _block_streams(seed, blocks, _ROLE_SHADOW):
         rng.standard_normal(out=z[rows])
-    z = z[:count, :, : shape[2]]
+    z = z[: shape[0], :, : shape[2]]
     z *= scn.shadow_sigma_db * math.log(10.0) / 10.0
     log_gain += np.moveaxis(z, 3, 0)
     best = np.maximum.reduce(log_gain, axis=0, out=ws("best", shape))
@@ -402,13 +401,13 @@ def _shadowed_ratio(scn: _Scenario, users, seed: int, first: int, blocks: int, c
     return ratio
 
 
-def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int, ws, sinr, stats):
-    """Tagged-user SINR of a run of blocks at every load 1..users_per_cell,
-    where load k keeps the first k users of each cell, into sinr (count,
+def _finite_block(scn: _Scenario, seed: int, blocks: range, ws, sinr, stats):
+    """Tagged-user SINR of the run blocks at every load 1..users_per_cell,
+    where load k keeps the first k users of each cell, into sinr (trials,
     users_per_cell), column k - 1 for load k; stats is not used."""
-    users, phi = _draw_users(scn, seed, first, blocks, count, ws)
+    users, phi = _draw_users(scn, seed, blocks, ws, sinr)
     rho_own, rho_ctr = _squared_distances(scn, users, ws)
-    n, k = scn.n_cells, scn.users_per_cell
+    n, k, count = scn.n_cells, scn.users_per_cell, len(sinr)
     n_users = (n + 1) * k
     shape = (count, n + 1, k)
 
@@ -446,9 +445,9 @@ def _finite_block(scn: _Scenario, seed: int, first: int, blocks: int, count: int
     # over the in-cell index, and the denominator, summed over interferers,
     # is sum amp^2 |a g + w|^2 = |g|^2 A + 2 Re(g conj(B)) + C.
     noisy = math.isfinite(scn.pilot_snr)
-    z_norm = ws("z_norm", (blocks * _BLOCK, 1))
-    w = ws("w", (blocks * _BLOCK, 2 * (n_users + noisy)))
-    for rng, rows in _block_streams(seed, first, blocks, _ROLE_FADING):
+    z_norm = ws("z_norm", (len(blocks) * _BLOCK, 1))
+    w = ws("w", (len(blocks) * _BLOCK, 2 * (n_users + noisy)))
+    for rng, rows in _block_streams(seed, blocks, _ROLE_FADING):
         rng.standard_gamma(scn.antennas, out=z_norm[rows, 0])
         rng.standard_normal(out=w[rows])
     z_norm = np.sqrt(z_norm[:count], out=z_norm[:count])
@@ -495,59 +494,46 @@ def _run_length(scn: _Scenario) -> int:
 
 
 def _run_worker(args):
-    """run_fn over the blocks start .. stop - 1 in runs, in block order, with
-    one workspace; returns the rows of their trials and of the blocks."""
-    run_fn, scn, seed, trials, start, stop, row_shape, block_width = args
+    """run_fn over the range blocks in runs, in block order, with one
+    workspace; returns the rows of their trials and of the blocks."""
+    run_fn, scn, seed, trials, blocks, row_shape, block_width = args
     per_run = _run_length(scn)
-    offset = start * _BLOCK
-    rows = np.empty((min(stop * _BLOCK, trials) - offset, *row_shape))
-    block_rows = np.empty((stop - start, block_width))
+    rows = np.empty((min(blocks.stop * _BLOCK, trials) - blocks.start * _BLOCK, *row_shape))
+    block_rows = np.empty((len(blocks), block_width))
     ws = _Workspace()
-    for first in range(start, stop, per_run):
-        blocks = min(per_run, stop - first)
-        lo = first * _BLOCK - offset
-        count = min((first + blocks) * _BLOCK, trials) - first * _BLOCK
-        run_fn(
-            scn, seed, first, blocks, count, ws,
-            rows[lo : lo + count], block_rows[first - start : first - start + blocks],
-        )
+    for i in range(0, len(blocks), per_run):
+        run = slice(i, i + per_run)
+        run_fn(scn, seed, blocks[run], ws, rows[i * _BLOCK : run.stop * _BLOCK], block_rows[run])
     return rows, block_rows
 
 
 def _run_blocks(
     run_fn, scn: _Scenario, seed: int, trials: int, workers, row_shape=(), block_width=0
 ):
-    """run_fn(scn, seed, first, blocks, count, ws, rows, block_rows) for runs
-    of consecutive blocks of _BLOCK trials covering [0, trials), in block
-    order: blocks first .. first + blocks - 1, of which count trials are
-    kept (all but in the last block), into their rows of the trial-ordered
-    (trials, *row_shape) output and of the (blocks, block_width) per-block
-    output, which are returned.  ws is the worker's workspace.  Workers get
-    whole blocks, and every draw and every evaluated trial depends on its
-    block alone, so the output depends neither on the workers nor on the
-    grouping into runs."""
+    """run_fn(scn, seed, blocks, ws, rows, block_rows) for runs of
+    consecutive blocks of _BLOCK trials covering [0, trials), in block
+    order: blocks is the run's range of block indices, rows the rows of its
+    trials in the (trials, *row_shape) output, block_rows its rows in the
+    (blocks, block_width) per-block output, and ws the worker's workspace.
+    Both outputs are returned.  Workers get contiguous ranges of whole
+    blocks, and every draw and every evaluated trial depends on its block
+    alone, so the output depends neither on the workers nor on the grouping
+    into runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    blocks = -(-trials // _BLOCK)
-    if workers is None or workers <= 1 or blocks < 2:
-        return _run_worker((run_fn, scn, seed, trials, 0, blocks, row_shape, block_width))
+    blocks = range(-(-trials // _BLOCK))
+    if workers is None or workers <= 1 or len(blocks) < 2:
+        return _run_worker((run_fn, scn, seed, trials, blocks, row_shape, block_width))
     # imported here, not at module level: most calls run serially, and the
     # import would cost every CLI start
     from concurrent.futures import ProcessPoolExecutor
 
-    per_task = -(-blocks // workers)
-    starts = range(0, blocks, per_task)
-    tasks = [
-        (run_fn, scn, seed, trials, s, min(s + per_task, blocks), row_shape, block_width)
-        for s in starts
-    ]
-    rows = np.empty((trials, *row_shape))
-    block_rows = np.empty((blocks, block_width))
+    per_task = -(-len(blocks) // workers)
+    parts = [blocks[i : i + per_task] for i in range(0, len(blocks), per_task)]
+    tasks = [(run_fn, scn, seed, trials, part, row_shape, block_width) for part in parts]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for s, (part, block_part) in zip(starts, pool.map(_run_worker, tasks)):
-            rows[s * _BLOCK : s * _BLOCK + len(part)] = part
-            block_rows[s : s + len(block_part)] = block_part
-    return rows, block_rows
+        rows, block_rows = zip(*pool.map(_run_worker, tasks))
+    return np.concatenate(rows), np.concatenate(block_rows)
 
 
 def _cochannel_scenario(
@@ -635,7 +621,7 @@ def _attach_book(scn: _Scenario, book: PilotBook | None) -> _Scenario:
     grams = np.empty((scn.n_cells, book.sequence_length, book.sequence_length))
     for l in range(scn.n_cells):
         grams[l] = np.abs(center.conj().T @ book.matrices[l + 1]) ** 2
-    return replace(scn, book_grams=grams, book_dim=book.sequence_length)
+    return replace(scn, book_grams=grams)
 
 
 def sample_sir_limit(

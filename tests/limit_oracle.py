@@ -63,7 +63,7 @@ def _draw_distances(scn, rng):
 def _pilot_overlaps(scn, rng):
     n, k, dim = scn.n_cells, scn.users_per_cell, scn.pilot_dim
     if scn.book_grams is not None:
-        big_k = scn.book_dim
+        big_k = scn.book_grams.shape[-1]
         tagged_col = int(rng.integers(big_k))
         phi = np.empty((n, k))
         for l in range(n):

@@ -289,7 +289,7 @@ class TestCli:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["capacity-table", config_file, "--set", "qos.sir_db_max=1"]
         assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
+        assert main(args + ["--out", str(out2), "--diagnostics", str(tmp_path / "d.csv")]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_capacity_table_switch_comments_and_diagnostics(self, config_file, tmp_path):

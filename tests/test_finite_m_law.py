@@ -33,18 +33,18 @@ from mimocap.simulate import (
 _ROLE_NOISE = 5  # the oracle's own pilot-noise stream; the sampler has none
 
 
-def brute_force_block(scn, seed: int, first: int, blocks: int, count: int, ws, sinr, stats):
+def brute_force_block(scn, seed: int, blocks: range, ws, sinr, stats):
     """Oracle SINRs of a run of blocks into sinr, in the sampler's evaluator
     signature; distances by np.hypot, and per block its own fading and noise
     streams."""
-    users, phi = _draw_users(scn, seed, first, blocks, count, ws)
+    users, phi = _draw_users(scn, seed, blocks, ws, sinr)
     xs, ys = rhombus_xy(scn.geometry.cell_radius_m, users)
     r_own = np.hypot(xs, ys)
     r_ctr = np.hypot(xs + scn.centers[:, 0][:, None], ys + scn.centers[:, 1][:, None])
-    for t in range(count):
+    for t in range(len(sinr)):
         if t % _BLOCK == 0:
-            rng_fad = trial_rng(seed, first + t // _BLOCK, _ROLE_FADING)
-            rng_noise = trial_rng(seed, first + t // _BLOCK, _ROLE_NOISE)
+            rng_fad = trial_rng(seed, blocks[t // _BLOCK], _ROLE_FADING)
+            rng_noise = trial_rng(seed, blocks[t // _BLOCK], _ROLE_NOISE)
         trial_phi = None if phi is None else phi[t]
         sinr[t] = brute_force_trial(scn, r_own[t], r_ctr[t], trial_phi, rng_fad, rng_noise)
 

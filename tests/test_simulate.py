@@ -234,8 +234,8 @@ class TestSquaredDistances:
             for scheme in PilotScheme:
                 scn = _cochannel_scenario(geometry.with_reuse(3), scheme, 4, 14, region, 2)
                 sir = np.empty(150)
-                _limit_block(scn, SEED, 0, 3, 150, _Workspace(), sir, np.empty((3, 0)))
-                users, phi = _draw_users(scn, SEED, 0, 3, 150, _Workspace())
+                _limit_block(scn, SEED, range(3), _Workspace(), sir, np.empty((3, 0)))
+                users, phi = _draw_users(scn, SEED, range(3), _Workspace(), sir)
                 positions = users if region == "circle" else rhombus_xy(geometry.cell_radius_m, users)
                 r_own, r_ctr = _hypot_distances(scn, *positions)
                 ratio = (r_own / r_ctr) ** (2.0 * scn.gamma)
@@ -246,7 +246,7 @@ class TestSquaredDistances:
         for scheme in PilotScheme:
             scn = _finite_scenario(geometry.with_reuse(3), scheme, 4, FiniteMConfig(antennas=64), 2)
             sinr, expect = np.empty((150, 4)), np.empty((150, 4))
-            _finite_block(scn, SEED, 0, 3, 150, _Workspace(), sinr, np.empty((3, 0)))
+            _finite_block(scn, SEED, range(3), _Workspace(), sinr, np.empty((3, 0)))
             with monkeypatch.context() as m:
                 m.setattr(
                     simulate,
@@ -255,7 +255,7 @@ class TestSquaredDistances:
                         r * r for r in _hypot_distances(scn, *rhombus_xy(geometry.cell_radius_m, users))
                     ),
                 )
-                _finite_block(scn, SEED, 0, 3, 150, _Workspace(), expect, np.empty((3, 0)))
+                _finite_block(scn, SEED, range(3), _Workspace(), expect, np.empty((3, 0)))
             np.testing.assert_allclose(sinr, expect, rtol=1e-12, atol=0.0)
 
 
@@ -407,10 +407,10 @@ class TestShadowedSampler:
         trials, blocks = 130, 3  # the last block is partial
         scn = _cochannel_scenario(geometry, PilotScheme.DIFFERENT_SETS, 4, 42, "hexagon", 2)
         scn = replace(scn, shadow_sigma_db=8.0)
-        users, phi = _draw_users(scn, SEED, 0, blocks, trials, _Workspace())
+        users, phi = _draw_users(scn, SEED, range(blocks), _Workspace(), np.empty(trials))
         positions = rhombus_xy(geometry.cell_radius_m, users)
         expect = _trial_major_shadowed_ratio(scn, positions, SEED, blocks, trials)
-        ratio = _shadowed_ratio(scn, users, SEED, 0, blocks, trials, _Workspace())
+        ratio = _shadowed_ratio(scn, users, SEED, range(blocks), _Workspace())
         assert np.array_equal(ratio, expect)
 
         out = sample_sir_limit_shadowed(
@@ -548,11 +548,11 @@ class TestOutageAndSearch:
         cfg = FiniteMConfig(antennas=32, pilot_length=9)
         qos = QosTarget.from_db(0.0, 0.05)
         for scheme in PilotScheme:
-            serial = empirical_capacity_search(geometry, scheme, qos, trials=300, seed=SEED, finite_m=cfg)
-            parallel = empirical_capacity_search(
-                geometry, scheme, qos, trials=300, seed=SEED, finite_m=cfg, workers=2
-            )
-            assert serial == parallel
+            for max_tier in (1, 2):
+                kwargs = dict(trials=300, seed=SEED, finite_m=cfg, max_tier=max_tier)
+                serial = empirical_capacity_search(geometry, scheme, qos, **kwargs)
+                parallel = empirical_capacity_search(geometry, scheme, qos, **kwargs, workers=2)
+                assert serial == parallel
 
     def test_finite_m_search_rejects_undefined_sinr(self, geometry):
         # no data noise and no co-channel cells: load 1 leaves the tagged
