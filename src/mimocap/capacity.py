@@ -20,6 +20,7 @@ import numpy as np
 
 from .geometry import NetworkGeometry, circle_approximation, tier_specs
 from .interference import QosTarget, TierMoments, compute_tier_moments, q_inverse, qos_feasible
+from .interference import total_interference
 from .pilots import PilotScheme
 
 # Tolerance absorbed before flooring so that closed-form values that are
@@ -73,8 +74,7 @@ def effective_interference(moments: TierMoments, qos: QosTarget) -> np.ndarray:
 
 
 def max_interferers(effective, sir_linear) -> np.ndarray:
-    """n_max = floor(1 / (y_E S)), elementwise; the only place a floor is
-    applied."""
+    """n_max = floor(1 / (y_E S)), elementwise, under the floor guard."""
     if np.any(np.asarray(effective) <= 0.0) or np.any(np.asarray(sir_linear) <= 0.0):
         raise ValueError("effective interference and SIR must be positive")
     return np.floor(1.0 / (effective * sir_linear) + _FLOOR_GUARD)
@@ -118,9 +118,10 @@ def capacity_for_reuse(
 
     moments is the tier1_moments output for the same scheme, pilot budget
     and reuse factor; it does not depend on the QoS point, so a sweep
-    computes it once per reuse factor.  A single tier gives k_max =
-    floor(k_u); more tiers solve the feasibility equality in the per-cell
-    load through the aggregate moments.
+    computes it once per reuse factor.  Under different sets k_max solves
+    the feasibility equality in the per-cell load through the aggregate
+    moments.  At one tier that is floor(n_max / 6) unless 1 / (y_E S) lies
+    within 5e-9 below a multiple of 6: the floor guard applies once, to k.
     """
     if pilot_budget < 1:
         raise ValueError("pilot budget must be >= 1")
@@ -138,20 +139,9 @@ def capacity_for_reuse(
         feasible, _ = qos_feasible(moments, qos)
         k_max = np.where(feasible, budget, 0)
     else:
-        if len(moments) == 1:
-            k_cap = np.floor(k_u + _FLOOR_GUARD)
-        else:
-            # Outer tiers scale with the per-cell load as well; solve the
-            # feasibility equality in k through the aggregate moments.
-            agg = TierMoments(
-                tier_index=0,
-                mu_x=math.nan,
-                var_x=math.nan,
-                mu_y=sum(c * tm.mu_y for c, tm in moments),
-                var_y=sum(c * tm.var_y for c, tm in moments),
-            )
-            k_root = 1.0 / (effective_interference(agg, qos) * s)
-            k_cap = np.floor(k_root + _FLOOR_GUARD)
+        total = total_interference(moments)
+        agg = TierMoments(0, math.nan, math.nan, total.mean, total.variance)
+        k_cap = np.floor(1.0 / (effective_interference(agg, qos) * s) + _FLOOR_GUARD)
         k_max = np.minimum(k_cap, budget).astype(np.int64)
         feasible = k_max >= 1
 

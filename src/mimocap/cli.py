@@ -25,7 +25,7 @@ import numpy as np
 from . import capacity as cap
 from . import interference as intf
 from .config import ConfigError, ScenarioConfig, config_hash, load_config
-from .geometry import tier_specs
+from .geometry import sample_circle_position, tier_specs
 from .interference import QosTarget
 from .pilots import PilotScheme, cross_correlation, generate_pilot_book
 from .simulate import empirical_capacity_search, sample_sir_limit
@@ -302,8 +302,7 @@ def _validation_checks(config: ScenarioConfig, scale: float):
     spec = tier_specs(config.geometry, 1)[0]
     patch = cap.circle_approximation(config.geometry, spec, config.circle_mode)
     n = 1_000_000
-    r = patch.circle_radius_m * np.sqrt(rng.random(n))
-    th = rng.uniform(0.0, 2.0 * math.pi, n)
+    (r,), (th,) = sample_circle_position(patch.circle_radius_m, [rng], n)
     x = intf.interference_ratio(r, th, patch.separation_m, config.geometry.path_loss_exponent)
     mu_hat = float(x.mean())
     se_mu = float(x.std(ddof=1)) / math.sqrt(n)

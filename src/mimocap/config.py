@@ -17,6 +17,7 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .geometry import NetworkGeometry, cochannel_cells
+from .interference import db_to_linear
 from .simulate import _BLOCK, FiniteMConfig
 
 # Bounds on what a config may ask of the machine; none of them is a knob.
@@ -51,6 +52,8 @@ class QosGrid:
             raise ConfigError("qos.sir_db_max must be >= qos.sir_db_min")
         if (self.sir_db_max - self.sir_db_min) / self.sir_db_step >= _MAX_SIR_POINTS:
             raise ConfigError(f"the qos grid must hold at most {_MAX_SIR_POINTS} SIR points")
+        if db_to_linear(self.sir_db_min) == 0.0 or db_to_linear(self.sir_db_max) == math.inf:
+            raise ConfigError("qos.sir_db_min/max must have positive finite linear values")
         if not self.alphas:
             raise ConfigError("qos.alphas must list at least one outage probability")
         for a in self.alphas:

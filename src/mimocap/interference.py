@@ -91,6 +91,14 @@ class QosTarget:
         return cls(min_sir_linear=np.array([10.0 ** (s / 10.0) for s in points]), outage=outage)
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db / 10) by Python's float power, inf where that overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge; carries the last estimate."""
 

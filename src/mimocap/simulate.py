@@ -62,7 +62,7 @@ from .geometry import (
     sample_circle_position,
     sample_hexagon_position,
 )
-from .interference import QosTarget
+from .interference import QosTarget, db_to_linear
 from .pilots import PilotBook, PilotScheme
 
 _ROLE_POSITIONS = 1
@@ -124,14 +124,13 @@ class SirSampleSet:
         if arr.size and not np.all(arr > 0.0):
             raise ValueError("SIR samples must be positive")
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "_sorted", np.sort(arr))
 
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    @property
+    @functools.cached_property
     def sorted_samples(self) -> np.ndarray:
-        return self._sorted
+        return np.sort(self.samples)
 
 
 @dataclass(frozen=True)
@@ -149,6 +148,9 @@ class FiniteMConfig:
             raise ValueError("antenna count must be >= 1")
         if self.pilot_length < 1:
             raise ValueError("pilot length must be >= 1")
+        for name, snr_db in (("ul_snr_db", self.ul_snr_db), ("pilot_snr_db", self.pilot_snr_db)):
+            if snr_db is not None and not 0.0 < db_to_linear(snr_db) < math.inf:
+                raise ValueError(f"{name} = {snr_db:g} dB has no positive finite linear value")
 
 
 @dataclass(frozen=True)
@@ -617,10 +619,7 @@ def _attach_book(scn: _Scenario, book: PilotBook | None) -> _Scenario:
         raise ValueError("pilot book is too short for the per-cell load")
     if book.cell_count < scn.n_cells + 1:
         raise ValueError("pilot book does not cover every co-channel cell")
-    center = book.matrices[0]
-    grams = np.empty((scn.n_cells, book.sequence_length, book.sequence_length))
-    for l in range(scn.n_cells):
-        grams[l] = np.abs(center.conj().T @ book.matrices[l + 1]) ** 2
+    grams = np.abs(book.matrices[0].conj().T @ book.matrices[1 : scn.n_cells + 1]) ** 2
     return replace(scn, book_grams=grams)
 
 

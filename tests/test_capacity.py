@@ -229,27 +229,37 @@ def _oracle_point(scheme, moments, pilot_budget, reuse, qos):
 @pytest.mark.parametrize("tier_count", [1, 2])
 @pytest.mark.parametrize("scheme", list(PilotScheme))
 def test_array_sweep_matches_per_point_oracle(geometry, scheme, tier_count):
+    # budgets 9 and 1000 beside K = 42, whose K // w cap hides the
+    # different-sets solve below about 5 dB
     from mimocap.config import QosGrid
 
     sir_db = QosGrid().sir_db_values()
     fields = ("effective_interference", "n_max", "k_u", "k_max", "feasible")
-    moments = {w: tier1_moments(geometry, scheme, K, w, tier_count=tier_count) for w in (1, 3, 7)}
-    for alpha in (0.005, 0.05, 0.2):
-        qos = QosTarget.from_db(sir_db, alpha)
-        per_w = {w: capacity_for_reuse(scheme, qos, K, w, moments[w]) for w in (1, 3, 7)}
-        best_rep = best_reuse(per_w.values())
-        expect_best = []
-        for w, rep in per_w.items():
-            assert rep.chosen_reuse == w and rep.pilot_budget == K // w
-            expect = [
-                _oracle_point(scheme, moments[w], K, w, QosTarget.from_db(s, alpha)) for s in sir_db
-            ]
-            for name, column in zip(fields, zip(*expect)):
-                assert getattr(rep, name).tolist() == list(column), (w, alpha, name)
-            expect_best.append([(w, *point) for point in expect])
-        # per SIR point, the largest k_max, ties toward the smaller w
-        chosen = [max(points, key=lambda p: (p[4], -p[0])) for points in zip(*expect_best)]
-        assert best_rep.chosen_reuse.tolist() == [p[0] for p in chosen], alpha
-        assert best_rep.pilot_budget.tolist() == [K // p[0] for p in chosen]
-        for i, name in enumerate(fields, start=1):
-            assert getattr(best_rep, name).tolist() == [p[i] for p in chosen], (alpha, name)
+    for budget in (9, K, 1000):
+        moments = {
+            w: tier1_moments(geometry, scheme, budget, w, tier_count=tier_count) for w in (1, 3, 7)
+        }
+        for alpha in (0.005, 0.05, 0.2):
+            qos = QosTarget.from_db(sir_db, alpha)
+            per_w = {w: capacity_for_reuse(scheme, qos, budget, w, moments[w]) for w in (1, 3, 7)}
+            best_rep = best_reuse(per_w.values())
+            expect_best = []
+            for w, rep in per_w.items():
+                assert rep.chosen_reuse == w and rep.pilot_budget == budget // w
+                expect = [
+                    _oracle_point(scheme, moments[w], budget, w, QosTarget.from_db(s, alpha))
+                    for s in sir_db
+                ]
+                for name, column in zip(fields, zip(*expect)):
+                    assert getattr(rep, name).tolist() == list(column), (budget, w, alpha, name)
+                expect_best.append([(w, *point) for point in expect])
+            # per SIR point, the largest k_max, ties toward the smaller w
+            chosen = [max(points, key=lambda p: (p[4], -p[0])) for points in zip(*expect_best)]
+            assert best_rep.chosen_reuse.tolist() == [p[0] for p in chosen], (budget, alpha)
+            assert best_rep.pilot_budget.tolist() == [budget // p[0] for p in chosen]
+            for i, name in enumerate(fields, start=1):
+                assert getattr(best_rep, name).tolist() == [p[i] for p in chosen], (
+                    budget,
+                    alpha,
+                    name,
+                )

@@ -196,10 +196,12 @@ class TestConfig:
         assert load_config(empty_file, ("finite_m.pilot_snr_db=inf",)).finite_m.pilot_snr_db is None
 
     def test_sir_grid_size_bounded_before_it_is_built(self, empty_file):
-        grid = ("qos.sir_db_min=0", "qos.sir_db_step=1")
-        cfg = load_config(empty_file, grid + ("qos.sir_db_max=99999",))
+        # a step of 2^-7 dB keeps the end points exact and within the double
+        # range in linear scale
+        grid = ("qos.sir_db_min=0", "qos.sir_db_step=0.0078125")
+        cfg = load_config(empty_file, grid + ("qos.sir_db_max=781.2421875",))
         assert len(cfg.qos.sir_db_values()) == 100_000
-        for extra in (("qos.sir_db_max=100000",), ("qos.sir_db_step=1e-9",)):
+        for extra in (("qos.sir_db_max=781.25",), ("qos.sir_db_step=1e-9",)):
             with pytest.raises(ConfigError, match="SIR points"):
                 load_config(empty_file, grid + extra)
         with pytest.raises(ConfigError, match="SIR points"):
@@ -409,6 +411,23 @@ class TestCli:
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "command,overrides",
+        [
+            ("capacity-table", ("qos.sir_db_min=4000", "qos.sir_db_max=4001")),
+            ("capacity-table", ("qos.sir_db_min=-4000", "qos.sir_db_max=-3999")),
+            ("finite-m-table", ("finite_m.ul_snr_db=4000",)),
+            ("finite-m-table", ("finite_m.ul_snr_db=-4000",)),
+            ("finite-m-table", ("finite_m.pilot_snr_db=-4000",)),
+        ],
+    )
+    def test_db_values_without_a_linear_double_are_config_errors(self, command, overrides, capsys):
+        # 10^(x/10) overflows, or underflows to 0: rejected at load time
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main([command, str(CONFIGS / "smoke.ini"), *sets, "--out", os.devnull]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 def _per_cell_format(x) -> str:

@@ -71,3 +71,25 @@ def test_cli_import_leaves_process_pools_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_numpy_random_out():
+    # the Philox stream key type is made on first use, so that importing
+    # the CLI does not load numpy.random
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "import mimocap.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
