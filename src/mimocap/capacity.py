@@ -28,7 +28,7 @@ from .pilots import PilotScheme
 _FLOOR_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CapacityReport:
     """Capacity figures for one (scheme, reuse factor) over the SIR points
     of one QoS target.

@@ -17,7 +17,7 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .geometry import NetworkGeometry, cochannel_cells
-from .interference import db_to_linear
+from .interference import MAX_ABS_DB
 from .simulate import _BLOCK, FiniteMConfig
 
 # Bounds on what a config may ask of the machine; none of them is a knob.
@@ -40,6 +40,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class QosGrid:
+    """SIR points in dB and the outage probabilities of the QoS sweep."""
+
     sir_db_min: float = -5.0
     sir_db_max: float = 45.0
     sir_db_step: float = 0.1
@@ -52,8 +54,8 @@ class QosGrid:
             raise ConfigError("qos.sir_db_max must be >= qos.sir_db_min")
         if (self.sir_db_max - self.sir_db_min) / self.sir_db_step >= _MAX_SIR_POINTS:
             raise ConfigError(f"the qos grid must hold at most {_MAX_SIR_POINTS} SIR points")
-        if db_to_linear(self.sir_db_min) == 0.0 or db_to_linear(self.sir_db_max) == math.inf:
-            raise ConfigError("qos.sir_db_min/max must have positive finite linear values")
+        if not -MAX_ABS_DB <= self.sir_db_min <= self.sir_db_max <= MAX_ABS_DB:
+            raise ConfigError(f"qos.sir_db_min/max must lie within +-{MAX_ABS_DB:g} dB")
         if not self.alphas:
             raise ConfigError("qos.alphas must list at least one outage probability")
         for a in self.alphas:
@@ -67,6 +69,8 @@ class QosGrid:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One validated scenario: every setting the commands read."""
+
     # config_hash reads the fields in this order
     geometry: NetworkGeometry = field(default_factory=NetworkGeometry)
     finite_m: FiniteMConfig = field(default_factory=FiniteMConfig)

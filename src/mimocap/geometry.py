@@ -24,6 +24,10 @@ REUSE_SHIFTS = {1: (1, 0), 3: (1, 1), 7: (2, 1)}
 
 SUPPORTED_REUSE = tuple(sorted(REUSE_SHIFTS))
 
+# Cell radii far past any real cell on both sides; at the extremes of the
+# double range the squared distances overflow or lose their precision.
+CELL_RADIUS_RANGE_M = (1e-3, 1e7)
+
 
 @dataclass(frozen=True)
 class NetworkGeometry:
@@ -45,6 +49,9 @@ class NetworkGeometry:
                 f"unsupported reuse factor {self.reuse_factor}; "
                 f"supported: {SUPPORTED_REUSE}"
             )
+        low, high = CELL_RADIUS_RANGE_M
+        if not low <= self.cell_radius_m <= high:
+            raise ValueError(f"cell radius must lie in [{low:g}, {high:g}] m")
         if not 0.0 <= self.hole_radius_m < self.cell_radius_m:
             raise ValueError("hole radius must satisfy 0 <= a_h < a")
         if self.path_loss_exponent <= 2.0:
@@ -61,7 +68,7 @@ class NetworkGeometry:
         return replace(self, reuse_factor=reuse_factor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cell:
     """One co-channel cell: its center and its tier index (1 = nearest)."""
 
@@ -69,7 +76,7 @@ class Cell:
     tier: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CirclePatch:
     """Circular-cell approximation of an interfering cell.
 
@@ -85,7 +92,7 @@ class CirclePatch:
             raise ValueError("circle radius must be smaller than the separation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TierSpec:
     """Co-channel cells at the tier_index-th co-channel distance."""
 

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .geometry import CirclePatch
 from .pilots import PilotScheme
@@ -29,11 +27,10 @@ from .pilots import PilotScheme
 # Relative agreement of two successive quadrature orders that ends refinement.
 _QUAD_RTOL = 1e-8
 
-_STANDARD_NORMAL = statistics.NormalDist()
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TierMoments:
     """Interference moments for one co-channel tier.
 
@@ -49,8 +46,10 @@ class TierMoments:
     var_y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GaussianInterference:
+    """Mean and variance of a Gaussian interference total."""
+
     mean: float
     variance: float
 
@@ -59,7 +58,7 @@ class GaussianInterference:
             raise ValueError("variance must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class QosTarget:
     """Minimum SIR (linear) and allowed outage probability.
 
@@ -91,12 +90,10 @@ class QosTarget:
         return cls(min_sir_linear=np.array([10.0 ** (s / 10.0) for s in points]), outage=outage)
 
 
-def db_to_linear(db: float) -> float:
-    """10^(db / 10) by Python's float power, inf where that overflows."""
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        return math.inf
+# dB settings (SIR thresholds, SNRs) must lie within +-MAX_ABS_DB, far past
+# any real link: their linear values, 1e-100 to 1e100, and the products of a
+# few of them stay finite normal doubles through every command
+MAX_ABS_DB = 1000.0
 
 
 class QuadratureError(RuntimeError):
@@ -127,6 +124,9 @@ def interference_ratio(r_l, theta, separation: float, gamma: float):
 @functools.cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the order-point rule on [-1, 1]."""
+    # imported here, not at module level: only the quadrature needs it
+    from numpy.polynomial.legendre import leggauss
+
     nodes, weights = leggauss(order)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
@@ -207,7 +207,10 @@ def q_inverse(alpha: float) -> float:
     """Inverse of the normal tail, Q^-1(alpha) = -Phi^-1(alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    return -_STANDARD_NORMAL.inv_cdf(alpha)
+    # imported here, not at module level: it loads fractions and decimal
+    from statistics import NormalDist
+
+    return -NormalDist().inv_cdf(alpha)
 
 
 def total_interference(load) -> GaussianInterference:

@@ -10,7 +10,7 @@ cross-cell correlations phi = |<psi_a, psi_b>|^2 become random with mean
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,14 +30,14 @@ class PilotScheme(Enum):
         raise ValueError(f"unknown pilot scheme {name!r}; use 'reused' or 'different'")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PilotBook:
     """Per-cell pilot matrices plus the column-to-user assignment."""
 
     scheme: PilotScheme
     sequence_length: int
     matrices: np.ndarray  # (cell_count, K, K) complex, unitary columns
-    assignments: np.ndarray = field(repr=False)  # (cell_count, K) permutations
+    assignments: np.ndarray  # (cell_count, K) permutations
 
     @property
     def cell_count(self) -> int:

@@ -62,7 +62,7 @@ from .geometry import (
     sample_circle_position,
     sample_hexagon_position,
 )
-from .interference import QosTarget, db_to_linear
+from .interference import MAX_ABS_DB, QosTarget
 from .pilots import PilotBook, PilotScheme
 
 _ROLE_POSITIONS = 1
@@ -113,7 +113,7 @@ def trial_rng(seed: int, block: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_stream_key_type()(key), counter=counter))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SirSampleSet:
     """SIR realizations (linear scale) for one scenario, in trial order."""
 
@@ -149,17 +149,19 @@ class FiniteMConfig:
         if self.pilot_length < 1:
             raise ValueError("pilot length must be >= 1")
         for name, snr_db in (("ul_snr_db", self.ul_snr_db), ("pilot_snr_db", self.pilot_snr_db)):
-            if snr_db is not None and not 0.0 < db_to_linear(snr_db) < math.inf:
-                raise ValueError(f"{name} = {snr_db:g} dB has no positive finite linear value")
+            if snr_db is not None and not abs(snr_db) <= MAX_ABS_DB:
+                raise ValueError(f"{name} = {snr_db:g} dB lies outside +-{MAX_ABS_DB:g} dB")
 
 
 @dataclass(frozen=True)
 class ShadowDiagnostics:
+    """Interference share per tier and the largest interference ratio drawn."""
+
     tier_shares: dict[int, float]
     max_interference_ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Scenario:
     """Everything a block needs; immutable and picklable for workers."""
 
@@ -743,6 +745,9 @@ def wilson_interval(failures: int, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CapacitySearchResult:
+    """Admitted load per reuse factor, its outage with the Wilson interval,
+    and the best reuse factor and load."""
+
     per_reuse: dict[int, int]
     outage_at_k: dict[int, tuple[float, tuple[float, float]]] = field(repr=False)
     best_reuse: int = 0

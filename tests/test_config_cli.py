@@ -195,6 +195,21 @@ class TestConfig:
     def test_snr_inf_still_disables_noise(self, empty_file):
         assert load_config(empty_file, ("finite_m.pilot_snr_db=inf",)).finite_m.pilot_snr_db is None
 
+    def test_db_and_radius_bounds_are_inclusive(self, empty_file):
+        cfg = load_config(
+            empty_file,
+            (
+                "qos.sir_db_min=-1000",
+                "qos.sir_db_max=1000",
+                "qos.sir_db_step=1",
+                "finite_m.ul_snr_db=1000",
+                "finite_m.pilot_snr_db=-1000",
+                "geometry.cell_radius_m=1e7",
+            ),
+        )
+        assert (cfg.qos.sir_db_min, cfg.qos.sir_db_max) == (-1000.0, 1000.0)
+        assert load_config(empty_file, ("geometry.cell_radius_m=1e-3", "geometry.hole_radius_m=0"))
+
     def test_sir_grid_size_bounded_before_it_is_built(self, empty_file):
         # a step of 2^-7 dB keeps the end points exact and within the double
         # range in linear scale
@@ -420,14 +435,32 @@ class TestCli:
             ("finite-m-table", ("finite_m.ul_snr_db=4000",)),
             ("finite-m-table", ("finite_m.ul_snr_db=-4000",)),
             ("finite-m-table", ("finite_m.pilot_snr_db=-4000",)),
+            # linear values that are positive finite doubles, yet overflow
+            # further on: the CSV's n_max, y_E through z, a_noise^2
+            ("capacity-table", ("qos.sir_db_min=-3070", "qos.sir_db_max=-3069")),
+            ("capacity-table", ("qos.sir_db_min=-3200", "qos.sir_db_max=-3199")),
+            ("finite-m-table", ("finite_m.pilot_snr_db=-3100",)),
         ],
     )
     def test_db_values_without_a_linear_double_are_config_errors(self, command, overrides, capsys):
-        # 10^(x/10) overflows, or underflows to 0: rejected at load time
+        # every dB setting must lie within +-1000 dB: rejected at load time
         sets = [arg for item in overrides for arg in ("--set", item)]
         assert main([command, str(CONFIGS / "smoke.ini"), *sets, "--out", os.devnull]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ("geometry.cell_radius_m=1e308",),  # its squares overflow
+            ("geometry.cell_radius_m=1e-320", "geometry.hole_radius_m=0"),  # subnormal
+        ],
+    )
+    def test_extreme_cell_radius_is_config_error(self, overrides, capsys):
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["capacity-table", str(CONFIGS / "smoke.ini"), *sets, "--out", os.devnull]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cell radius")
 
 
 def _per_cell_format(x) -> str:

@@ -81,6 +81,11 @@ class TestLayout:
         with pytest.raises(ValueError):
             NetworkGeometry(path_loss_exponent=2.0)
 
+    @pytest.mark.parametrize("radius", [1e7 * (1 + 1e-15), 0.0, -1600.0, math.nan])
+    def test_cell_radius_outside_its_range_rejected(self, radius):
+        with pytest.raises(ValueError, match="cell radius"):
+            NetworkGeometry(cell_radius_m=radius, hole_radius_m=0.0)
+
 
 class TestTiers:
     def test_tier1_matches_bruteforce_lattice(self, geometry):

@@ -93,3 +93,38 @@ def test_cli_import_leaves_numpy_random_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_single_path_modules_out():
+    # statistics serves only q_inverse and numpy.polynomial only the
+    # quadrature nodes, so each is imported where it is used
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "import mimocap.cli\n"
+        "names = ('statistics', 'numpy.polynomial')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(names)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cache_keys_hash_and_compare_by_value():
+    # cochannel_cells and _sinr_by_load are lru_caches keyed on these, so
+    # equal values must hit the same entry
+    from mimocap.geometry import NetworkGeometry
+    from mimocap.simulate import FiniteMConfig
+
+    for cls, change in ((NetworkGeometry, {"reuse_factor": 3}), (FiniteMConfig, {"antennas": 64})):
+        a, b, c = cls(), cls(), cls(**change)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != c and len({a, b, c}) == 2
