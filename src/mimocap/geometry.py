@@ -27,6 +27,8 @@ SUPPORTED_REUSE = tuple(sorted(REUSE_SHIFTS))
 # Cell radii far past any real cell on both sides; at the extremes of the
 # double range the squared distances overflow or lose their precision.
 CELL_RADIUS_RANGE_M = (1e-3, 1e7)
+# Past any measured exponent; at 1000 the interference moments underflow.
+PATH_LOSS_EXPONENT_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,11 @@ class NetworkGeometry:
         low, high = CELL_RADIUS_RANGE_M
         if not low <= self.cell_radius_m <= high:
             raise ValueError(f"cell radius must lie in [{low:g}, {high:g}] m")
-        if not 0.0 <= self.hole_radius_m < self.cell_radius_m:
-            raise ValueError("hole radius must satisfy 0 <= a_h < a")
-        if self.path_loss_exponent <= 2.0:
-            raise ValueError(
-                "path loss exponent must exceed 2 for finite interference moments"
-            )
+        # within the inradius the hole leaves the sampler 9.3% of the hexagon
+        if not 0.0 <= self.hole_radius_m <= math.sqrt(3.0) / 2.0 * self.cell_radius_m:
+            raise ValueError("hole radius must satisfy 0 <= a_h <= sqrt(3)/2 a (the inradius)")
+        if not 2.0 < self.path_loss_exponent <= PATH_LOSS_EXPONENT_MAX:  # 2: infinite moments
+            raise ValueError(f"path loss exponent must lie in (2, {PATH_LOSS_EXPONENT_MAX:g}]")
 
     @property
     def center_spacing_m(self) -> float:

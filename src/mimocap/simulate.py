@@ -22,9 +22,8 @@ Each worker of a sampler call owns one workspace (_Workspace), sized by its
 first and longest run, in which every run draws and evaluates in place, so
 a call touches fresh pages once, not once per run.  Hexagon users are kept
 in rhombus coordinates with rho_own, and an evaluator takes rho_ctr off a
-per-scenario table where it reads it: the unshadowed limit terms (r_own /
-r_ctr)^(2 gamma) = (rho_own / rho_ctr)^gamma of the same-index user only
-under reused sets, every user's amplitude in the finite-M one.
+per-scenario table: the unshadowed limit terms (r_own / r_ctr)^(2 gamma) =
+(rho_own / rho_ctr)^gamma, and every user's amplitude in the finite-M one.
 
 The finite-M simulator never draws the M x N channel matrix: i.i.d.
 Rayleigh fading is invariant in law under rotations of the user space, and
@@ -43,7 +42,10 @@ bit-for-bit, a shorter run is a prefix of a longer one, and neither the
 worker count nor the grouping of blocks into runs changes anything.  All
 samplers draw users and pilots through the same block helpers in the
 same order, which makes paired comparisons across samplers (same user
-drops, same pilot collisions) possible by reusing a seed.
+drops, same pilot collisions) possible by reusing a seed.  Under reused
+sets only the same-index user of each cell contaminates, so the limit
+samplers draw one user per cell there (_limit_scenario), and their runs
+pair with the load-1 runs of the other samplers.
 """
 
 from __future__ import annotations
@@ -319,9 +321,11 @@ def _draw_overlaps(scn: _Scenario, seed: int, blocks: range, ws: _Workspace):
     rest = ws("rest", (len(blocks) * _BLOCK, n, 1))
     for rng, rows in streams:
         rng.standard_exponential(out=phi[rows])
-        rng.standard_gamma(scn.pilot_dim - k, out=rest[rows])
+        if scn.pilot_dim > k:  # Gamma(0) is 0 and draws nothing
+            rng.standard_gamma(scn.pilot_dim - k, out=rest[rows])
     total = phi.sum(axis=2, keepdims=True, out=ws("phi_total", rest.shape))
-    total += rest
+    if scn.pilot_dim > k:
+        total += rest
     phi /= total
     return phi
 
@@ -336,9 +340,6 @@ def _limit_block(scn: _Scenario, seed: int, blocks: range, ws, sir, stats):
     trials.
     """
     users, phi = _draw_users(scn, seed, blocks, ws, sir)
-    if phi is None:
-        # under reused sets only the same-index user of each cell contaminates
-        users = [u[:, :, :1] for u in users]
     if scn.shadow_sigma_db > 0.0:
         ratio = _shadowed_ratio(scn, users, seed, blocks, ws)
     else:
@@ -348,8 +349,8 @@ def _limit_block(scn: _Scenario, seed: int, blocks: range, ws, sir, stats):
         ratio, rho_ctr = _squared_distances(scn, users, ws)
         ratio /= rho_ctr
         ratio **= scn.gamma
-    # contaminating terms at the center station: the same-index user of each
-    # cell under reused sets, every user weighted by its overlap otherwise
+    # contaminating terms at the center station: the one user of each cell
+    # under reused sets, every user weighted by its overlap otherwise
     terms = ratio if phi is None else np.multiply(phi, ratio, out=phi)
     terms.sum(axis=(1, 2), out=sir)
     with np.errstate(divide="ignore"):  # no interference: infinite SIR
@@ -374,8 +375,8 @@ def _shadowed_ratio(scn: _Scenario, users, seed: int, blocks: range, ws):
     The shadow normals are drawn in (trial, cell, user, station) order.
     """
     index, s, t, _rho = users
-    shape = s.shape  # (trials, n_cells, users kept)
-    n, k = scn.n_cells, scn.users_per_cell
+    shape = s.shape  # (trials, n_cells, users_per_cell)
+    n = scn.n_cells
     # the users' positions c + s v_j + t v_(j+1) about the center station,
     # then their squared distances to each station
     user = np.take(scn.edge_table[0], index, axis=1, out=ws("user", (2, *shape)), mode="clip")
@@ -389,10 +390,10 @@ def _shadowed_ratio(scn: _Scenario, users, seed: int, blocks: range, ws):
     log_gain = np.add(*offsets, out=offsets[0])
     np.log(log_gain, out=log_gain)
     log_gain *= -scn.gamma / 2.0
-    z = ws("z", (len(blocks) * _BLOCK, n, k, n + 1))
+    z = ws("z", (len(blocks) * _BLOCK, *shape[1:], n + 1))
     for rng, rows in _block_streams(seed, blocks, _ROLE_SHADOW):
         rng.standard_normal(out=z[rows])
-    z = z[: shape[0], :, : shape[2]]
+    z = z[: shape[0]]
     z *= scn.shadow_sigma_db * math.log(10.0) / 10.0
     log_gain += np.moveaxis(z, 3, 0)
     best = np.maximum.reduce(log_gain, axis=0, out=ws("best", shape))
@@ -575,6 +576,14 @@ def _cochannel_scenario(
     )
 
 
+def _limit_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier) -> _Scenario:
+    """_cochannel_scenario, with one user per cell under reused sets (after
+    the load check): only the same-index user of each cell contaminates."""
+    scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
+    reused = scheme is PilotScheme.REUSED_SETS
+    return replace(scn, users_per_cell=1) if reused else scn
+
+
 def _finite_scenario(
     geometry: NetworkGeometry,
     scheme: PilotScheme,
@@ -646,7 +655,7 @@ def sample_sir_limit(
     the column assignment is redrawn); by default pilots are redrawn every
     trial, matching the analytic averaging over the Haar measure.
     """
-    scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
+    scn = _limit_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = _attach_book(scn, pilot_book)
     sir, _ = _run_blocks(_limit_block, scn, seed, trials, workers)
     return SirSampleSet(sir)
@@ -683,7 +692,7 @@ def sample_sir_limit_shadowed(
         # best-station selection needs every user's distance to every
         # station; circle users are drawn relative to their own station only
         raise ValueError("shadow_sigma_db > 0 needs region 'hexagon', not 'circle'")
-    scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
+    scn = _limit_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
     scn = replace(scn, shadow_sigma_db=shadow_sigma_db)
     # per block: the largest interference ratio, then the per-cell sums
     width = 1 + scn.n_cells if diagnostics else 1

@@ -210,6 +210,15 @@ class TestConfig:
         assert (cfg.qos.sir_db_min, cfg.qos.sir_db_max) == (-1000.0, 1000.0)
         assert load_config(empty_file, ("geometry.cell_radius_m=1e-3", "geometry.hole_radius_m=0"))
 
+    def test_hole_radius_within_the_inradius(self, empty_file):
+        # a hole just inside the cell edge left the hexagon sampler nothing
+        # to keep; the inradius itself is accepted
+        inradius = math.sqrt(3.0) / 2.0 * 1600.0
+        assert load_config(empty_file, (f"geometry.hole_radius_m={inradius!r}",))
+        for hole in (math.nextafter(inradius, math.inf), 1599.9999):
+            with pytest.raises(ConfigError, match="hole radius"):
+                load_config(empty_file, (f"geometry.hole_radius_m={hole!r}",))
+
     def test_sir_grid_size_bounded_before_it_is_built(self, empty_file):
         # a step of 2^-7 dB keeps the end points exact and within the double
         # range in linear scale
@@ -461,6 +470,15 @@ class TestCli:
         assert main(["capacity-table", str(CONFIGS / "smoke.ini"), *sets, "--out", os.devnull]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: cell radius")
+
+    @pytest.mark.parametrize("gamma", ["1000", "1e308"])  # moments underflow; quadrature fails
+    def test_extreme_path_loss_exponent_is_config_error(self, gamma, empty_file, capsys):
+        out = ["--out", os.devnull]
+        sets = ["--set", f"geometry.path_loss_exponent={gamma}"]
+        assert main(["capacity-table", str(CONFIGS / "smoke.ini"), *sets, *out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: path loss exponent")
+        assert load_config(empty_file, ("geometry.path_loss_exponent=10",))
 
 
 def _per_cell_format(x) -> str:

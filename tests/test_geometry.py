@@ -8,6 +8,7 @@ from scipy.stats import chisquare
 from hexagon_points import point_in_hexagon, rhombus_xy
 from lattice_oracle import cochannel_with_tiers, min_rings_for_cochannel, ring_lattice
 from mimocap.geometry import (
+    PATH_LOSS_EXPONENT_MAX,
     CirclePatch,
     NetworkGeometry,
     circle_approximation,
@@ -80,6 +81,21 @@ class TestLayout:
             NetworkGeometry(hole_radius_m=2000.0)
         with pytest.raises(ValueError):
             NetworkGeometry(path_loss_exponent=2.0)
+
+    def test_path_loss_exponent_bounded(self):
+        assert NetworkGeometry(path_loss_exponent=PATH_LOSS_EXPONENT_MAX)
+        for gamma in (PATH_LOSS_EXPONENT_MAX * (1 + 1e-15), 1000.0, 1e308, math.nan):
+            with pytest.raises(ValueError, match="path loss exponent"):
+                NetworkGeometry(path_loss_exponent=gamma)
+
+    def test_hole_stays_within_the_inradius(self):
+        # the largest hole leaves 1 - pi / (2 sqrt 3) of the hexagon outside it
+        inradius = math.sqrt(3.0) / 2.0 * 1600.0
+        for hole in (0.0, 50.0, 900.0, inradius):
+            assert NetworkGeometry(cell_radius_m=1600.0, hole_radius_m=hole)
+        for hole in (inradius * (1 + 1e-15), 1599.9999, 2000.0, -1.0):
+            with pytest.raises(ValueError, match="hole radius"):
+                NetworkGeometry(cell_radius_m=1600.0, hole_radius_m=hole)
 
     @pytest.mark.parametrize("radius", [1e7 * (1 + 1e-15), 0.0, -1600.0, math.nan])
     def test_cell_radius_outside_its_range_rejected(self, radius):

@@ -21,6 +21,7 @@ from mimocap.simulate import (
     _finite_block,
     _finite_scenario,
     _limit_block,
+    _limit_scenario,
     _run_length,
     _shadowed_ratio,
     _sinr_by_load,
@@ -232,7 +233,7 @@ class TestSquaredDistances:
     def test_limit_sir(self, geometry):
         for region in ("hexagon", "circle"):
             for scheme in PilotScheme:
-                scn = _cochannel_scenario(geometry.with_reuse(3), scheme, 4, 14, region, 2)
+                scn = _limit_scenario(geometry.with_reuse(3), scheme, 4, 14, region, 2)
                 sir = np.empty(150)
                 _limit_block(scn, SEED, range(3), _Workspace(), sir, np.empty((3, 0)))
                 users, phi = _draw_users(scn, SEED, range(3), _Workspace(), sir)
@@ -272,6 +273,21 @@ class TestSquaredDistances:
 
 
 class TestLimitSampler:
+    def test_reused_sets_draw_one_user_per_cell(self, geometry):
+        # only the same-index user of each cell contaminates, so every load
+        # draws, and returns, the samples of load 1
+        reused = PilotScheme.REUSED_SETS
+        runs = [
+            lambda k: sample_sir_limit(geometry, reused, k, 300, SEED).samples,
+            lambda k: sample_sir_limit(geometry, reused, k, 300, SEED, region="circle").samples,
+            lambda k: sample_sir_limit_shadowed(geometry, reused, k, 0.0, 300, SEED).samples,
+            lambda k: sample_sir_limit_shadowed(geometry, reused, k, 8.0, 300, SEED).samples,
+        ]
+        for run in runs:
+            load_1 = run(1)
+            for k in (3, 6):
+                assert np.array_equal(run(k), load_1)
+
     def test_reused_distribution_independent_of_load(self, geometry):
         # exactly one interferer per co-channel cell no matter how many
         # users are admitted: k=1 and k=42 runs are the same distribution
