@@ -287,9 +287,11 @@ def _validation_checks(config: ScenarioConfig, scale: float):
     tol = 1e-9 * scale
     yield "closed-form-vs-root", worst <= tol, f"max rel err={worst:.3e} tol={tol:.3e}"
 
-    # pilot-weighting identities (different sets, default variance form)
+    # pilot-weighting identities (different sets, default variance form), at
+    # reuse 1, where the pilot dimension is the whole budget
     scheme = PilotScheme.DIFFERENT_SETS
-    moments = cap.tier1_moments(config.geometry, scheme, config.pilot_budget, 1, config.circle_mode)
+    geo = config.geometry.with_reuse(1)
+    moments = cap.tier1_moments(geo, scheme, config.pilot_budget, 1, config.circle_mode)
     _count, tm = moments[0]
     id_err = max(
         abs(tm.mu_y * kdim - tm.mu_x) / tm.mu_x,
@@ -298,9 +300,9 @@ def _validation_checks(config: ScenarioConfig, scale: float):
     tol = 1e-13 * scale
     yield "pilot-weighting-identities", id_err <= tol, f"max rel err={id_err:.3e} tol={tol:.3e}"
 
-    # quadrature moments vs direct Monte Carlo over the disc
-    spec = tier_specs(config.geometry, 1)[0]
-    patch = cap.circle_approximation(config.geometry, spec, config.circle_mode)
+    # the quadrature moments of that tier vs direct Monte Carlo over its disc
+    spec = tier_specs(geo, 1)[0]
+    patch = cap.circle_approximation(geo, spec, config.circle_mode)
     n = 1_000_000
     (r,), (th,) = sample_circle_position(patch.circle_radius_m, [rng], n)
     x = intf.interference_ratio(r, th, patch.separation_m, config.geometry.path_loss_exponent)

@@ -24,7 +24,10 @@ from .simulate import _BLOCK, FiniteMConfig
 _MAX_SIR_POINTS = 100_000  # per alpha; checked before the grid list is built
 _MAX_PILOTS = 10_000  # a pilot book is budget x budget complex per cell (1.6 GB at 10^4)
 _MAX_TRIALS = 10_000_000  # sir-cdf keeps every limit sample: 80 MB per scheme at 10^7
-_MAX_FINITE_M_SINRS = 42_000_000  # _sinr_by_load holds one float per trial per pilot
+# trials x pilot length: the _sinr_by_load memo holds one (trials, L // w) float
+# array for each of w = 1, 3 and 7, trials x (L + L // 3 + L // 7) doubles in
+# all, about 1.48 floats per trial per pilot (0.5 GB at this bound)
+_MAX_FINITE_M_SINRS = 42_000_000
 _MAX_TIERS = 50  # 50 co-channel tiers already hold 534 cells at w = 1
 # The samplers draw _BLOCK trials x (co-channel cells + 1) x users per cell
 # values per array, and a call's workspace holds its longest run at up to
@@ -98,6 +101,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown sampling region {self.region!r}")
         if self.tier_count < 1:
             raise ConfigError("model.tier_count must be >= 1")
+        if not 0 <= self.seed < 2**64:  # the Philox key is 64 bits; trial_rng would wrap it
+            raise ConfigError("montecarlo.seed must lie in [0, 2^64)")
         cpus = os.cpu_count() or 1
         if not 0 <= self.workers <= cpus:
             raise ConfigError(f"montecarlo.workers must lie in [0, {cpus}] (the CPU count)")

@@ -44,7 +44,7 @@ samplers draw users and pilots through the same block helpers in the
 same order, which makes paired comparisons across samplers (same user
 drops, same pilot collisions) possible by reusing a seed.  Under reused
 sets only the same-index user of each cell contaminates, so the limit
-samplers draw one user per cell there (_limit_scenario), and their runs
+samplers draw one user per cell there (_scenario), and their runs
 pair with the load-1 runs of the other samplers.
 """
 
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -178,13 +178,13 @@ class _Scenario:
     scheme: PilotScheme
     pilot_dim: int
     region: str
-    shadow_sigma_db: float = 0.0
-    # finite-M extras
-    antennas: int = 0
-    ul_snr: float = math.inf
-    pilot_snr: float = math.inf
+    shadow_sigma_db: float
+    # finite-M extras: 0 antennas and infinite SNRs in a limit scenario
+    antennas: int
+    ul_snr: float
+    pilot_snr: float
     # optional fixed pilot book (different-sets validation path)
-    book_grams: np.ndarray | None = None  # (n_cells, K, K) |<psi_c, psi_l>|^2
+    book_grams: np.ndarray | None  # (n_cells, K, K) |<psi_c, psi_l>|^2
 
     @property
     def n_cells(self) -> int:
@@ -541,97 +541,89 @@ def _run_blocks(
     return np.concatenate(rows), np.concatenate(block_rows)
 
 
-def _cochannel_scenario(
+def _scenario(
     geometry: NetworkGeometry,
     scheme: PilotScheme,
     users_per_cell: int,
-    pilot_dim: int | None,
-    region: str,
     max_tier: int,
+    pilot_dim: int | None = None,
+    region: str = "hexagon",
+    shadow_sigma_db: float = 0.0,
+    book: PilotBook | None = None,
+    finite_m: FiniteMConfig | None = None,
+    load: int | None = None,
 ) -> _Scenario:
+    """The checked scenario of one sampler call: users_per_cell users in
+    each cell of cochannel_cells(geometry, max_tier).
+
+    finite_m makes it a finite-M scenario (a per-cell pilot space of
+    pilot_length // reuse_factor, linear SNRs) whose SINR at the per-cell
+    load `load` must be defined.  Without it, under reused sets only the
+    same-index user of each cell contaminates, so after the load check the
+    scenario holds one user per cell.
+    """
+    if shadow_sigma_db < 0.0:
+        raise ValueError("shadow standard deviation must be >= 0 dB")
+    if shadow_sigma_db > 0.0 and region == "circle":
+        # best-station selection needs every user's distance to every
+        # station; circle users are drawn relative to their own station only
+        raise ValueError("shadow_sigma_db > 0 needs region 'hexagon', not 'circle'")
     if users_per_cell < 1:
         raise ValueError("users_per_cell must be >= 1")
     if region not in ("hexagon", "circle"):
         raise ValueError(f"unknown sampling region {region!r}")
-    cells = cochannel_cells(geometry, max_tier)
-    centers = np.array([c.center for c in cells]).reshape(-1, 2)
-    edges = rhombus_edges(geometry.cell_radius_m).take(range(3 * len(cells)), axis=2, mode="wrap")
-    tiers = np.array([c.tier for c in cells], dtype=int)
+    antennas, ul_snr, pilot_snr = 0, math.inf, math.inf
+    if finite_m is not None:
+        w = geometry.reuse_factor
+        if users_per_cell * w > finite_m.pilot_length:
+            raise ValueError(
+                f"pilot budget infeasible: {users_per_cell} users need "
+                f"{users_per_cell * w} of {finite_m.pilot_length} training dimensions"
+            )
+        pilot_dim = finite_m.pilot_length // w
+        antennas = finite_m.antennas
+        ul_snr, pilot_snr = (
+            math.inf if snr_db is None else 10.0 ** (snr_db / 10.0)
+            for snr_db in (finite_m.ul_snr_db, finite_m.pilot_snr_db)
+        )
     if pilot_dim is None:
         if scheme is PilotScheme.DIFFERENT_SETS:
             raise ValueError("different-sets sampling needs the pilot dimension")
         pilot_dim = users_per_cell
     if users_per_cell > pilot_dim:
         raise ValueError(f"cannot admit {users_per_cell} users on {pilot_dim} pilot sequences")
+    cells = cochannel_cells(geometry, max_tier)
+    # Pilot noise only perturbs the estimate; the SINR denominator holds
+    # interference and data noise alone.
+    if not cells and load == 1 and ul_snr == math.inf:
+        raise ValueError("SINR is undefined with no interferers and no data noise")
+    if finite_m is None and scheme is PilotScheme.REUSED_SETS:
+        users_per_cell = 1
+    book_grams = None
+    if book is not None and scheme is PilotScheme.DIFFERENT_SETS:
+        if book.sequence_length < users_per_cell:
+            raise ValueError("pilot book is too short for the per-cell load")
+        if book.cell_count < len(cells) + 1:
+            raise ValueError("pilot book does not cover every co-channel cell")
+        book_grams = np.abs(book.matrices[0].conj().T @ book.matrices[1 : len(cells) + 1]) ** 2
+    centers = np.array([c.center for c in cells]).reshape(-1, 2)
+    edges = rhombus_edges(geometry.cell_radius_m).take(range(3 * len(cells)), axis=2, mode="wrap")
     return _Scenario(
         geometry=geometry,
         centers=centers,
         edge_table=edges,
         step_table=(edges * centers.T.repeat(3, axis=1)).sum(axis=1) * 2.0,
-        tiers=tiers,
+        tiers=np.array([c.tier for c in cells], dtype=int),
         users_per_cell=users_per_cell,
         scheme=scheme,
         pilot_dim=pilot_dim,
         region=region,
+        shadow_sigma_db=shadow_sigma_db,
+        antennas=antennas,
+        ul_snr=ul_snr,
+        pilot_snr=pilot_snr,
+        book_grams=book_grams,
     )
-
-
-def _limit_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier) -> _Scenario:
-    """_cochannel_scenario, with one user per cell under reused sets (after
-    the load check): only the same-index user of each cell contaminates."""
-    scn = _cochannel_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
-    reused = scheme is PilotScheme.REUSED_SETS
-    return replace(scn, users_per_cell=1) if reused else scn
-
-
-def _finite_scenario(
-    geometry: NetworkGeometry,
-    scheme: PilotScheme,
-    users_per_cell: int,
-    config: FiniteMConfig,
-    max_tier: int,
-) -> _Scenario:
-    """Scenario of the finite-M sampler: hexagon drops, a per-cell pilot
-    space of pilot_length // reuse_factor, and linear-scale SNRs."""
-    w = geometry.reuse_factor
-    if users_per_cell * w > config.pilot_length:
-        raise ValueError(
-            f"pilot budget infeasible: {users_per_cell} users need "
-            f"{users_per_cell * w} of {config.pilot_length} training dimensions"
-        )
-    scn = _cochannel_scenario(
-        geometry, scheme, users_per_cell, config.pilot_length // w, "hexagon", max_tier
-    )
-
-    def linear(snr_db):
-        return math.inf if snr_db is None else 10.0 ** (snr_db / 10.0)
-
-    scn = replace(
-        scn,
-        antennas=config.antennas,
-        ul_snr=linear(config.ul_snr_db),
-        pilot_snr=linear(config.pilot_snr_db),
-    )
-    _require_defined_sinr(scn, users_per_cell)
-    return scn
-
-
-def _require_defined_sinr(scn: _Scenario, load: int) -> None:
-    # Pilot noise only perturbs the estimate; the SINR denominator holds
-    # interference and data noise alone.
-    if scn.n_cells == 0 and load == 1 and scn.ul_snr == math.inf:
-        raise ValueError("SINR is undefined with no interferers and no data noise")
-
-
-def _attach_book(scn: _Scenario, book: PilotBook | None) -> _Scenario:
-    if book is None or scn.scheme is PilotScheme.REUSED_SETS:
-        return scn
-    if book.sequence_length < scn.users_per_cell:
-        raise ValueError("pilot book is too short for the per-cell load")
-    if book.cell_count < scn.n_cells + 1:
-        raise ValueError("pilot book does not cover every co-channel cell")
-    grams = np.abs(book.matrices[0].conj().T @ book.matrices[1 : scn.n_cells + 1]) ** 2
-    return replace(scn, book_grams=grams)
 
 
 def sample_sir_limit(
@@ -655,8 +647,7 @@ def sample_sir_limit(
     the column assignment is redrawn); by default pilots are redrawn every
     trial, matching the analytic averaging over the Haar measure.
     """
-    scn = _limit_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
-    scn = _attach_book(scn, pilot_book)
+    scn = _scenario(geometry, scheme, users_per_cell, max_tier, pilot_dim, region, book=pilot_book)
     sir, _ = _run_blocks(_limit_block, scn, seed, trials, workers)
     return SirSampleSet(sir)
 
@@ -686,14 +677,7 @@ def sample_sir_limit_shadowed(
     for equal seeds, regions and max_tier (both default to 3 tiers);
     shadow_sigma_db > 0 needs the hexagon region.
     """
-    if shadow_sigma_db < 0.0:
-        raise ValueError("shadow standard deviation must be >= 0 dB")
-    if shadow_sigma_db > 0.0 and region == "circle":
-        # best-station selection needs every user's distance to every
-        # station; circle users are drawn relative to their own station only
-        raise ValueError("shadow_sigma_db > 0 needs region 'hexagon', not 'circle'")
-    scn = _limit_scenario(geometry, scheme, users_per_cell, pilot_dim, region, max_tier)
-    scn = replace(scn, shadow_sigma_db=shadow_sigma_db)
+    scn = _scenario(geometry, scheme, users_per_cell, max_tier, pilot_dim, region, shadow_sigma_db)
     # per block: the largest interference ratio, then the per-cell sums
     width = 1 + scn.n_cells if diagnostics else 1
     sir, stats = _run_blocks(_limit_block, scn, seed, trials, workers, block_width=width)
@@ -733,8 +717,9 @@ def sample_sir_finite_m(
     the co-channel network (own cell included) adds non-coherent
     interference, and the SNRs set the pilot and data noise levels.
     """
-    scn = _finite_scenario(geometry, scheme, users_per_cell, config, max_tier)
-    by_load, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (users_per_cell,))
+    k = users_per_cell
+    scn = _scenario(geometry, scheme, k, max_tier, finite_m=config, load=k)
+    by_load, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (k,))
     return SirSampleSet(by_load[:, -1].copy())
 
 
@@ -770,8 +755,7 @@ def _sinr_by_load(geometry, scheme, finite_m, max_tier, trials, seed, workers) -
     budget = finite_m.pilot_length // geometry.reuse_factor
     sinr = np.empty((trials, 0))
     if budget:
-        scn = _finite_scenario(geometry, scheme, budget, finite_m, max_tier)
-        _require_defined_sinr(scn, 1)
+        scn = _scenario(geometry, scheme, budget, max_tier, finite_m=finite_m, load=1)
         sinr, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (budget,))
     sinr.flags.writeable = False
     return sinr

@@ -155,6 +155,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="workers"):
             load_config(config_file, ("montecarlo.workers=-1",))
 
+    def test_seed_within_the_philox_key(self, empty_file, capsys):
+        # trial_rng keeps a seed's low 64 bits: -1 and 2^64 + 1 would repeat
+        # the streams of 2^64 - 1 and 1 under another config hash
+        for seed in (0, 2**64 - 1):
+            assert load_config(empty_file, (f"montecarlo.seed={seed}",)).seed == seed
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(ConfigError, match="montecarlo.seed"):
+                load_config(empty_file, (f"montecarlo.seed={seed}",))
+        assert main(["validate", empty_file, "--set", "montecarlo.seed=-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: montecarlo.seed must lie in [0, 2^64)"]
+
     def test_defaults_live_in_the_dataclasses(self, empty_file):
         assert load_config(empty_file) == ScenarioConfig()
         assert load_config(str(CONFIGS / "default.ini")) == ScenarioConfig()
@@ -398,9 +410,10 @@ class TestCli:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 1 + 8  # header + 4 QoS x 2 schemes
 
-    def test_validate_passes_and_fails_on_corrupted_tolerance(self, config_file, tmp_path):
+    @pytest.mark.parametrize("reuse", [1, 3, 7])  # its checks read reuse 1 moments
+    def test_validate_passes_and_fails_on_corrupted_tolerance(self, config_file, tmp_path, reuse):
         out = tmp_path / "validate.txt"
-        rc = main(["validate", config_file, "--out", str(out)])
+        rc = main(["validate", config_file, "--set", f"geometry.reuse_factor={reuse}", "--out", str(out)])
         assert rc == 0
         text = out.read_text()
         assert "PASS: pilot-completeness" in text

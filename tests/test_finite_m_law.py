@@ -23,8 +23,8 @@ from mimocap.simulate import (
     _ROLE_FADING,
     FiniteMConfig,
     _draw_users,
-    _finite_scenario,
     _run_blocks,
+    _scenario,
     _sinr_by_load,
     sample_sir_finite_m,
     trial_rng,
@@ -108,7 +108,7 @@ def test_rotation_sampler_matches_brute_force_in_law(geometry):
         for i, (scheme, w, k, m, (ul_db, pilot_db)) in enumerate(GRID):
             cfg = FiniteMConfig(antennas=m, ul_snr_db=ul_db, pilot_snr_db=pilot_db)
             geo = geometry.with_reuse(w)
-            scn = _finite_scenario(geo, scheme, k, cfg, 1)
+            scn = _scenario(geo, scheme, k, max_tier=1, finite_m=cfg, load=k)
             oracle = brute_force(scn, SEED + 2 * i, TRIALS)
             fast = sample_sir_finite_m(geo, scheme, k, cfg, TRIALS, SEED + 2 * i + 1).samples
             yield f"{scheme.value} w={w} k={k} M={m} snr={ul_db}/{pilot_db} dB", oracle, fast
@@ -138,7 +138,7 @@ def test_each_load_of_a_full_budget_pass_matches_brute_force_in_law(geometry):
         for i, (scheme, w, k, snr_db) in enumerate(LOAD_GRID):
             cfg = FiniteMConfig(antennas=m, ul_snr_db=snr_db, pilot_snr_db=snr_db)
             geo = geometry.with_reuse(w)
-            scn = _finite_scenario(geo, scheme, k, cfg, 1)
+            scn = _scenario(geo, scheme, k, max_tier=1, finite_m=cfg, load=k)
             seed = SEED + 1000 + 2 * i
             oracle = brute_force(scn, seed, TRIALS)
             fast = _sinr_by_load(geo, scheme, cfg, 1, TRIALS, seed + 1, None)[:, k - 1]

@@ -8,16 +8,14 @@ pilots).  Every cell and side has its own seed; the bounds are those of
 tests/test_finite_m_law.py.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from law_checks import law_failures
 from limit_oracle import oracle_limit
+from mimocap.geometry import cochannel_cells
 from mimocap.pilots import PilotScheme, generate_pilot_book
 from mimocap.simulate import (
-    _attach_book,
-    _cochannel_scenario,
+    _scenario,
     sample_sir_limit,
     sample_sir_limit_shadowed,
 )
@@ -45,13 +43,15 @@ def test_block_samplers_match_per_trial_oracle_in_law(geometry):
             geo = geometry.with_reuse(w)
             dim = 42 // w
             seed = SEED + 2 * i
-            scn = _cochannel_scenario(geo, scheme, K, dim, region, TIERS[w])
             book = None
             if fixed:
-                book = generate_pilot_book(scheme, dim, scn.n_cells + 1, np.random.default_rng(seed))
-                scn = _attach_book(scn, book)
+                cells = len(cochannel_cells(geo, TIERS[w])) + 1
+                book = generate_pilot_book(scheme, dim, cells, np.random.default_rng(seed))
+            scn = _scenario(
+                geo, scheme, K, TIERS[w],
+                pilot_dim=dim, region=region, shadow_sigma_db=sigma, book=book,
+            )
             if sigma > 0.0:
-                scn = replace(scn, shadow_sigma_db=sigma)
                 fast = sample_sir_limit_shadowed(
                     geo, scheme, K, sigma, TRIALS, seed + 1, pilot_dim=dim, region=region,
                     max_tier=TIERS[w],

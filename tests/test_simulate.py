@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +15,11 @@ from mimocap.simulate import (
     FiniteMConfig,
     SirSampleSet,
     _Workspace,
-    _cochannel_scenario,
     _draw_users,
     _finite_block,
-    _finite_scenario,
     _limit_block,
-    _limit_scenario,
     _run_length,
+    _scenario,
     _shadowed_ratio,
     _sinr_by_load,
     empirical_capacity_search,
@@ -127,7 +124,7 @@ class TestRunsOfBlocks:
 
     def test_default_runs_group_several_blocks(self, geometry):
         w7 = geometry.with_reuse(7)
-        scn = _cochannel_scenario(w7, PilotScheme.REUSED_SETS, 2, 3, "hexagon", 1)
+        scn = _scenario(w7, PilotScheme.REUSED_SETS, 2, max_tier=1, pilot_dim=3)
         assert _run_length(scn) > 1
 
     def test_default_call_workspace_within_run_budget(self, geometry, monkeypatch):
@@ -233,7 +230,7 @@ class TestSquaredDistances:
     def test_limit_sir(self, geometry):
         for region in ("hexagon", "circle"):
             for scheme in PilotScheme:
-                scn = _limit_scenario(geometry.with_reuse(3), scheme, 4, 14, region, 2)
+                scn = _scenario(geometry.with_reuse(3), scheme, 4, max_tier=2, pilot_dim=14, region=region)
                 sir = np.empty(150)
                 _limit_block(scn, SEED, range(3), _Workspace(), sir, np.empty((3, 0)))
                 users, phi = _draw_users(scn, SEED, range(3), _Workspace(), sir)
@@ -245,7 +242,8 @@ class TestSquaredDistances:
 
     def test_finite_m_sinr(self, geometry, monkeypatch):
         for scheme in PilotScheme:
-            scn = _finite_scenario(geometry.with_reuse(3), scheme, 4, FiniteMConfig(antennas=64), 2)
+            cfg = FiniteMConfig(antennas=64)
+            scn = _scenario(geometry.with_reuse(3), scheme, 4, max_tier=2, finite_m=cfg, load=4)
             sinr, expect = np.empty((150, 4)), np.empty((150, 4))
             _finite_block(scn, SEED, range(3), _Workspace(), sinr, np.empty((3, 0)))
             with monkeypatch.context() as m:
@@ -262,7 +260,7 @@ class TestSquaredDistances:
 
     def test_rhombus_tables(self, geometry):
         # at 3 * cell + j: the edges v_j, v_(j+1) of rhombus j and 2 v.c
-        scn = _cochannel_scenario(geometry, PilotScheme.REUSED_SETS, 2, None, "hexagon", 2)
+        scn = _scenario(geometry, PilotScheme.REUSED_SETS, 2, max_tier=2)
         edges = rhombus_edges(geometry.cell_radius_m)
         for cell, center in enumerate(scn.centers):
             for j in range(3):
@@ -270,6 +268,84 @@ class TestSquaredDistances:
                 want = 2.0 * (edges[:, 0, j] * center[0] + edges[:, 1, j] * center[1])
                 scale = geometry.cell_radius_m * math.hypot(*center)
                 np.testing.assert_allclose(scn.step_table[:, 3 * cell + j], want, atol=1e-15 * scale)
+
+
+def _book(dim: int, cells: int):
+    return generate_pilot_book(PilotScheme.DIFFERENT_SETS, dim, cells, np.random.default_rng(SEED))
+
+
+_R, _D = PilotScheme.REUSED_SETS, PilotScheme.DIFFERENT_SETS
+_QUIET = FiniteMConfig(antennas=16, pilot_length=6, ul_snr_db=None)
+_UNDEFINED = "SINR is undefined with no interferers and no data noise"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda g: sample_sir_limit(g, _R, 0, 10, SEED), "users_per_cell must be >= 1"),
+        (
+            lambda g: sample_sir_limit(g, _R, 2, 10, SEED, region="square"),
+            "unknown sampling region 'square'",
+        ),
+        (
+            lambda g: sample_sir_limit(g, _D, 2, 10, SEED),
+            "different-sets sampling needs the pilot dimension",
+        ),
+        (
+            lambda g: sample_sir_limit(g, _R, 5, 10, SEED, pilot_dim=3),
+            "cannot admit 5 users on 3 pilot sequences",
+        ),
+        (
+            lambda g: sample_sir_limit(g, _D, 3, 10, SEED, 42, _book(2, 19)),
+            "pilot book is too short for the per-cell load",
+        ),
+        (
+            lambda g: sample_sir_limit(g, _D, 3, 10, SEED, 42, _book(42, 3)),
+            "pilot book does not cover every co-channel cell",
+        ),
+        (
+            lambda g: sample_sir_limit_shadowed(g, _R, 2, -1.0, 10, SEED),
+            "shadow standard deviation must be >= 0 dB",
+        ),
+        (
+            lambda g: sample_sir_limit_shadowed(g, _R, 2, 8.0, 10, SEED, region="circle"),
+            "shadow_sigma_db > 0 needs region 'hexagon', not 'circle'",
+        ),
+        (
+            lambda g: sample_sir_finite_m(g.with_reuse(3), _R, 3, _QUIET, 10, SEED),
+            "pilot budget infeasible: 3 users need 9 of 6 training dimensions",
+        ),
+        (lambda g: sample_sir_finite_m(g, _R, 1, _QUIET, 10, SEED, max_tier=0), _UNDEFINED),
+        (
+            lambda g: empirical_capacity_search(g, _D, QosTarget.from_db(0.0, 0.05), 10, SEED, _QUIET, 0),
+            _UNDEFINED,
+        ),
+        # two bad inputs: the first check in the samplers' order fires
+        (
+            lambda g: sample_sir_limit_shadowed(g, _R, 0, -1.0, 10, SEED),
+            "shadow standard deviation must be >= 0 dB",
+        ),
+        (
+            lambda g: sample_sir_limit_shadowed(g, _R, 0, 8.0, 10, SEED, region="circle"),
+            "shadow_sigma_db > 0 needs region 'hexagon', not 'circle'",
+        ),
+        (
+            lambda g: sample_sir_limit(g, _D, 0, 10, SEED, region="square"),
+            "users_per_cell must be >= 1",
+        ),
+        (
+            lambda g: sample_sir_limit(g, _D, 5, 10, SEED, 3, _book(2, 3)),
+            "cannot admit 5 users on 3 pilot sequences",
+        ),
+        (lambda g: sample_sir_finite_m(g, _R, 1, _QUIET, 0, SEED, max_tier=0), _UNDEFINED),
+    ],
+)
+def test_scenario_errors(geometry, call, message):
+    # every ValueError of a sampler call's scenario, through a public entry
+    # point; the checks run in one order, so the message is the first failure
+    with pytest.raises(ValueError) as err:
+        call(geometry)
+    assert str(err.value) == message
 
 
 class TestLimitSampler:
@@ -421,8 +497,9 @@ class TestShadowedSampler:
     @pytest.mark.parametrize("diagnostics", [False, True])
     def test_station_major_ratio_matches_trial_major_formula(self, geometry, diagnostics):
         trials, blocks = 130, 3  # the last block is partial
-        scn = _cochannel_scenario(geometry, PilotScheme.DIFFERENT_SETS, 4, 42, "hexagon", 2)
-        scn = replace(scn, shadow_sigma_db=8.0)
+        scn = _scenario(
+            geometry, PilotScheme.DIFFERENT_SETS, 4, max_tier=2, pilot_dim=42, shadow_sigma_db=8.0
+        )
         users, phi = _draw_users(scn, SEED, range(blocks), _Workspace(), np.empty(trials))
         positions = rhombus_xy(geometry.cell_radius_m, users)
         expect = _trial_major_shadowed_ratio(scn, positions, SEED, blocks, trials)
