@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import NetworkGeometry, circle_approximation, tier_specs
 from .interference import QosTarget, TierMoments, compute_tier_moments, q_inverse, qos_feasible
-from .interference import total_interference
+from .interference import GaussianInterference, total_interference
 from .pilots import PilotScheme
 
 # Tolerance absorbed before flooring so that closed-form values that are
@@ -48,7 +48,7 @@ class CapacityReport:
     feasible: np.ndarray
 
 
-def effective_interference(moments: TierMoments, qos: QosTarget) -> np.ndarray:
+def effective_interference(interference: GaussianInterference, qos: QosTarget) -> np.ndarray:
     """Per-interferer effective interference y_E at each SIR point.
 
     Closed form of the feasibility equality: with z = 4 mu / (Qinv(alpha)^2
@@ -58,12 +58,10 @@ def effective_interference(moments: TierMoments, qos: QosTarget) -> np.ndarray:
     float spacing at 1).  Zero variance (or alpha -> 0.5) degenerates to
     the mean.
     """
-    mu = moments.mu_y
-    var = moments.var_y
+    mu = interference.mean
+    var = interference.variance
     if mu <= 0.0:
         raise ValueError("mean interference must be positive")
-    if var < 0.0:
-        raise ValueError("interference variance must be non-negative")
     s = qos.min_sir_linear
     q = q_inverse(qos.outage)
     if var == 0.0 or q == 0.0:
@@ -99,9 +97,7 @@ def tier1_moments(
     out = []
     for tier in tier_specs(geo, tier_count):
         patch = circle_approximation(geo, tier, circle_mode)
-        tm = compute_tier_moments(
-            patch, geo.path_loss_exponent, pilot_dim, scheme, tier_index=tier.tier_index
-        )
+        tm = compute_tier_moments(patch, geo.path_loss_exponent, pilot_dim, scheme)
         out.append((tier.cell_count, tm))
     return out
 
@@ -129,7 +125,7 @@ def capacity_for_reuse(
     tier1_count, tm1 = moments[0]
     s = qos.min_sir_linear
 
-    y_e = effective_interference(tm1, qos)
+    y_e = effective_interference(GaussianInterference(tm1.mu_y, tm1.var_y), qos)
     n_max = max_interferers(y_e, s)
     k_u = n_max / tier1_count
 
@@ -140,8 +136,7 @@ def capacity_for_reuse(
         k_max = np.where(feasible, budget, 0)
     else:
         total = total_interference(moments)
-        agg = TierMoments(0, math.nan, math.nan, total.mean, total.variance)
-        k_cap = np.floor(1.0 / (effective_interference(agg, qos) * s) + _FLOOR_GUARD)
+        k_cap = np.floor(1.0 / (effective_interference(total, qos) * s) + _FLOOR_GUARD)
         k_max = np.minimum(k_cap, budget).astype(np.int64)
         feasible = k_max >= 1
 
@@ -170,15 +165,15 @@ def best_reuse(reports: Iterable[CapacityReport]) -> CapacityReport:
     )
 
 
-def root_interferer_count(moments: TierMoments, qos: QosTarget) -> float:
+def root_interferer_count(interference: GaussianInterference, qos: QosTarget) -> float:
     """Numeric root n of the feasibility equality (1/S - n mu) / sqrt(n var)
     = Qinv(alpha), solved through the quadratic in sqrt(n).
 
     This is the quantity whose closed form is effective_interference; kept
     separate so the two can be cross-checked.
     """
-    mu = moments.mu_y
-    var = moments.var_y
+    mu = interference.mean
+    var = interference.variance
     q = q_inverse(qos.outage)
     budget = 1.0 / qos.min_sir_linear
     if var == 0.0 or q == 0.0:

@@ -39,7 +39,6 @@ class TierMoments:
     user under the configured scheme.
     """
 
-    tier_index: int
     mu_x: float
     var_x: float
     mu_y: float
@@ -78,14 +77,15 @@ class QosTarget:
 
     @classmethod
     def from_db(cls, min_sir_db, outage: float) -> "QosTarget":
-        """From a threshold in dB, or a 1-D sequence of them.
+        """From a threshold in dB (a number, numpy scalar or 0-d array), or
+        a 1-D sequence of them.
 
         Each point goes through Python's float power, so a grid point equals
         its lone target bit for bit; numpy's vectorised power can differ in
         the last bit.
         """
-        if isinstance(min_sir_db, (int, float)):
-            return cls(min_sir_linear=10.0 ** (min_sir_db / 10.0), outage=outage)
+        if np.ndim(min_sir_db) == 0:
+            return cls(min_sir_linear=10.0 ** (float(min_sir_db) / 10.0), outage=outage)
         points = np.asarray(min_sir_db, dtype=float).tolist()
         return cls(min_sir_linear=np.array([10.0 ** (s / 10.0) for s in points]), outage=outage)
 
@@ -167,7 +167,6 @@ def compute_tier_moments(
     gamma: float,
     pilot_dim: int,
     scheme: PilotScheme,
-    tier_index: int = 1,
 ) -> TierMoments:
     """Quadrature moments of x over the circular cell, then pilot weighting.
 
@@ -192,7 +191,7 @@ def compute_tier_moments(
         k = pilot_dim
         mu_y = mu_x / k
         var_y = (2.0 * var_x + mu_x * mu_x) / (k * k)
-    return TierMoments(tier_index=tier_index, mu_x=mu_x, var_x=var_x, mu_y=mu_y, var_y=var_y)
+    return TierMoments(mu_x=mu_x, var_x=var_x, mu_y=mu_y, var_y=var_y)
 
 
 def q_function(x) -> float | np.ndarray:

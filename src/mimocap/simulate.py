@@ -526,6 +526,8 @@ def _run_blocks(
     into runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 2**64:  # trial_rng keeps the low 64 bits, the Philox key
+        raise ValueError("seed must lie in [0, 2^64)")
     blocks = range(-(-trials // _BLOCK))
     if workers is None or workers <= 1 or len(blocks) < 2:
         return _run_worker((run_fn, scn, seed, trials, blocks, row_shape, block_width))

@@ -16,8 +16,8 @@ from mimocap.cli import _validation_checks
 from mimocap.config import ScenarioConfig
 from mimocap.geometry import NetworkGeometry, circle_approximation, tier_specs
 from mimocap.interference import (
+    GaussianInterference,
     QosTarget,
-    TierMoments,
     compute_tier_moments,
     interference_ratio,
     q_inverse,
@@ -57,9 +57,7 @@ def test_01_tier_ratio(capsys):
     # tier-1 over tier-2 interference moments at reuse 1, gamma 4
     specs = tier_specs(GEO, 2)
     tms = [
-        compute_tier_moments(
-            circle_approximation(GEO, spec), GAMMA, K, PilotScheme.REUSED_SETS, spec.tier_index
-        )
+        compute_tier_moments(circle_approximation(GEO, spec), GAMMA, K, PilotScheme.REUSED_SETS)
         for spec in specs
     ]
     mu_ratio = tms[0].mu_x / tms[1].mu_x
@@ -78,10 +76,10 @@ def test_02_closed_form_equivalence(capsys):
         for ratio in (0.01, 0.5, 5.0, 100.0, 5000.0):
             for sir_db, alpha in ((0.0, 0.05), (10.0, 0.01), (25.0, 0.05), (30.0, 0.005), (5.0, 0.2)):
                 qos = QosTarget.from_db(sir_db, alpha)
-                tm = TierMoments(1, mu, 0.0, mu, ratio * mu * mu)
-                y_e = effective_interference(tm, qos)
+                gi = GaussianInterference(mu, ratio * mu * mu)
+                y_e = effective_interference(gi, qos)
                 q = q_inverse(alpha)
-                sig = math.sqrt(tm.var_y)
+                sig = math.sqrt(gi.variance)
                 budget = 1.0 / qos.min_sir_linear
 
                 def equality(u):
@@ -130,7 +128,7 @@ def test_03_quadrature_vs_ten_million_samples(capsys):
         geo = GEO.with_reuse(w)
         for spec in tier_specs(geo, 2):
             patch = circle_approximation(geo, spec)
-            tm = compute_tier_moments(patch, GAMMA, K, PilotScheme.REUSED_SETS, spec.tier_index)
+            tm = compute_tier_moments(patch, GAMMA, K, PilotScheme.REUSED_SETS)
             mu_hat, var_hat, se_mu, se_var = _streamed_moments(patch, n, SEED + w * 10 + spec.tier_index)
             assert abs(tm.mu_x - mu_hat) <= 3.0 * se_mu, (w, spec.tier_index, "mean")
             assert abs(tm.var_x - var_hat) <= 3.0 * se_var, (w, spec.tier_index, "variance")
@@ -279,7 +277,7 @@ def test_07_finite_m_convergence_to_limit(capsys):
 def test_08_property_suites(capsys):
     # pilot completeness to 1e-10 on K = 42 pilots and the pilot-weighting
     # identities to 1e-13, as the validate command checks them
-    verdicts = {name: passed for name, passed, _ in _validation_checks(ScenarioConfig(), 1.0)}
+    verdicts = {name: passed for name, passed, _ in _validation_checks(ScenarioConfig())}
     assert verdicts["pilot-completeness"]
     assert verdicts["pilot-weighting-identities"]
 

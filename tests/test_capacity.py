@@ -13,14 +13,14 @@ from mimocap.capacity import (
     root_interferer_count,
     tier1_moments,
 )
-from mimocap.interference import QosTarget, TierMoments, q_inverse, qos_feasible
+from mimocap.interference import GaussianInterference, QosTarget, q_inverse, qos_feasible
 from mimocap.pilots import PilotScheme
 
 K = 42
 
 
 def tm(mu, var):
-    return TierMoments(1, mu, var, mu, var)
+    return GaussianInterference(mu, var)
 
 
 def report(geometry, scheme, qos, reuse, tier_count=1):
@@ -55,7 +55,7 @@ class TestEffectiveInterference:
     def test_above_mean(self):
         qos = QosTarget.from_db(10.0, 0.05)
         moments = tm(0.01, 1e-4)
-        assert effective_interference(moments, qos) > moments.mu_y
+        assert effective_interference(moments, qos) > moments.mean
 
     @given(
         mu=st.floats(1e-8, 0.5),
@@ -74,7 +74,7 @@ class TestEffectiveInterference:
         y_e = effective_interference(moments, qos)
         q = q_inverse(qos.outage)
         budget = 1.0 / qos.min_sir_linear
-        sig = math.sqrt(moments.var_y)
+        sig = math.sqrt(moments.variance)
 
         def equality(u):  # u = sqrt(n)
             return budget - mu * u * u - q * sig * u
@@ -108,7 +108,7 @@ class TestMaxInterferers:
         for sdb, alpha in ((0.0, 0.05), (10.0, 0.05), (10.0, 0.005), (20.0, 0.1)):
             qos = QosTarget.from_db(sdb, alpha)
             _count, moments = tier1_moments(geometry, PilotScheme.DIFFERENT_SETS, K, 1)[0]
-            y_e = effective_interference(moments, qos)
+            y_e = effective_interference(GaussianInterference(moments.mu_y, moments.var_y), qos)
             n_max = max_interferers(y_e, qos.min_sir_linear)
             assert qos_feasible([(n_max, moments)], qos)[0]
             assert not qos_feasible([(n_max + 1, moments)], qos)[0]
@@ -116,7 +116,7 @@ class TestMaxInterferers:
     def test_slack_near_zero_at_unfloored_root(self, geometry):
         qos = QosTarget.from_db(10.0, 0.05)
         _count, moments = tier1_moments(geometry, PilotScheme.DIFFERENT_SETS, K, 1)[0]
-        n_root = root_interferer_count(moments, qos)
+        n_root = root_interferer_count(GaussianInterference(moments.mu_y, moments.var_y), qos)
         _ok, slack = qos_feasible([(n_root, moments)], qos)
         assert abs(slack) <= 1e-6
 

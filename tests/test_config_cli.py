@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimocap import capacity as cap
 from mimocap import cli
+from mimocap import interference as intf
 from mimocap.cli import main
 from mimocap.config import _KEYS, ConfigError, QosGrid, ScenarioConfig, config_hash, load_config
 
@@ -54,6 +56,35 @@ OVERRIDES = {
     ("model", "circle_mode"): ("match_radius", "match_radius"),
     ("model", "tier_count"): ("2", 2),
     ("model", "region"): ("CIRCLE", "circle"),
+}
+
+
+def _off_by_1e6(f):
+    return lambda *a: f(*a) * (1 + 1e-6)
+
+
+def _mu_y_off_by_1e6(f):
+    def faulty(*a):
+        tm = f(*a)
+        return dataclasses.replace(tm, mu_y=tm.mu_y * (1 + 1e-6))
+
+    return faulty
+
+
+# per validate check, a fault in a module binding that only this check calls:
+# (module, name, a function of the original that returns the faulty one)
+VALIDATE_FAULTS = {
+    "pilot-completeness": (cli, "cross_correlation", _off_by_1e6),
+    "q-inverse-roundtrip": (intf, "q_inverse", _off_by_1e6),
+    "closed-form-vs-root": (cap, "root_interferer_count", _off_by_1e6),
+    "pilot-weighting-identities": (cap, "compute_tier_moments", _mu_y_off_by_1e6),
+    # interference_ratio would not do: the quadrature reads it too
+    "quadrature-vs-sampling": (
+        cli, "sample_circle_position", lambda f: lambda radius, *a: f(0.99 * radius, *a)
+    ),
+    "moment-monotonicity": (
+        intf, "compute_tier_moments", lambda f: lambda *a: dataclasses.replace(f(*a), mu_x=1.0)
+    ),
 }
 
 
@@ -411,7 +442,7 @@ class TestCli:
         assert len(rows) == 1 + 8  # header + 4 QoS x 2 schemes
 
     @pytest.mark.parametrize("reuse", [1, 3, 7])  # its checks read reuse 1 moments
-    def test_validate_passes_and_fails_on_corrupted_tolerance(self, config_file, tmp_path, reuse):
+    def test_validate_passes(self, config_file, tmp_path, reuse):
         out = tmp_path / "validate.txt"
         rc = main(["validate", config_file, "--set", f"geometry.reuse_factor={reuse}", "--out", str(out)])
         assert rc == 0
@@ -419,15 +450,36 @@ class TestCli:
         assert "PASS: pilot-completeness" in text
         assert "FAIL" not in text
 
-        rc = main(
-            [
-                "validate",
-                config_file,
-                "--tolerance-scale", "1e-12",
-                "--out", str(tmp_path / "v2.txt"),
-            ]
-        )
-        assert rc == 1
+    @pytest.mark.parametrize("check", list(VALIDATE_FAULTS))
+    def test_validate_fails_the_check_whose_code_is_faulty(
+        self, check, config_file, tmp_path, monkeypatch
+    ):
+        module, name, fault = VALIDATE_FAULTS[check]
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        out = tmp_path / "validate.txt"
+        assert main(["validate", config_file, "--out", str(out)]) == 1
+        lines = out.read_text().splitlines()
+        verdicts = {line.split()[1]: line.split()[0] for line in lines if not line.startswith("#")}
+        assert verdicts == {c: "FAIL:" if c == check else "PASS:" for c in VALIDATE_FAULTS}
+        assert lines[-1] == "# 1 check(s) failed"
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            ("capacity-table", "--out"),
+            ("capacity-table", "--diagnostics"),
+            ("sir-cdf", "--out"),
+            ("finite-m-table", "--out"),
+            ("validate", "--out"),
+        ],
+    )
+    def test_unwritable_output_is_config_error(self, command, option, config_file, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.csv"
+        sets = ["--set", "finite_m.antennas=16", "--set", "finite_m.trials=40"]
+        assert main([command, config_file, *sets, "--out", os.devnull, option, str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot write {path}: ")
+        assert not path.parent.exists()
 
     def test_sir_cdf_budget_below_reuse7_is_config_error(self, config_file, capsys):
         # reuse 7 leaves 6 // 7 = 0 pilots per cell

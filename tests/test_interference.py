@@ -181,7 +181,7 @@ class TestMoments:
 
 class TestQosCondition:
     def tier(self, mu, var):
-        return TierMoments(1, mu, var, mu, var)
+        return TierMoments(mu, var, mu, var)
 
     def test_no_interferers_always_feasible(self):
         qos = QosTarget.from_db(30.0, 0.01)
@@ -220,6 +220,12 @@ class TestQosCondition:
             QosTarget(min_sir_linear=1.0, outage=0.5)
         qos = QosTarget.from_db(10.0, 0.05)
         assert qos.min_sir_linear == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("sir_db", [np.int64(10), np.float32(10.0), np.array(10.0)])
+    def test_from_db_takes_numpy_scalars(self, sir_db):
+        lone = QosTarget.from_db(10.0, 0.05).min_sir_linear
+        got = QosTarget.from_db(sir_db, 0.05).min_sir_linear
+        assert type(got) is float and got.hex() == lone.hex()
 
     @given(
         mu=st.floats(1e-6, 0.2),

@@ -52,6 +52,25 @@ class TestDeterminism:
             expect = np.random.Generator(np.random.Philox(key=key, counter=counter))
             assert np.array_equal(trial_rng(seed, block, role).random(100), expect.random(100))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, s: sample_sir_limit(g, PilotScheme.DIFFERENT_SETS, 3, 10, s, pilot_dim=42),
+            lambda g, s: sample_sir_limit_shadowed(g, PilotScheme.DIFFERENT_SETS, 3, 8.0, 10, s, 42),
+            lambda g, s: sample_sir_finite_m(g, PilotScheme.REUSED_SETS, 3, FiniteMConfig(antennas=24), 10, s),
+            lambda g, s: empirical_capacity_search(
+                g, PilotScheme.DIFFERENT_SETS, QosTarget.from_db(0.0, 0.05), 10, s, FiniteMConfig(pilot_length=9)
+            ),
+        ],
+        ids=["limit", "shadowed", "finite_m", "search"],
+    )
+    def test_seed_within_the_philox_key(self, geometry, call):
+        # trial_rng keeps a seed's low 64 bits: -1 would repeat the streams of 2^64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+                call(geometry, seed)
+        call(geometry, 2**64 - 1)
+
     def test_limit_worker_count_invariant(self, geometry):
         serial = sample_sir_limit(geometry, PilotScheme.REUSED_SETS, 3, 300, SEED)
         parallel = sample_sir_limit(geometry, PilotScheme.REUSED_SETS, 3, 300, SEED, workers=2)
