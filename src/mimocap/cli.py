@@ -49,9 +49,10 @@ def _header(command: str, config: ScenarioConfig) -> list[str]:
 
 
 @contextlib.contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
+def _open_out(path: str | None):
+    """The stream of an output path: stdout for '-', None for no path."""
+    if path is None or path == "-":
+        yield None if path is None else sys.stdout
         return
     try:
         fh = open(path, "w", newline="")
@@ -106,7 +107,7 @@ def _interleave(reports, name: str, n: int) -> list:
     return np.stack(per_rep, axis=1).ravel().tolist()
 
 
-def cmd_capacity_table(config: ScenarioConfig, out: str, diagnostics: str | None) -> int:
+def cmd_capacity_table(config: ScenarioConfig, out, diagnostics) -> int:
     sir_db = config.qos.sir_db_values()
     n = len(sir_db)
     sir_cells = [_FORMATS[float] % s for s in sir_db]
@@ -159,17 +160,14 @@ def cmd_capacity_table(config: ScenarioConfig, out: str, diagnostics: str | None
                     [scheme_name] * (n * len(reuses)),
                     *(_interleave(per_w, name, n) for name in _DIAGNOSTIC_FIELDS),
                 )
-    comments = _header("capacity-table", config) + switch_notes
-    with _open_out(out) as fh:
-        _write_rows(fh, comments, _TABLE_COLUMNS, rows)
+    _write_rows(out, _header("capacity-table", config) + switch_notes, _TABLE_COLUMNS, rows)
     if diagnostics is not None:
-        with _open_out(diagnostics) as fh:
-            header = _header("capacity-table-diagnostics", config)
-            _write_rows(fh, header, _DIAGNOSTIC_COLUMNS, diag_rows)
+        header = _header("capacity-table-diagnostics", config)
+        _write_rows(diagnostics, header, _DIAGNOSTIC_COLUMNS, diag_rows)
     return 0
 
 
-def cmd_sir_cdf(config: ScenarioConfig, out: str) -> int:
+def cmd_sir_cdf(config: ScenarioConfig, out) -> int:
     """Empirical and Gaussian-approximation SIR CDFs at the worst-case
     preset: reuse factor 7 with the full per-cell budget of 6 users."""
     w = 7
@@ -206,14 +204,15 @@ def cmd_sir_cdf(config: ScenarioConfig, out: str) -> int:
         sir_db = (10.0 * np.log10(sirs)).tolist()
         rows += zip([f"{scheme_name}-empirical"] * len(idx), sir_db, cdf.tolist())
         rows += zip([f"{scheme_name}-approx"] * len(idx), sir_db, approx.tolist())
-    with _open_out(out) as fh:
-        _write_rows(fh, _header("sir-cdf", config), _SIR_CDF_COLUMNS, rows)
+    _write_rows(out, _header("sir-cdf", config), _SIR_CDF_COLUMNS, rows)
     return 0
 
 
-def cmd_finite_m_table(config: ScenarioConfig, out: str) -> int:
-    rows = []
-    for scheme_name in config.schemes:
+def cmd_finite_m_table(config: ScenarioConfig, out) -> int:
+    rows = {scheme_name: [] for scheme_name in config.schemes}  # in the CSV's order
+    # different sets first (config.schemes ends with it): its search passes
+    # yield the reused-sets SINRs too
+    for scheme_name in reversed(config.schemes):
         scheme = PilotScheme.parse(scheme_name)
         for label, sir_db, alpha in _QOS_PRESETS:
             qos = QosTarget.from_db(sir_db, alpha)
@@ -228,7 +227,7 @@ def cmd_finite_m_table(config: ScenarioConfig, out: str) -> int:
                 workers=config.workers,
             )
             outage, interval = result.outage_at_k[result.best_reuse]
-            rows.append(
+            rows[scheme_name].append(
                 (
                     label,
                     sir_db,
@@ -244,8 +243,8 @@ def cmd_finite_m_table(config: ScenarioConfig, out: str) -> int:
                     interval[1],
                 )
             )
-    with _open_out(out) as fh:
-        _write_rows(fh, _header("finite-m-table", config), _FINITE_M_COLUMNS, rows)
+    header = _header("finite-m-table", config)
+    _write_rows(out, header, _FINITE_M_COLUMNS, itertools.chain(*rows.values()))
     return 0
 
 
@@ -325,17 +324,16 @@ def _validation_checks(config: ScenarioConfig):
     yield "moment-monotonicity", ok, f"mu_x over growing separation: {[f'{m:.3e}' for m in mus]}"
 
 
-def cmd_validate(config: ScenarioConfig, out: str) -> int:
+def cmd_validate(config: ScenarioConfig, out) -> int:
     failures = 0
-    with _open_out(out) as fh:
-        for line in _header("validate", config):
-            print(line, file=fh)
-        for name, passed, detail in _validation_checks(config):
-            status = "PASS" if passed else "FAIL"
-            if not passed:
-                failures += 1
-            print(f"{status}: {name} ({detail})", file=fh)
-        print(f"# {'OK' if failures == 0 else f'{failures} check(s) failed'}", file=fh)
+    for line in _header("validate", config):
+        print(line, file=out)
+    for name, passed, detail in _validation_checks(config):
+        status = "PASS" if passed else "FAIL"
+        if not passed:
+            failures += 1
+        print(f"{status}: {name} ({detail})", file=out)
+    print(f"# {'OK' if failures == 0 else f'{failures} check(s) failed'}", file=out)
     return 0 if failures == 0 else 1
 
 
@@ -374,15 +372,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, tuple(args.overrides))
-        if args.command == "capacity-table":
-            return cmd_capacity_table(config, args.out, args.diagnostics)
-        if args.command == "sir-cdf":
-            return cmd_sir_cdf(config, args.out)
-        if args.command == "finite-m-table":
-            return cmd_finite_m_table(config, args.out)
-        if args.command == "validate":
-            return cmd_validate(config, args.out)
-        raise AssertionError(args.command)
+        # opened before any work, so that an unwritable path costs none
+        with _open_out(args.out) as out, _open_out(getattr(args, "diagnostics", None)) as diag:
+            if args.command == "capacity-table":
+                return cmd_capacity_table(config, out, diag)
+            if args.command == "sir-cdf":
+                return cmd_sir_cdf(config, out)
+            if args.command == "finite-m-table":
+                return cmd_finite_m_table(config, out)
+            if args.command == "validate":
+                return cmd_validate(config, out)
+            raise AssertionError(args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

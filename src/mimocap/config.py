@@ -24,14 +24,14 @@ from .simulate import _BLOCK, FiniteMConfig
 _MAX_SIR_POINTS = 100_000  # per alpha; checked before the grid list is built
 _MAX_PILOTS = 10_000  # a pilot book is budget x budget complex per cell (1.6 GB at 10^4)
 _MAX_TRIALS = 10_000_000  # sir-cdf keeps every limit sample: 80 MB per scheme at 10^7
-# trials x pilot length: the _sinr_by_load memo holds one (trials, L // w) float
-# array for each of w = 1, 3 and 7, trials x (L + L // 3 + L // 7) doubles in
-# all, about 1.48 floats per trial per pilot (0.5 GB at this bound)
+# trials x pilot length: the search memoises (trials, L // w) floats per scheme
+# at w = 1, 3 and 7, 2.95 per trial per pilot (1.0 GB here; the bound predates
+# the second scheme and stays, so that every config that loaded still loads)
 _MAX_FINITE_M_SINRS = 42_000_000
 _MAX_TIERS = 50  # 50 co-channel tiers already hold 534 cells at w = 1
 # The samplers draw _BLOCK trials x (co-channel cells + 1) x users per cell
 # values per array, and a call's workspace holds its longest run at up to
-# simulate._FINITE_BYTES = 208 bytes per value, 1.04 GB at this bound.  A run
+# simulate._FINITE_BYTES = 140 bytes per value, 0.7 GB at this bound.  A run
 # is one block, or as many as fit simulate._RUN_BYTES (1.7 MB), so this
 # bounds runs too.  The per-key bounds above do not cap the product.
 _MAX_BLOCK_VALUES = 5_000_000

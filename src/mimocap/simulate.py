@@ -32,7 +32,9 @@ and one Gaussian vector over the N users per trial (see _finite_block).  A
 trial costs O(N) whatever M is, has the law of the M x N simulation, and
 yields the SINR at every per-cell load.  empirical_capacity_search reads the
 largest load with outage P(SINR < S) <= alpha off one such pass per reuse
-factor, every load on the same draws (common random numbers).
+factor, every load on the same draws (common random numbers).  Both pilot
+schemes draw the same users and fading, so a different-sets pass yields the
+reused-sets SINRs too, and the passes are memoised for either scheme.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, block, role) (Salmon et al., "Parallel random numbers: as easy as
@@ -81,7 +83,7 @@ _BLOCK = 64  # trials per block of streams
 _RUN_BYTES = 1_700_000
 _LIMIT_BYTES = 72  # 68.2: four draw arrays, overlaps, rho_ctr and its scratch
 _SHADOWED_BYTES = 32  # per candidate station, 31.3: log gains, scratch, normals
-_FINITE_BYTES = 208  # 204.6: five complex user sums and a dozen real arrays
+_FINITE_BYTES = 140  # 138.3 at k = 1: draws, amp, a, w and two complex term planes
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 
@@ -409,12 +411,15 @@ def _shadowed_ratio(scn: _Scenario, users, seed: int, blocks: range, ws):
 def _finite_block(scn: _Scenario, seed: int, blocks: range, ws, sinr, stats):
     """Tagged-user SINR of the run blocks at every load 1..users_per_cell,
     where load k keeps the first k users of each cell, into sinr (trials,
-    users_per_cell), column k - 1 for load k; stats is not used."""
+    planes, users_per_cell), column k - 1 for load k; stats is not used.
+    The one plane is scn.scheme's; two, from a different-sets scenario, are
+    reused and different sets, on the same users and fading."""
     users, phi = _draw_users(scn, seed, blocks, ws, sinr)
     rho_own, rho_ctr = _squared_distances(scn, users, ws)
     n, k, count = scn.n_cells, scn.users_per_cell, len(sinr)
     n_users = (n + 1) * k
     shape = (count, n + 1, k)
+    different = scn.scheme is PilotScheme.DIFFERENT_SETS
 
     # ULPC effective channel amplitude at the center station is
     # sqrt(beta_center / beta_own); beta = r^-gamma is a power gain, so the
@@ -427,16 +432,9 @@ def _finite_block(scn: _Scenario, seed: int, blocks: range, ws, sinr, stats):
 
     # pilot-matched-filter weights a = c * amp: own-cell pilots are
     # orthogonal, so only the tagged user survives from the center cell, and
-    # an interferer enters with the modulus sqrt(phi) of its pilot overlap.
-    a = ws("a", shape)
-    a[...] = 0.0
-    a[:, 0, 0] = 1.0
-    if phi is None:
-        a[:, 1:, 0] = amp[:, 1:, 0]
-    else:
-        interferer_a = np.sqrt(phi, out=a[:, 1:])
-        interferer_a *= interferer_amp
-
+    # an interferer enters with the modulus sqrt(phi) of its pilot overlap,
+    # 1 for the same-index user and 0 for the others under reused sets.
+    #
     # The estimate is ghat = H a over the M x (N+1) channel H with i.i.d.
     # CN(0, 1) entries, a holding one more pilot-noise column of weight
     # 1/sqrt(tau * SNR_p).  The law of H does not change under a unitary
@@ -459,34 +457,63 @@ def _finite_block(scn: _Scenario, seed: int, blocks: range, ws, sinr, stats):
     w = w[:count].view(complex)
     w *= math.sqrt(0.5)
     w_users = w[:, :n_users].reshape(shape)
-    weight = np.multiply(amp, amp, out=ws("weight", shape))
+    a_noise = 1.0 / math.sqrt(scn.pilot_dim * scn.pilot_snr)  # 0 without pilot noise
+    w_noise = w[:, n_users] if noisy else 0.0
+    planes = []  # (sinr plane, |a|^2, proj, A, B), the sums over the users
+    if sinr.shape[1] == 2 or not different:
+        # Reused sets: a is amp in slab 0 (in-cell index 0) and 0 elsewhere,
+        # so the sums do not grow with the load.  Cumulative sums add the
+        # cells in turn, as a full-array sum over the cells does at k > 1.
+        amp0, w0 = amp[:, :, 0], w_users[:, :, 0]
+        slab0 = [amp0 * amp0, amp0 * w0]
+        slab0 += [slab0[0] * slab0[0], slab0[1] * slab0[0]]
+        slab0[2][:, 0] = slab0[3][:, 0] = 0.0  # the tagged user is no interferer
+        norm2, proj, big_a, big_b = (np.cumsum(t, axis=1)[:, -1] for t in slab0)
+        norm2 += a_noise**2
+        proj += a_noise * w_noise
+        planes.append((sinr[:, 0], *(t[:, None] for t in (norm2, proj, big_a, big_b))))
+    if different:
+        a = ws("a", shape)
+        a[:, 0] = 0.0
+        a[:, 0, 0] = 1.0
+        interferer_a = np.sqrt(phi, out=a[:, 1:])
+        interferer_a *= interferer_amp
+    weight = np.multiply(amp, amp, out=amp)  # amp is not read again
     weight[:, 0, 0] = 0.0  # the tagged user is no interferer
-    terms = ws("terms", (5, *shape), complex)  # |a|^2, a w; A, B, C
-    np.multiply(a, a, out=terms[0])
-    np.multiply(a, w_users, out=terms[1])
-    terms[2:4] = terms[:2]
-    w2 = np.square(w_users.real, out=ws("w2", shape))
-    w2 += np.square(w_users.imag, out=a)  # a is not read again
-    terms[4] = w2
-    weighted = terms[2:]
-    weighted *= weight
-    sums = terms.sum(axis=2, out=ws("sums", (5, count, k), complex))
+    # Plane 0 holds C's terms as real parts and |a|^2 as imaginary ones, so
+    # one complex sum over the cells yields both, in a complex sum's order
+    # (pairwise at k = 1), which the different-sets outputs keep; plane 1
+    # holds a w.
+    terms = ws("terms", (1 + different, *shape), complex)
+    c_terms, a2 = terms[0].real, terms[0].imag
+    np.square(w_users.real, out=c_terms)
+    c_terms += np.square(w_users.imag, out=a2)
+    c_terms *= weight
+    if different:
+        np.multiply(a, a, out=a2)
+        np.multiply(a, w_users, out=terms[1])
+    else:
+        a2[...] = 0.0
+    sums = terms.sum(axis=2, out=ws("sums", (1 + different, count, k), complex))
     # what every load shares goes into load 1 before the prefix sums
-    if noisy:
-        a_noise = 1.0 / math.sqrt(scn.pilot_dim * scn.pilot_snr)
-        sums[0, :, 0] += a_noise**2
-        sums[1, :, 0] += a_noise * w[:, n_users]
-    if math.isfinite(scn.ul_snr):
-        sums[4, :, 0] += 1.0 / scn.ul_snr
+    sums[0, :, 0] += 1.0 / scn.ul_snr + 1j * a_noise**2
+    if different:
+        sums[1, :, 0] += a_noise * w_noise
+        np.multiply(a2, weight, out=c_terms)  # C is summed; A's terms
+        terms[1] *= weight  # B's terms
+        weighted = terms.sum(axis=2, out=ws("weighted", sums.shape, complex))
+        np.cumsum(weighted, axis=2, out=weighted)
+        planes.append((sinr[:, -1], sums[0].imag, sums[1], weighted[0].real, weighted[1]))
     np.cumsum(sums, axis=2, out=sums)
-    norm2, proj, big_a, big_b, big_c = sums  # proj = |a| u^H w
-    norm2 = norm2.real
-    # (count, k) values from here on, a per-trial share of the arrays above
-    g = (z_norm * np.sqrt(norm2) - proj) / norm2
-    num = np.abs(g + w[:, :1]) ** 2  # a = amp = 1 for the tagged user
-    den = (g.real**2 + g.imag**2) * big_a.real + 2.0 * (g * big_b.conj()).real + big_c.real
-    sinr[...] = math.inf
-    np.divide(num, den, out=sinr, where=den > 0.0)
+    big_c = sums[0].real
+    # (count, k) values from here on, a per-trial share of the arrays above;
+    # reused sets take their share of the denominator once per trial
+    for out, norm2, proj, big_a, big_b in planes:
+        g = (z_norm * np.sqrt(norm2) - proj) / norm2  # proj = |a| u^H w
+        num = np.abs(g + w[:, :1]) ** 2  # a = amp = 1 for the tagged user
+        den = (g.real**2 + g.imag**2) * big_a + 2.0 * (g * big_b.conj()).real + big_c
+        out[...] = math.inf
+        np.divide(num, den, out=out, where=den > 0.0)
 
 
 def _run_length(scn: _Scenario) -> int:
@@ -721,8 +748,8 @@ def sample_sir_finite_m(
     """
     k = users_per_cell
     scn = _scenario(geometry, scheme, k, max_tier, finite_m=config, load=k)
-    by_load, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (k,))
-    return SirSampleSet(by_load[:, -1].copy())
+    by_load, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (1, k))
+    return SirSampleSet(by_load[:, 0, -1].copy())
 
 
 def wilson_interval(failures: int, n: int) -> tuple[float, float]:
@@ -750,17 +777,35 @@ class CapacitySearchResult:
     best_k: int = 0
 
 
-@functools.lru_cache(maxsize=3)
-def _sinr_by_load(geometry, scheme, finite_m, max_tier, trials, seed, workers) -> np.ndarray:
-    """Read-only (trials, budget) finite-M SINRs at the pilot budget of the
-    reuse factor, column k - 1 for load k; memoised across QoS presets."""
+def _finite_pass(geometry, scheme, finite_m, max_tier, trials, seed, workers) -> dict:
+    """Read-only (trials, budget) finite-M SINRs per pilot scheme at the
+    pilot budget of the reuse factor, column k - 1 for load k: reused sets
+    alone, or, from the same draws, both schemes for different sets."""
+    schemes = tuple(PilotScheme) if scheme is PilotScheme.DIFFERENT_SETS else (scheme,)
     budget = finite_m.pilot_length // geometry.reuse_factor
-    sinr = np.empty((trials, 0))
+    sinr = np.empty((trials, len(schemes), 0))
     if budget:
         scn = _scenario(geometry, scheme, budget, max_tier, finite_m=finite_m, load=1)
-        sinr, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (budget,))
+        sinr, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (len(schemes), budget))
     sinr.flags.writeable = False
-    return sinr
+    return {s: sinr[:, i] for i, s in enumerate(schemes)}
+
+
+_PASSES: dict = {}  # the last three _finite_pass results, oldest first
+
+
+def _sinr_by_load(geometry, scheme, finite_m, max_tier, trials, seed, workers) -> np.ndarray:
+    """_finite_pass's SINRs of scheme, memoised per pass across QoS presets
+    and schemes: a reused-sets request reads a memoised different-sets pass
+    or runs its own."""
+    key = (geometry, finite_m, max_tier, trials, seed, workers)
+    planes = _PASSES.pop(key, {})
+    if scheme not in planes:
+        planes = _finite_pass(geometry, scheme, finite_m, max_tier, trials, seed, workers)
+    _PASSES[key] = planes
+    if len(_PASSES) > 3:  # one pass per reuse factor
+        del _PASSES[next(iter(_PASSES))]
+    return planes[scheme]
 
 
 def empirical_capacity_search(

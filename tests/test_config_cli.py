@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mimocap import capacity as cap
 from mimocap import cli
 from mimocap import interference as intf
+from mimocap import simulate
 from mimocap.cli import main
 from mimocap.config import _KEYS, ConfigError, QosGrid, ScenarioConfig, config_hash, load_config
 
@@ -473,13 +474,43 @@ class TestCli:
             ("validate", "--out"),
         ],
     )
-    def test_unwritable_output_is_config_error(self, command, option, config_file, tmp_path, capsys):
-        path = tmp_path / "missing" / "out.csv"
+    def test_unwritable_output_is_config_error(
+        self, command, option, config_file, tmp_path, capsys, monkeypatch
+    ):
+        # every output is opened before any work, so none is done
+        def work(*args, **kwargs):
+            raise AssertionError("work done before the outputs were opened")
+
+        for module, name in (
+            (cli, "empirical_capacity_search"), (cli, "sample_sir_limit"),
+            (cap, "tier1_moments"), (cli, "_validation_checks"),
+        ):
+            monkeypatch.setattr(module, name, work)
+        path, out = tmp_path / "missing" / "out.csv", tmp_path / "out.csv"
         sets = ["--set", "finite_m.antennas=16", "--set", "finite_m.trials=40"]
-        assert main([command, config_file, *sets, "--out", os.devnull, option, str(path)]) == 2
+        assert main([command, config_file, *sets, "--out", str(out), option, str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: cannot write {path}: ")
         assert not path.parent.exists()
+        assert not out.exists() if option == "--out" else out.read_text() == ""
+
+    def test_finite_m_table_both_schemes_is_reused_then_different(
+        self, config_file, tmp_path, monkeypatch
+    ):
+        # byte for byte apart from the config hash, whichever passes serve it
+        sets = ["--set", "finite_m.antennas=16", "--set", "finite_m.trials=60"]
+        tables = {}
+        for scheme in ("both", "reused", "different"):
+            monkeypatch.setattr(simulate, "_PASSES", {})
+            out = tmp_path / f"{scheme}.csv"
+            args = [*sets, "--set", f"pilots.scheme={scheme}", "--out", str(out)]
+            assert main(["finite-m-table", config_file, *args]) == 0
+            lines = out.read_bytes().splitlines(keepends=True)
+            tables[scheme] = [line for line in lines if not line.startswith(b"# config-hash: ")]
+        head = 4  # three comment lines and the column names
+        assert len(tables["reused"]) == len(tables["different"]) == head + 4
+        assert tables["reused"][:head] == tables["different"][:head]
+        assert tables["both"] == tables["reused"] + tables["different"][head:]
 
     def test_sir_cdf_budget_below_reuse7_is_config_error(self, config_file, capsys):
         # reuse 7 leaves 6 // 7 = 0 pilots per cell

@@ -17,6 +17,7 @@ from mimocap.simulate import (
     _Workspace,
     _draw_users,
     _finite_block,
+    _finite_pass,
     _limit_block,
     _run_length,
     _scenario,
@@ -128,8 +129,9 @@ def _sampler_outputs(geometry, book, trials, workers) -> list:
             )
             out += [samples.samples, diag.max_interference_ratio, diag.tier_shares]
         out.append(sample_sir_finite_m(w3, scheme, 2, cfg, trials, SEED, workers=workers).samples)
-        # past the memo, so that every call draws
-        out.append(_sinr_by_load.__wrapped__(w3, scheme, cfg, 1, trials, SEED, workers))
+        # past the memo, so that every call draws: reused sets alone, then
+        # both planes of a different-sets pass
+        out += _finite_pass(w3, scheme, cfg, 1, trials, SEED, workers).values()
     for region in ("hexagon", "circle"):
         samples = sample_sir_limit(
             w7, PilotScheme.DIFFERENT_SETS, 2, trials, SEED, 3, book, region, 1, workers
@@ -164,10 +166,12 @@ class TestRunsOfBlocks:
             lambda: sample_sir_limit(geometry, reused, 1, 2000, SEED),
             lambda: sample_sir_limit_shadowed(w7, different, 1, 8.0, 2000, SEED, 6, max_tier=1),
             lambda: sample_sir_finite_m(w7, different, 1, cfg, 2000, SEED),
+            lambda: _finite_pass(w7, different, FiniteMConfig(pilot_length=7), 1, 2000, SEED, None),
         ]
         one_block_over_budget = [
             lambda: sample_sir_limit_shadowed(geometry, different, 4, 8.0, 200, SEED, 42),
             lambda: sample_sir_finite_m(geometry, different, 42, cfg, 200, SEED),
+            lambda: _finite_pass(geometry, different, cfg, 1, 200, SEED, None),
         ]
         budget = simulate._RUN_BYTES
         for call in several_blocks + one_block_over_budget:
@@ -263,7 +267,7 @@ class TestSquaredDistances:
         for scheme in PilotScheme:
             cfg = FiniteMConfig(antennas=64)
             scn = _scenario(geometry.with_reuse(3), scheme, 4, max_tier=2, finite_m=cfg, load=4)
-            sinr, expect = np.empty((150, 4)), np.empty((150, 4))
+            sinr, expect = np.empty((150, 1, 4)), np.empty((150, 1, 4))
             _finite_block(scn, SEED, range(3), _Workspace(), sinr, np.empty((3, 0)))
             with monkeypatch.context() as m:
                 m.setattr(
@@ -666,6 +670,20 @@ class TestOutageAndSearch:
                 parallel = empirical_capacity_search(geometry, scheme, qos, **kwargs, workers=2)
                 assert serial == parallel
 
+    def test_search_results_do_not_depend_on_the_scheme_asked_first(self, geometry, monkeypatch):
+        # a reused-sets search reads a memoised different-sets pass, or runs
+        # its own reused-only pass; both give the same SINRs
+        cfg = FiniteMConfig(antennas=32, pilot_length=9)
+        qos = QosTarget.from_db(0.0, 0.05)
+        results = []
+        for order in (list(PilotScheme), list(PilotScheme)[::-1]):
+            monkeypatch.setattr(simulate, "_PASSES", {})
+            results.append(
+                {s: empirical_capacity_search(geometry, s, qos, 300, SEED, cfg, 2) for s in order}
+            )
+        assert results[0] == results[1]
+        assert results[0][_R] != results[0][_D]
+
     def test_finite_m_search_rejects_undefined_sinr(self, geometry):
         # no data noise and no co-channel cells: load 1 leaves the tagged
         # user without any interferer
@@ -676,6 +694,32 @@ class TestOutageAndSearch:
                     geometry, PilotScheme.REUSED_SETS, QosTarget.from_db(60.0, 0.05),
                     trials=20, seed=SEED, finite_m=cfg, max_tier=0,
                 )
+
+
+class TestSharedPass:
+    """A different-sets search pass yields reused sets too, from its draws."""
+
+    @pytest.mark.parametrize("budget", [1, 3, 9])
+    def test_reused_plane_equals_a_reused_only_pass(self, geometry, budget):
+        for max_tier in (1, 2):
+            for snr_db in (10.0, None):
+                cfg = FiniteMConfig(16, budget, ul_snr_db=snr_db, pilot_snr_db=snr_db)
+                both = _finite_pass(geometry, _D, cfg, max_tier, 150, SEED, None)
+                alone = _finite_pass(geometry, _R, cfg, max_tier, 150, SEED, None)
+                assert list(both) == [_R, _D] and list(alone) == [_R]
+                assert np.array_equal(both[_R], alone[_R])
+                assert both[_R].shape == both[_D].shape == (150, budget)
+
+    def test_memo_holds_one_pass_per_reuse_factor(self, geometry, monkeypatch):
+        monkeypatch.setattr(simulate, "_PASSES", {})
+        cfg = FiniteMConfig(antennas=16, pilot_length=9)
+        qos = QosTarget.from_db(0.0, 0.05)
+        empirical_capacity_search(geometry, _D, qos, 100, SEED, cfg)
+        passes = simulate._PASSES.copy()
+        assert len(passes) == 3 and all(list(p) == [_R, _D] for p in passes.values())
+        empirical_capacity_search(geometry, _R, qos, 100, SEED, cfg)
+        # served by the different-sets passes
+        assert all(simulate._PASSES[key] is planes for key, planes in passes.items())
 
 
 class TestSampleSet:
