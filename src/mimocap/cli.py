@@ -209,10 +209,8 @@ def cmd_sir_cdf(config: ScenarioConfig, out) -> int:
 
 
 def cmd_finite_m_table(config: ScenarioConfig, out) -> int:
-    rows = {scheme_name: [] for scheme_name in config.schemes}  # in the CSV's order
-    # different sets first (config.schemes ends with it): its search passes
-    # yield the reused-sets SINRs too
-    for scheme_name in reversed(config.schemes):
+    rows = []
+    for scheme_name in config.schemes:
         scheme = PilotScheme.parse(scheme_name)
         for label, sir_db, alpha in _QOS_PRESETS:
             qos = QosTarget.from_db(sir_db, alpha)
@@ -227,7 +225,7 @@ def cmd_finite_m_table(config: ScenarioConfig, out) -> int:
                 workers=config.workers,
             )
             outage, interval = result.outage_at_k[result.best_reuse]
-            rows[scheme_name].append(
+            rows.append(
                 (
                     label,
                     sir_db,
@@ -243,8 +241,7 @@ def cmd_finite_m_table(config: ScenarioConfig, out) -> int:
                     interval[1],
                 )
             )
-    header = _header("finite-m-table", config)
-    _write_rows(out, header, _FINITE_M_COLUMNS, itertools.chain(*rows.values()))
+    _write_rows(out, _header("finite-m-table", config), _FINITE_M_COLUMNS, rows)
     return 0
 
 

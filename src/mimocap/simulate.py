@@ -33,8 +33,8 @@ trial costs O(N) whatever M is, has the law of the M x N simulation, and
 yields the SINR at every per-cell load.  empirical_capacity_search reads the
 largest load with outage P(SINR < S) <= alpha off one such pass per reuse
 factor, every load on the same draws (common random numbers).  Both pilot
-schemes draw the same users and fading, so a different-sets pass yields the
-reused-sets SINRs too, and the passes are memoised for either scheme.
+schemes draw the same users and fading, so every pass is a different-sets
+one that fills both schemes, and one memoised pass serves either.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, block, role) (Salmon et al., "Parallel random numbers: as easy as
@@ -86,6 +86,7 @@ _SHADOWED_BYTES = 32  # per candidate station, 31.3: log gains, scratch, normals
 _FINITE_BYTES = 140  # 138.3 at k = 1: draws, amp, a, w and two complex term planes
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
+_PLANES = tuple(PilotScheme)  # the SINR planes of _finite_block: reused, then different sets
 
 
 @functools.cache
@@ -412,8 +413,8 @@ def _finite_block(scn: _Scenario, seed: int, blocks: range, ws, sinr, stats):
     """Tagged-user SINR of the run blocks at every load 1..users_per_cell,
     where load k keeps the first k users of each cell, into sinr (trials,
     planes, users_per_cell), column k - 1 for load k; stats is not used.
-    The one plane is scn.scheme's; two, from a different-sets scenario, are
-    reused and different sets, on the same users and fading."""
+    Plane 0 is always reused sets; a different-sets scenario adds plane 1,
+    different sets, on the same users and fading (the order of _PLANES)."""
     users, phi = _draw_users(scn, seed, blocks, ws, sinr)
     rho_own, rho_ctr = _squared_distances(scn, users, ws)
     n, k, count = scn.n_cells, scn.users_per_cell, len(sinr)
@@ -459,19 +460,18 @@ def _finite_block(scn: _Scenario, seed: int, blocks: range, ws, sinr, stats):
     w_users = w[:, :n_users].reshape(shape)
     a_noise = 1.0 / math.sqrt(scn.pilot_dim * scn.pilot_snr)  # 0 without pilot noise
     w_noise = w[:, n_users] if noisy else 0.0
-    planes = []  # (sinr plane, |a|^2, proj, A, B), the sums over the users
-    if sinr.shape[1] == 2 or not different:
-        # Reused sets: a is amp in slab 0 (in-cell index 0) and 0 elsewhere,
-        # so the sums do not grow with the load.  Cumulative sums add the
-        # cells in turn, as a full-array sum over the cells does at k > 1.
-        amp0, w0 = amp[:, :, 0], w_users[:, :, 0]
-        slab0 = [amp0 * amp0, amp0 * w0]
-        slab0 += [slab0[0] * slab0[0], slab0[1] * slab0[0]]
-        slab0[2][:, 0] = slab0[3][:, 0] = 0.0  # the tagged user is no interferer
-        norm2, proj, big_a, big_b = (np.cumsum(t, axis=1)[:, -1] for t in slab0)
-        norm2 += a_noise**2
-        proj += a_noise * w_noise
-        planes.append((sinr[:, 0], *(t[:, None] for t in (norm2, proj, big_a, big_b))))
+    # Reused sets: a is amp in slab 0 (in-cell index 0) and 0 elsewhere, so
+    # the sums do not grow with the load.  Cumulative sums add the cells in
+    # turn, as a full-array sum over the cells does at k > 1.
+    amp0, w0 = amp[:, :, 0], w_users[:, :, 0]
+    slab0 = [amp0 * amp0, amp0 * w0]
+    slab0 += [slab0[0] * slab0[0], slab0[1] * slab0[0]]
+    slab0[2][:, 0] = slab0[3][:, 0] = 0.0  # the tagged user is no interferer
+    norm2, proj, big_a, big_b = (np.cumsum(t, axis=1)[:, -1] for t in slab0)
+    norm2 += a_noise**2
+    proj += a_noise * w_noise
+    # (sinr plane, |a|^2, proj, A, B), the sums over the users
+    planes = [(sinr[:, 0], *(t[:, None] for t in (norm2, proj, big_a, big_b)))]
     if different:
         a = ws("a", shape)
         a[:, 0] = 0.0
@@ -503,7 +503,7 @@ def _finite_block(scn: _Scenario, seed: int, blocks: range, ws, sinr, stats):
         terms[1] *= weight  # B's terms
         weighted = terms.sum(axis=2, out=ws("weighted", sums.shape, complex))
         np.cumsum(weighted, axis=2, out=weighted)
-        planes.append((sinr[:, -1], sums[0].imag, sums[1], weighted[0].real, weighted[1]))
+        planes.append((sinr[:, 1], sums[0].imag, sums[1], weighted[0].real, weighted[1]))
     np.cumsum(sums, axis=2, out=sums)
     big_c = sums[0].real
     # (count, k) values from here on, a per-trial share of the arrays above;
@@ -746,10 +746,10 @@ def sample_sir_finite_m(
     the co-channel network (own cell included) adds non-coherent
     interference, and the SNRs set the pilot and data noise levels.
     """
-    k = users_per_cell
+    k, plane = users_per_cell, _PLANES.index(scheme)
     scn = _scenario(geometry, scheme, k, max_tier, finite_m=config, load=k)
-    by_load, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (1, k))
-    return SirSampleSet(by_load[:, 0, -1].copy())
+    by_load, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (plane + 1, k))
+    return SirSampleSet(by_load[:, plane, -1].copy())
 
 
 def wilson_interval(failures: int, n: int) -> tuple[float, float]:
@@ -777,35 +777,19 @@ class CapacitySearchResult:
     best_k: int = 0
 
 
-def _finite_pass(geometry, scheme, finite_m, max_tier, trials, seed, workers) -> dict:
-    """Read-only (trials, budget) finite-M SINRs per pilot scheme at the
-    pilot budget of the reuse factor, column k - 1 for load k: reused sets
-    alone, or, from the same draws, both schemes for different sets."""
-    schemes = tuple(PilotScheme) if scheme is PilotScheme.DIFFERENT_SETS else (scheme,)
+@functools.lru_cache(maxsize=3)  # one pass per reuse factor, across QoS presets and schemes
+def _finite_pass(geometry, finite_m, max_tier, trials, seed, workers) -> np.ndarray:
+    """Read-only (trials, 2, budget) finite-M SINRs at the pilot budget of
+    the reuse factor, planes in the order of _PLANES and column k - 1 for
+    load k, both schemes from one set of draws."""
     budget = finite_m.pilot_length // geometry.reuse_factor
-    sinr = np.empty((trials, len(schemes), 0))
+    sinr = np.empty((trials, len(_PLANES), 0))
     if budget:
-        scn = _scenario(geometry, scheme, budget, max_tier, finite_m=finite_m, load=1)
-        sinr, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (len(schemes), budget))
+        different = PilotScheme.DIFFERENT_SETS
+        scn = _scenario(geometry, different, budget, max_tier, finite_m=finite_m, load=1)
+        sinr, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (len(_PLANES), budget))
     sinr.flags.writeable = False
-    return {s: sinr[:, i] for i, s in enumerate(schemes)}
-
-
-_PASSES: dict = {}  # the last three _finite_pass results, oldest first
-
-
-def _sinr_by_load(geometry, scheme, finite_m, max_tier, trials, seed, workers) -> np.ndarray:
-    """_finite_pass's SINRs of scheme, memoised per pass across QoS presets
-    and schemes: a reused-sets request reads a memoised different-sets pass
-    or runs its own."""
-    key = (geometry, finite_m, max_tier, trials, seed, workers)
-    planes = _PASSES.pop(key, {})
-    if scheme not in planes:
-        planes = _finite_pass(geometry, scheme, finite_m, max_tier, trials, seed, workers)
-    _PASSES[key] = planes
-    if len(_PASSES) > 3:  # one pass per reuse factor
-        del _PASSES[next(iter(_PASSES))]
-    return planes[scheme]
+    return sinr
 
 
 def empirical_capacity_search(
@@ -828,9 +812,10 @@ def empirical_capacity_search(
     """
     per_reuse: dict[int, int] = {}
     outage_at_k: dict[int, tuple[float, tuple[float, float]]] = {}
+    plane = _PLANES.index(scheme)
     for w in (1, 3, 7):
         geo = geometry.with_reuse(w)
-        sinr = _sinr_by_load(geo, scheme, finite_m, max_tier, trials, seed, workers)
+        sinr = _finite_pass(geo, finite_m, max_tier, trials, seed, workers)[:, plane]
         failures = np.count_nonzero(sinr < qos.min_sir_linear, axis=0)
         admitted = np.flatnonzero(failures / trials <= qos.outage)
         k = int(admitted[-1]) + 1 if admitted.size else 0

@@ -494,14 +494,12 @@ class TestCli:
         assert not path.parent.exists()
         assert not out.exists() if option == "--out" else out.read_text() == ""
 
-    def test_finite_m_table_both_schemes_is_reused_then_different(
-        self, config_file, tmp_path, monkeypatch
-    ):
+    def test_finite_m_table_both_schemes_is_reused_then_different(self, config_file, tmp_path):
         # byte for byte apart from the config hash, whichever passes serve it
         sets = ["--set", "finite_m.antennas=16", "--set", "finite_m.trials=60"]
         tables = {}
         for scheme in ("both", "reused", "different"):
-            monkeypatch.setattr(simulate, "_PASSES", {})
+            simulate._finite_pass.cache_clear()
             out = tmp_path / f"{scheme}.csv"
             args = [*sets, "--set", f"pilots.scheme={scheme}", "--out", str(out)]
             assert main(["finite-m-table", config_file, *args]) == 0
@@ -511,6 +509,16 @@ class TestCli:
         assert len(tables["reused"]) == len(tables["different"]) == head + 4
         assert tables["reused"][:head] == tables["different"][:head]
         assert tables["both"] == tables["reused"] + tables["different"][head:]
+
+    @pytest.mark.parametrize("scheme, schemes", [("both", 2), ("reused", 1), ("different", 1)])
+    def test_finite_m_table_runs_one_pass_per_reuse_factor(self, config_file, scheme, schemes):
+        # every search of every scheme and QoS preset reads the same 3 passes
+        simulate._finite_pass.cache_clear()
+        sets = ["--set", "finite_m.antennas=16", "--set", "finite_m.trials=60"]
+        args = [*sets, "--set", f"pilots.scheme={scheme}", "--out", os.devnull]
+        assert main(["finite-m-table", config_file, *args]) == 0
+        info = simulate._finite_pass.cache_info()
+        assert (info.hits, info.misses) == (3 * len(cli._QOS_PRESETS) * schemes - 3, 3)
 
     def test_sir_cdf_budget_below_reuse7_is_config_error(self, config_file, capsys):
         # reuse 7 leaves 6 // 7 = 0 pilots per cell

@@ -20,12 +20,13 @@ from law_checks import law_failures
 from mimocap.pilots import PilotScheme
 from mimocap.simulate import (
     _BLOCK,
+    _PLANES,
     _ROLE_FADING,
     FiniteMConfig,
     _draw_users,
+    _finite_pass,
     _run_blocks,
     _scenario,
-    _sinr_by_load,
     sample_sir_finite_m,
     trial_rng,
 )
@@ -141,7 +142,7 @@ def test_each_load_of_a_full_budget_pass_matches_brute_force_in_law(geometry):
             scn = _scenario(geo, scheme, k, max_tier=1, finite_m=cfg, load=k)
             seed = SEED + 1000 + 2 * i
             oracle = brute_force(scn, seed, TRIALS)
-            fast = _sinr_by_load(geo, scheme, cfg, 1, TRIALS, seed + 1, None)[:, k - 1]
+            fast = _finite_pass(geo, cfg, 1, TRIALS, seed + 1, None)[:, _PLANES.index(scheme), k - 1]
             yield f"{scheme.value} w={w} load {k} of {42 // w} M={m} snr={snr_db} dB", oracle, fast
 
     failures, pooled = law_failures(cells())

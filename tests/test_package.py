@@ -119,7 +119,7 @@ def test_cli_import_leaves_single_path_modules_out():
 
 
 def test_cache_keys_hash_and_compare_by_value():
-    # cochannel_cells and _sinr_by_load are lru_caches keyed on these, so
+    # cochannel_cells and _finite_pass are lru_caches keyed on these, so
     # equal values must hit the same entry
     from mimocap.geometry import NetworkGeometry
     from mimocap.simulate import FiniteMConfig

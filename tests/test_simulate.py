@@ -11,6 +11,7 @@ from mimocap.interference import QosTarget
 from mimocap.pilots import PilotScheme, generate_pilot_book
 from mimocap.simulate import (
     _BLOCK,
+    _PLANES,
     _ROLE_SHADOW,
     FiniteMConfig,
     SirSampleSet,
@@ -22,7 +23,6 @@ from mimocap.simulate import (
     _run_length,
     _scenario,
     _shadowed_ratio,
-    _sinr_by_load,
     empirical_capacity_search,
     sample_sir_finite_m,
     sample_sir_limit,
@@ -104,7 +104,7 @@ class TestDeterminism:
             lambda n: sample_sir_limit(geometry, reused, 3, n, SEED, region="circle").samples,
             lambda n: sample_sir_limit_shadowed(geometry, different, 3, 8.0, n, SEED, 42).samples,
             lambda n: sample_sir_finite_m(geometry, different, 3, cfg, n, SEED).samples,
-            lambda n: _sinr_by_load(geometry, different, FiniteMConfig(pilot_length=9), 1, n, SEED, None),
+            lambda n: _finite_pass(geometry, FiniteMConfig(pilot_length=9), 1, n, SEED, None)[:, 1],
         ]
         for run in runs:
             assert np.array_equal(run(300)[:100], run(100))
@@ -129,9 +129,8 @@ def _sampler_outputs(geometry, book, trials, workers) -> list:
             )
             out += [samples.samples, diag.max_interference_ratio, diag.tier_shares]
         out.append(sample_sir_finite_m(w3, scheme, 2, cfg, trials, SEED, workers=workers).samples)
-        # past the memo, so that every call draws: reused sets alone, then
-        # both planes of a different-sets pass
-        out += _finite_pass(w3, scheme, cfg, 1, trials, SEED, workers).values()
+    # past the memo, so that every call draws: both planes of a search pass
+    out.append(_finite_pass.__wrapped__(w3, cfg, 1, trials, SEED, workers))
     for region in ("hexagon", "circle"):
         samples = sample_sir_limit(
             w7, PilotScheme.DIFFERENT_SETS, 2, trials, SEED, 3, book, region, 1, workers
@@ -166,12 +165,12 @@ class TestRunsOfBlocks:
             lambda: sample_sir_limit(geometry, reused, 1, 2000, SEED),
             lambda: sample_sir_limit_shadowed(w7, different, 1, 8.0, 2000, SEED, 6, max_tier=1),
             lambda: sample_sir_finite_m(w7, different, 1, cfg, 2000, SEED),
-            lambda: _finite_pass(w7, different, FiniteMConfig(pilot_length=7), 1, 2000, SEED, None),
+            lambda: _finite_pass.__wrapped__(w7, FiniteMConfig(pilot_length=7), 1, 2000, SEED, None),
         ]
         one_block_over_budget = [
             lambda: sample_sir_limit_shadowed(geometry, different, 4, 8.0, 200, SEED, 42),
             lambda: sample_sir_finite_m(geometry, different, 42, cfg, 200, SEED),
-            lambda: _finite_pass(geometry, different, cfg, 1, 200, SEED, None),
+            lambda: _finite_pass.__wrapped__(geometry, cfg, 1, 200, SEED, None),
         ]
         budget = simulate._RUN_BYTES
         for call in several_blocks + one_block_over_budget:
@@ -220,7 +219,7 @@ class TestWorkspace:
                 geometry, scheme, 3, 8.0, trials, seed, 9, diagnostics=True
             )
             finite = sample_sir_finite_m(geometry, scheme, 3, cfg, trials, seed)
-            by_load = _sinr_by_load(geometry, scheme, cfg, 1, trials, seed, None)
+            by_load = _finite_pass(geometry, cfg, 1, trials, seed, None)[:, _PLANES.index(scheme)]
             shares = np.array(list(diag.tier_shares.values()))
             samples = [limit, booked, shadowed, finite]
             return [a for s in samples for a in (s.samples, s.sorted_samples)] + [shares, by_load]
@@ -267,7 +266,8 @@ class TestSquaredDistances:
         for scheme in PilotScheme:
             cfg = FiniteMConfig(antennas=64)
             scn = _scenario(geometry.with_reuse(3), scheme, 4, max_tier=2, finite_m=cfg, load=4)
-            sinr, expect = np.empty((150, 1, 4)), np.empty((150, 1, 4))
+            shape = (150, _PLANES.index(scheme) + 1, 4)  # a different-sets scenario fills both
+            sinr, expect = np.empty(shape), np.empty(shape)
             _finite_block(scn, SEED, range(3), _Workspace(), sinr, np.empty((3, 0)))
             with monkeypatch.context() as m:
                 m.setattr(
@@ -670,14 +670,13 @@ class TestOutageAndSearch:
                 parallel = empirical_capacity_search(geometry, scheme, qos, **kwargs, workers=2)
                 assert serial == parallel
 
-    def test_search_results_do_not_depend_on_the_scheme_asked_first(self, geometry, monkeypatch):
-        # a reused-sets search reads a memoised different-sets pass, or runs
-        # its own reused-only pass; both give the same SINRs
+    def test_search_results_do_not_depend_on_the_scheme_asked_first(self, geometry):
+        # the first search runs the passes and the second reads them
         cfg = FiniteMConfig(antennas=32, pilot_length=9)
         qos = QosTarget.from_db(0.0, 0.05)
         results = []
         for order in (list(PilotScheme), list(PilotScheme)[::-1]):
-            monkeypatch.setattr(simulate, "_PASSES", {})
+            _finite_pass.cache_clear()
             results.append(
                 {s: empirical_capacity_search(geometry, s, qos, 300, SEED, cfg, 2) for s in order}
             )
@@ -697,29 +696,30 @@ class TestOutageAndSearch:
 
 
 class TestSharedPass:
-    """A different-sets search pass yields reused sets too, from its draws."""
+    """One search pass yields both pilot schemes, from the same draws."""
 
     @pytest.mark.parametrize("budget", [1, 3, 9])
-    def test_reused_plane_equals_a_reused_only_pass(self, geometry, budget):
+    def test_each_plane_equals_the_sampler_at_the_full_budget(self, geometry, budget):
         for max_tier in (1, 2):
             for snr_db in (10.0, None):
                 cfg = FiniteMConfig(16, budget, ul_snr_db=snr_db, pilot_snr_db=snr_db)
-                both = _finite_pass(geometry, _D, cfg, max_tier, 150, SEED, None)
-                alone = _finite_pass(geometry, _R, cfg, max_tier, 150, SEED, None)
-                assert list(both) == [_R, _D] and list(alone) == [_R]
-                assert np.array_equal(both[_R], alone[_R])
-                assert both[_R].shape == both[_D].shape == (150, budget)
+                sinr = _finite_pass.__wrapped__(geometry, cfg, max_tier, 150, SEED, None)
+                assert sinr.shape == (150, 2, budget)
+                for plane, scheme in enumerate(_PLANES):
+                    alone = sample_sir_finite_m(geometry, scheme, budget, cfg, 150, SEED, max_tier)
+                    assert np.array_equal(sinr[:, plane, -1], alone.samples)
 
-    def test_memo_holds_one_pass_per_reuse_factor(self, geometry, monkeypatch):
-        monkeypatch.setattr(simulate, "_PASSES", {})
+    @pytest.mark.parametrize("first", list(PilotScheme))
+    def test_memo_holds_one_pass_per_reuse_factor(self, geometry, first):
+        _finite_pass.cache_clear()
         cfg = FiniteMConfig(antennas=16, pilot_length=9)
         qos = QosTarget.from_db(0.0, 0.05)
-        empirical_capacity_search(geometry, _D, qos, 100, SEED, cfg)
-        passes = simulate._PASSES.copy()
-        assert len(passes) == 3 and all(list(p) == [_R, _D] for p in passes.values())
-        empirical_capacity_search(geometry, _R, qos, 100, SEED, cfg)
-        # served by the different-sets passes
-        assert all(simulate._PASSES[key] is planes for key, planes in passes.items())
+        empirical_capacity_search(geometry, first, qos, 100, SEED, cfg)
+        assert _finite_pass.cache_info().misses == 3
+        (second,) = set(PilotScheme) - {first}
+        empirical_capacity_search(geometry, second, qos, 100, SEED, cfg)
+        info = _finite_pass.cache_info()  # served by the first search's passes
+        assert (info.hits, info.misses) == (3, 3)
 
 
 class TestSampleSet:
