@@ -6,11 +6,19 @@ station of interest (r_l: distance to its own base station, r_j: distance
 to ours).  Under the circular-cell approximation the two are linked by the
 law of cosines through the cell separation, and the mean and variance of x
 reduce to smooth 2-D integrals over the interferer's polar position, which
-are evaluated here by adaptive tensor-product Gauss-Legendre quadrature.
+are evaluated here by adaptive tensor-product Gauss-Legendre quadrature,
+once per (disc radius, separation, gamma): the pilot scheme and dimension
+only weight the result.
 
 Pilot weighting turns (mu_x, var_x) into per-user moments (mu_y, var_y);
 summing tiers gives a Gaussian interference total whose tail against the
 SIR target S and outage alpha is the admission feasibility condition.
+
+The Gauss-Legendre rule and Q^-1 are computed here rather than imported:
+the rule is numpy's leggauss (the Jacobi-matrix eigenvalues of Golub and
+Welsch, Math. Comp. 23, 1969, one Newton step) and Q^-1 is Wichura's AS241
+(Appl. Stat. 37, 1988) as CPython's statistics.NormalDist evaluates it,
+each bit for bit, so no command loads numpy.polynomial or statistics.
 """
 
 from __future__ import annotations
@@ -121,15 +129,44 @@ def interference_ratio(r_l, theta, separation: float, gamma: float):
     return (r2 / rj2) ** gamma
 
 
-@functools.cache
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the order-point rule on [-1, 1]."""
-    # imported here, not at module level: only the quadrature needs it
-    from numpy.polynomial.legendre import leggauss
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Legendre series sum c_j P_j(x) by Clenshaw recursion, len(c) >= 2,
+    in numpy's legval operation order."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
-    nodes, weights = leggauss(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point rule on [-1, 1], equal to
+    numpy's leggauss(n) for n >= 2 (order 1 is never asked for)."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[: n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # one Newton step on P_n, whose derivative is the sum of (2j - 1)
+    # P_(j-1) over j = n, n - 2, ...
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    der = np.zeros(n)
+    j = np.arange(n, 0, -2)
+    der[j - 1] = 2 * j - 1
+    dy, df = _legval(x, c), _legval(x, der)
+    x -= dy / df
+    # weights c / (P_n'(x) P_(n-1)(x)), scaled against overflow, symmetrised
+    # and normalised to the interval length
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _disc_average(fn, radius: float, order: int) -> float:
@@ -162,6 +199,19 @@ def _adaptive_disc_average(fn, radius: float) -> float:
     )
 
 
+@functools.cache
+def _disc_moments(radius: float, separation: float, gamma: float) -> tuple[float, float]:
+    """Quadrature (mu_x, var_x) of x over the disc; shared by both pilot
+    schemes and every pilot dimension (a QuadratureError is not cached)."""
+
+    def integrand(r, theta):
+        return interference_ratio(r, theta, separation, gamma)
+
+    mu_x = _adaptive_disc_average(integrand, radius)
+    var_x = _adaptive_disc_average(lambda r, theta: (integrand(r, theta) - mu_x) ** 2, radius)
+    return mu_x, var_x
+
+
 def compute_tier_moments(
     patch: CirclePatch,
     gamma: float,
@@ -176,14 +226,7 @@ def compute_tier_moments(
     """
     if pilot_dim < 1:
         raise ValueError("pilot dimension must be >= 1")
-    b = patch.circle_radius_m
-    sep = patch.separation_m
-
-    def integrand(r, theta):
-        return interference_ratio(r, theta, sep, gamma)
-
-    mu_x = _adaptive_disc_average(integrand, b)
-    var_x = _adaptive_disc_average(lambda r, theta: (integrand(r, theta) - mu_x) ** 2, b)
+    mu_x, var_x = _disc_moments(patch.circle_radius_m, patch.separation_m, gamma)
 
     if scheme is PilotScheme.REUSED_SETS:
         mu_y, var_y = mu_x, var_x
@@ -202,14 +245,56 @@ def q_function(x) -> float | np.ndarray:
     return float(q) if q.ndim == 0 else q
 
 
+# AS241 (PPND16) numerator and denominator coefficients, highest power
+# first, for |alpha - 1/2| <= 0.425, then r = sqrt(-log(tail)) <= 5, then
+# r > 5; each is the shortest repr of the double its published value rounds to
+_AS241 = (
+    (
+        (2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
+         13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665),
+        (5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
+         5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0),
+    ),
+    (
+        (0.0007745450142783414, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684,
+         3.6478483247632045, 5.769497221460691, 4.630337846156546, 1.4234371107496835),
+        (1.0507500716444169e-09, 0.0005475938084995345, 0.015198666563616457,
+         0.14810397642748008, 0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0),
+    ),
+    (
+        (2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784,
+         0.026532189526576124, 0.29656057182850487, 1.7848265399172913, 5.463784911164114,
+         6.657904643501103),
+        (2.0442631033899397e-15, 1.421511758316446e-07, 1.8463183175100548e-05,
+         0.0007868691311456133, 0.014875361290850615, 0.1369298809227358, 0.599832206555888, 1.0),
+    ),
+)
+
+
+def _horner(coeffs, r: float) -> float:
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * r + c
+    return acc
+
+
 def q_inverse(alpha: float) -> float:
-    """Inverse of the normal tail, Q^-1(alpha) = -Phi^-1(alpha)."""
+    """Inverse of the normal tail, Q^-1(alpha) = -Phi^-1(alpha), equal to
+    -statistics.NormalDist().inv_cdf(alpha) bit for bit."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    # imported here, not at module level: it loads fractions and decimal
-    from statistics import NormalDist
-
-    return -NormalDist().inv_cdf(alpha)
+    q = alpha - 0.5
+    if math.fabs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num, den = _AS241[0]
+        return -(_horner(num, r) * q / _horner(den, r))
+    r = math.sqrt(-math.log(alpha if q <= 0.0 else 1.0 - alpha))
+    if r <= 5.0:
+        (num, den), r = _AS241[1], r - 1.6
+    else:
+        (num, den), r = _AS241[2], r - 5.0
+    x = _horner(num, r) / _horner(den, r)
+    return x if q < 0.0 else -x
 
 
 def total_interference(load) -> GaussianInterference:

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from mimocap import interference as intf
 from mimocap.geometry import CirclePatch, circle_approximation, tier_specs
 from mimocap.interference import (
     GaussianInterference,
     QosTarget,
+    QuadratureError,
     TierMoments,
     compute_tier_moments,
     interference_ratio,
@@ -81,6 +83,27 @@ class TestQInverse:
             with pytest.raises(ValueError):
                 q_inverse(bad)
 
+    def test_equals_statistics_bit_for_bit(self):
+        # oracle: CPython's AS241, which q_inverse evaluates in place
+        from statistics import NormalDist
+
+        rng = np.random.default_rng(20261020)
+        tiny = 10.0 ** rng.uniform(-300.0, -0.3, 3000)  # log-uniform, both tails
+        near_one = 1.0 - 10.0 ** rng.uniform(-16.0, -0.3, 1000)
+        cut = math.exp(-25.0)  # r = sqrt(-log(alpha)) = 5, the tail-branch cut
+        edges = [0.5, 0.075, 0.925, cut, 1.0 - cut, 1e-300, 5e-324]
+        edges += [math.nextafter(e, d) for e in edges[1:5] for d in (0.0, 1.0)]
+        alphas = [*rng.random(3000).tolist(), *tiny.tolist(), *near_one.tolist(), *edges]
+        q = np.array(alphas) - 0.5
+        r = np.sqrt(-np.log(np.minimum(alphas, 1.0 - np.array(alphas))))
+        central = np.abs(q) <= 0.425
+        assert central.sum() and (~central & (r <= 5.0)).sum() and (~central & (r > 5.0)).sum()
+        assert (q > 0.0).sum() and min(alphas) <= 1e-300
+        nd = NormalDist()
+        bad = [a for a in alphas if q_inverse(a).hex() != (-nd.inv_cdf(a)).hex()]
+        assert not bad
+        assert q_inverse(0.5).hex() == "-0x0.0p+0"
+
 
 class TestQFunction:
     def test_scalar_gives_float(self):
@@ -100,6 +123,22 @@ class TestQFunction:
         assert q_function(0.0) == 0.5
         assert q_function(-np.inf) == 1.0 and q_function(np.inf) == 0.0
         assert math.isnan(q_function(np.nan))
+
+
+class TestGaussLegendre:
+    # every order the adaptive rule reaches: 16, doubled up to 2048
+    ADAPTIVE_ORDERS = [16 * 2**j for j in range(8)]
+
+    @pytest.mark.parametrize("orders", [range(2, 131), ADAPTIVE_ORDERS], ids=["2-130", "adaptive"])
+    def test_equals_leggauss(self, orders):
+        # oracle: numpy's leggauss, which _gauss_legendre computes in place
+        from numpy.polynomial.legendre import leggauss
+
+        for n in orders:
+            nodes, weights = intf._gauss_legendre(n)
+            ref_nodes, ref_weights = leggauss(n)
+            assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights), n
+            assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +216,45 @@ class TestMoments:
         k = 42
         tm = compute_tier_moments(tier1_patch, GAMMA, k, PilotScheme.DIFFERENT_SETS)
         assert beta_law_var_y(tm.mu_x, tm.var_x, k) < tm.var_y
+
+
+class TestMomentMemo:
+    def test_schemes_share_one_quadrature(self, tier1_patch):
+        intf._disc_moments.cache_clear()
+        reused = compute_tier_moments(tier1_patch, GAMMA, 42, PilotScheme.REUSED_SETS)
+        different = compute_tier_moments(tier1_patch, GAMMA, 42, PilotScheme.DIFFERENT_SETS)
+        info = intf._disc_moments.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        fresh = intf._disc_moments.__wrapped__(
+            tier1_patch.circle_radius_m, tier1_patch.separation_m, GAMMA
+        )
+        assert (reused.mu_x, reused.var_x) == (different.mu_x, different.var_x) == fresh
+
+    def test_quadrature_error_is_not_cached(self):
+        # a disc that all but touches the target station: x is unbounded
+        intf._disc_moments.cache_clear()
+        patch = CirclePatch(1.0, 1.0000001)
+        for _ in range(2):
+            with pytest.raises(QuadratureError):
+                compute_tier_moments(patch, GAMMA, 4, PilotScheme.REUSED_SETS)
+        info = intf._disc_moments.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+    def test_capacity_table_runs_one_quadrature_per_tier_and_reuse(self):
+        import os
+        import pathlib
+
+        from mimocap.cli import main
+
+        smoke = pathlib.Path(__file__).resolve().parent.parent / "configs" / "smoke.ini"
+        intf._disc_moments.cache_clear()
+        argv = ["capacity-table", str(smoke), "--set", "model.tier_count=2", "--out", os.devnull]
+        assert main(argv) == 0
+        # two tiers at reuse 1, 3 and 7 are six discs, but reuse 1's second
+        # tier and reuse 3's first share their separation (3 a = 4800 m), so
+        # five quadratures serve all twelve (scheme, reuse, tier) moments
+        info = intf._disc_moments.cache_info()
+        assert (info.misses, info.hits) == (5, 7)
 
 
 class TestQosCondition:

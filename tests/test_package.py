@@ -95,9 +95,10 @@ def test_cli_import_leaves_numpy_random_out():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_leaves_single_path_modules_out():
-    # statistics serves only q_inverse and numpy.polynomial only the
-    # quadrature nodes, so each is imported where it is used
+def test_commands_leave_single_path_modules_out():
+    # q_inverse and the Gauss-Legendre rule are computed in interference.py,
+    # so neither importing the CLI nor running the analytic commands loads
+    # statistics (with its fractions and decimal) or numpy.polynomial
     import os
     import pathlib
     import subprocess
@@ -105,17 +106,30 @@ def test_cli_import_leaves_single_path_modules_out():
 
     root = pathlib.Path(__file__).resolve().parent.parent
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "import mimocap.cli\n"
-        "names = ('statistics', 'numpy.polynomial')\n"
-        "print(sorted(m for m in sys.modules if m.startswith(names)))\n"
+        "names = ('statistics', 'fractions', 'decimal', 'numpy.polynomial')\n"
+        "subs = tuple(n + '.' for n in names)\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m in names or m.startswith(subs))\n"
+        "print('import', loaded())\n"
+        "out = ['--out', os.devnull]\n"
+        "runs = (['capacity-table', '--diagnostics', os.devnull], ['sir-cdf'], ['validate'])\n"
+        "for cmd, *extra in runs:\n"
+        "    rc = mimocap.cli.main([cmd, 'configs/smoke.ini', *out, *extra])\n"
+        "    print(cmd, rc, loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        "import []",
+        "capacity-table 0 []",
+        "sir-cdf 0 []",
+        "validate 0 []",
+    ]
 
 
 def test_cache_keys_hash_and_compare_by_value():
