@@ -18,10 +18,11 @@ samplers, _finite_block for finite M) is run_fn(scn, seed, blocks, ws,
 rows, block_rows): each block draws into its rows of the run's arrays, in
 the order a lone block would, and one array pass fills rows, the run's
 slice of a trial-ordered output, whose length is the run's trial count.
-Each worker of a sampler call owns one workspace (_Workspace), sized by its
-first and longest run, in which every run draws and evaluates in place, so
-a call touches fresh pages once, not once per run.  Hexagon users are kept
-in rhombus coordinates with rho_own, and an evaluator takes rho_ctr off a
+A call splits its blocks into contiguous parts (see _run_blocks), and each
+part owns one workspace (_Workspace), sized by its first and longest run,
+in which every run draws and evaluates in place, so a part touches fresh
+pages once, not once per run.  Hexagon users are kept in rhombus
+coordinates with rho_own, and an evaluator takes rho_ctr off a
 per-scenario table: the unshadowed limit terms (r_own / r_ctr)^(2 gamma) =
 (rho_own / rho_ctr)^gamma, and every user's amplitude in the finite-M one.
 
@@ -39,21 +40,25 @@ one that fills both schemes, and one memoised pass serves either.
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, block, role) (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC 2011).  Every block draws all of its trials, the last one
-included, and workers get whole blocks, so results are reproducible
+included, and parts get whole blocks, so results are reproducible
 bit-for-bit, a shorter run is a prefix of a longer one, and neither the
-worker count nor the grouping of blocks into runs changes anything.  All
-samplers draw users and pilots through the same block helpers in the
-same order, which makes paired comparisons across samplers (same user
-drops, same pilot collisions) possible by reusing a seed.  Under reused
-sets only the same-index user of each cell contaminates, so the limit
-samplers draw one user per cell there (_scenario), and their runs
-pair with the load-1 runs of the other samplers.
+parts, the threads or processes that run them, nor the grouping of blocks
+into runs changes anything.  All samplers draw users and pilots through
+the same block helpers in the same order, which makes paired comparisons
+across samplers (same user drops, same pilot collisions) possible by
+reusing a seed.  Under reused sets only the same-index user of each cell
+contaminates, so the limit samplers draw one user per cell there
+(_scenario), and their runs pair with the load-1 runs of the other
+samplers.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +87,13 @@ _BLOCK = 64  # trials per block of streams
 # one call (reuse 1/3/7, 1-42 users, 1-3 tiers, both schemes), rounded up.
 _RUN_BYTES = 1_700_000
 _LIMIT_BYTES = 72  # 68.2: four draw arrays, overlaps, rho_ctr and its scratch
-_SHADOWED_BYTES = 32  # per candidate station, 31.3: log gains, scratch, normals
+_SHADOWED_BYTES = 26  # per candidate station, 25.5: log gains, normals (first dy^2), scratch
 _FINITE_BYTES = 140  # 138.3 at k = 1: draws, amp, a, w and two complex term planes
+# A call whose one block outgrows _RUN_BYTES runs on at most _THREADS
+# threads, each with one block's workspace (see _run_blocks).  Only two CPUs
+# were timed: a 2-vCPU x86-64 VM, where such calls took 0.66-0.83x their
+# serial time.
+_THREADS = 2
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _PLANES = tuple(PilotScheme)  # the SINR planes of _finite_block: reused, then different sets
@@ -168,7 +178,8 @@ class ShadowDiagnostics:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class _Scenario:
-    """Everything a block needs; immutable and picklable for workers."""
+    """Everything a block needs; immutable, shared by the threads of a call
+    and picklable for pool processes."""
 
     geometry: NetworkGeometry
     centers: np.ndarray  # (n_cells, 2) co-channel cell centers
@@ -199,13 +210,13 @@ class _Scenario:
 
 
 class _Workspace:
-    """The scratch arrays of one sampler call in one worker.
+    """The scratch arrays of one part of a sampler call (see _run_blocks).
 
     ws(name, shape, dtype) is a view of the array of that name, made on
-    first use and kept for the call: a worker's first run is its longest,
+    first use and kept for the part: a part's first run is its longest,
     so every later run draws and evaluates in the same memory instead of
-    fresh pages.  A workspace dies with its worker loop, and no sampler
-    output is a view of it.
+    fresh pages.  A workspace dies with its part, is used by one thread
+    only, and no sampler output is a view of it.
     """
 
     def __init__(self):
@@ -388,12 +399,14 @@ def _shadowed_ratio(scn: _Scenario, users, seed: int, blocks: range, ws):
     user += np.multiply(step, t, out=step)
     user += scn.centers.T[:, None, :, None]
     stations = np.vstack(([0.0, 0.0], scn.centers)).T[:, :, None, None, None]
-    offsets = np.subtract(user[:, None], stations, out=ws("offsets", (2, n + 1, *shape)))
-    offsets *= offsets
-    log_gain = np.add(*offsets, out=offsets[0])
+    log_gain = np.subtract(user[0], stations[0], out=ws("log_gain", (n + 1, *shape)))
+    log_gain *= log_gain
+    z = ws("z", (len(blocks) * _BLOCK, *shape[1:], n + 1))
+    dy2 = np.subtract(user[1], stations[1], out=ws("z", log_gain.shape))  # before the normals
+    dy2 *= dy2
+    log_gain += dy2
     np.log(log_gain, out=log_gain)
     log_gain *= -scn.gamma / 2.0
-    z = ws("z", (len(blocks) * _BLOCK, *shape[1:], n + 1))
     for rng, rows in _block_streams(seed, blocks, _ROLE_SHADOW):
         rng.standard_normal(out=z[rows])
     z = z[: shape[0]]
@@ -516,26 +529,43 @@ def _finite_block(scn: _Scenario, seed: int, blocks: range, ws, sinr, stats):
         np.divide(num, den, out=out, where=den > 0.0)
 
 
-def _run_length(scn: _Scenario) -> int:
-    """Blocks per run: as many as keep the evaluator's workspace within
-    _RUN_BYTES, and at least one."""
+def _block_bytes(scn: _Scenario) -> int:
+    """Workspace bytes of one block of the scenario's evaluator."""
     per_value = _FINITE_BYTES if scn.antennas else _LIMIT_BYTES
     if scn.shadow_sigma_db > 0.0:
         per_value = _SHADOWED_BYTES * (scn.n_cells + 1)  # per candidate station
-    return max(1, _RUN_BYTES // (_BLOCK * (scn.n_cells + 1) * scn.users_per_cell * per_value))
+    return _BLOCK * (scn.n_cells + 1) * scn.users_per_cell * per_value
 
 
-def _run_worker(args):
+def _run_length(scn: _Scenario) -> int:
+    """Blocks per run: as many as keep the evaluator's workspace within
+    _RUN_BYTES, and at least one."""
+    return max(1, _RUN_BYTES // _block_bytes(scn))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_part(run_fn, scn: _Scenario, seed: int, blocks: range, rows, block_rows):
     """run_fn over the range blocks in runs, in block order, with one
-    workspace; returns the rows of their trials and of the blocks."""
-    run_fn, scn, seed, trials, blocks, row_shape, block_width = args
+    workspace, into rows, the rows of their trials, and block_rows."""
     per_run = _run_length(scn)
-    rows = np.empty((min(blocks.stop * _BLOCK, trials) - blocks.start * _BLOCK, *row_shape))
-    block_rows = np.empty((len(blocks), block_width))
     ws = _Workspace()
     for i in range(0, len(blocks), per_run):
         run = slice(i, i + per_run)
         run_fn(scn, seed, blocks[run], ws, rows[i * _BLOCK : run.stop * _BLOCK], block_rows[run])
+
+
+def _run_worker(args):
+    """_run_part in a pool process; returns the rows it filled."""
+    run_fn, scn, seed, trials, blocks, row_shape, block_width = args
+    rows = np.empty((min(blocks.stop * _BLOCK, trials) - blocks.start * _BLOCK, *row_shape))
+    block_rows = np.empty((len(blocks), block_width))
+    _run_part(run_fn, scn, seed, blocks, rows, block_rows)
     return rows, block_rows
 
 
@@ -546,28 +576,73 @@ def _run_blocks(
     consecutive blocks of _BLOCK trials covering [0, trials), in block
     order: blocks is the run's range of block indices, rows the rows of its
     trials in the (trials, *row_shape) output, block_rows its rows in the
-    (blocks, block_width) per-block output, and ws the worker's workspace.
-    Both outputs are returned.  Workers get contiguous ranges of whole
-    blocks, and every draw and every evaluated trial depends on its block
-    alone, so the output depends neither on the workers nor on the grouping
-    into runs."""
+    (blocks, block_width) per-block output, and ws the workspace of its
+    part.  Both outputs are returned.
+
+    The blocks are split into contiguous parts, at most one per block.  At
+    workers n >= 2 there is one part per pool process, min(n, CPU count).
+    Otherwise a call has one part, or, where one block's workspace exceeds
+    _RUN_BYTES, one per usable CPU up to _THREADS: part 0 on the calling
+    thread and the others on helper threads (the Philox fills and the large
+    array passes of such blocks release the GIL).  Every draw and every
+    evaluated trial depends on its block alone, so the output depends
+    neither on the parts nor on the grouping into runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= seed < 2**64:  # trial_rng keeps the low 64 bits, the Philox key
         raise ValueError("seed must lie in [0, 2^64)")
     blocks = range(-(-trials // _BLOCK))
-    if workers is None or workers <= 1 or len(blocks) < 2:
-        return _run_worker((run_fn, scn, seed, trials, blocks, row_shape, block_width))
-    # imported here, not at module level: most calls run serially, and the
-    # import would cost every CLI start
-    from concurrent.futures import ProcessPoolExecutor
+    n = len(blocks)
+    pooled = workers is not None and workers > 1
+    if pooled:
+        count = min(workers, os.cpu_count() or 1, n)
+    else:
+        count = min(_usable_cpus(), _THREADS, n) if _block_bytes(scn) > _RUN_BYTES else 1
+    parts = [blocks[i * n // count : (i + 1) * n // count] for i in range(count)]
+    if pooled and count > 1:
+        # imported here, not at module level: most calls run serially, and the
+        # import would cost every CLI start
+        from concurrent.futures import ProcessPoolExecutor
 
-    per_task = -(-len(blocks) // workers)
-    parts = [blocks[i : i + per_task] for i in range(0, len(blocks), per_task)]
-    tasks = [(run_fn, scn, seed, trials, part, row_shape, block_width) for part in parts]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows, block_rows = zip(*pool.map(_run_worker, tasks))
-    return np.concatenate(rows), np.concatenate(block_rows)
+        tasks = [(run_fn, scn, seed, trials, part, row_shape, block_width) for part in parts]
+        with ProcessPoolExecutor(max_workers=count) as pool:
+            rows, block_rows = zip(*pool.map(_run_worker, tasks))
+        return np.concatenate(rows), np.concatenate(block_rows)
+    rows = np.empty((trials, *row_shape))
+    block_rows = np.empty((n, block_width))
+
+    def run(part):
+        out = rows[part.start * _BLOCK : part.stop * _BLOCK], block_rows[part.start : part.stop]
+        _run_part(run_fn, scn, seed, part, *out)
+
+    errors = [None] * count
+
+    def run_helper(i):
+        try:
+            run(parts[i])
+        except BaseException as exc:  # raised again in the caller after the join
+            errors[i] = exc
+
+    # each helper runs in a copy of the caller's context, numpy's error state included
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run_helper, i))
+        for i in range(1, count)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(parts[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        errors.clear()  # so that the traceback, through this frame, holds no cycle
+        try:
+            raise error
+        finally:
+            del error
+    return rows, block_rows
 
 
 def _scenario(

@@ -295,16 +295,22 @@ def test_08_property_suites(capsys):
     )
     assert diag.tier_shares[2] > 0.01
 
-    # determinism under varying worker counts, all three samplers
+    # determinism under varying worker counts, all three samplers; the
+    # different-sets shadowed build outgrows the run budget in one block, so
+    # at workers None and 0 it runs on threads
     for build in (
         lambda w: sample_sir_limit(GEO, PilotScheme.DIFFERENT_SETS, 3, 200, SEED, pilot_dim=K, workers=w),
         lambda w: sample_sir_limit_shadowed(GEO, PilotScheme.REUSED_SETS, 2, 8.0, 200, SEED, workers=w),
+        lambda w: sample_sir_limit_shadowed(
+            GEO, PilotScheme.DIFFERENT_SETS, 4, 8.0, 200, SEED, pilot_dim=K, workers=w
+        ),
         lambda w: sample_sir_finite_m(
             GEO, PilotScheme.REUSED_SETS, 2, FiniteMConfig(antennas=16), 200, SEED, workers=w
         ),
     ):
-        a, b = build(None), build(2)
+        a, b, c = build(None), build(2), build(0)
         assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.samples, c.samples)
 
     announce(
         capsys,

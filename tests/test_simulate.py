@@ -1,4 +1,9 @@
+import concurrent.futures
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,10 +21,12 @@ from mimocap.simulate import (
     FiniteMConfig,
     SirSampleSet,
     _Workspace,
+    _block_bytes,
     _draw_users,
     _finite_block,
     _finite_pass,
     _limit_block,
+    _run_blocks,
     _run_length,
     _scenario,
     _shadowed_ratio,
@@ -139,6 +146,15 @@ def _sampler_outputs(geometry, book, trials, workers) -> list:
     return out
 
 
+def _assert_same_outputs(outputs, reference):
+    assert len(outputs) == len(reference)
+    for got, expect in zip(outputs, reference):
+        if isinstance(expect, np.ndarray):
+            assert np.array_equal(got, expect)
+        else:
+            assert got == expect
+
+
 class TestRunsOfBlocks:
     """Runs of blocks change no draw and no evaluated trial."""
 
@@ -179,13 +195,18 @@ class TestRunsOfBlocks:
                 monkeypatch.setattr(simulate, "_RUN_BYTES", run_bytes)
                 made.clear()
                 call()
-                sizes.append(sum(a.nbytes for a in made[0]._arrays.values()))
+                # one workspace per part; parts on threads make theirs in any order
+                sizes.append(sorted(sum(a.nbytes for a in ws._arrays.values()) for ws in made))
             default, one_block = sizes
-            assert default <= max(budget, one_block)
+            # every part's first run is a full block, so all one-block workspaces match
+            assert len(set(one_block)) == 1
+            assert all(size <= max(budget, one_block[0]) for size in default)
+            # a threaded call holds at most _THREADS one-block workspaces
+            assert sum(default) <= simulate._THREADS * max(budget, one_block[0])
             if call in several_blocks:
-                assert default > one_block
+                assert len(default) == 1 and default[0] > one_block[0]
             else:
-                assert default == one_block > budget
+                assert default == one_block and one_block[0] > budget
 
     @pytest.mark.parametrize("trials", [1, 63, 65, 700])
     def test_one_block_runs_match_default_runs(self, geometry, monkeypatch, trials):
@@ -195,12 +216,162 @@ class TestRunsOfBlocks:
         monkeypatch.setattr(simulate, "_RUN_BYTES", 1)  # every run one block
         runs += [_sampler_outputs(geometry, book, trials, workers) for workers in (0, 2)]
         for outputs in runs:
-            assert len(outputs) == len(reference)
-            for got, expect in zip(outputs, reference):
-                if isinstance(expect, np.ndarray):
-                    assert np.array_equal(got, expect)
-                else:
-                    assert got == expect
+            _assert_same_outputs(outputs, reference)
+
+
+def _heavy_outputs(geometry, trials, workers) -> list:
+    """Samples and diagnostics of calls whose one block's workspace exceeds
+    _RUN_BYTES: shadowed at k = 4 over 3 tiers, and finite M at k = 42."""
+    samples, diag = sample_sir_limit_shadowed(
+        geometry, PilotScheme.DIFFERENT_SETS, 4, 8.0, trials, SEED, 42,
+        workers=workers, diagnostics=True,
+    )
+    out = [samples.samples, diag.max_interference_ratio, diag.tier_shares]
+    cfg = FiniteMConfig()
+    for scheme in PilotScheme:
+        out.append(sample_sir_finite_m(geometry, scheme, 42, cfg, trials, SEED, workers=workers).samples)
+    out.append(_finite_pass.__wrapped__(geometry, cfg, 1, trials, SEED, workers))
+    return out
+
+
+class TestThreadedParts:
+    """A call at workers None, 0 or 1 whose one block outgrows _RUN_BYTES
+    runs its parts on threads, with the output of a serial call."""
+
+    @staticmethod
+    def _heavy_scenario(geometry):
+        scn = _scenario(geometry, PilotScheme.DIFFERENT_SETS, 42, 1, finite_m=FiniteMConfig(), load=1)
+        assert _block_bytes(scn) > simulate._RUN_BYTES
+        return scn
+
+    @pytest.mark.parametrize("trials", [1, 65, 130])
+    def test_heavy_calls_match_serial_and_pool(self, geometry, monkeypatch, trials):
+        with monkeypatch.context() as serial:
+            serial.setattr(simulate, "_usable_cpus", lambda: 1)
+            reference = _heavy_outputs(geometry, trials, 0)
+        for workers in (None, 0, 1, 2):
+            _assert_same_outputs(_heavy_outputs(geometry, trials, workers), reference)
+
+    def test_more_parts_than_cpus(self, geometry, monkeypatch):
+        # six parts on short thread switches: no part writes another's rows
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        reference = _heavy_outputs(geometry, 400, 0)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 6)
+        monkeypatch.setattr(simulate, "_THREADS", 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outputs = _heavy_outputs(geometry, 400, None)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_same_outputs(outputs, reference)
+
+    def test_helper_count(self, geometry, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        different = PilotScheme.DIFFERENT_SETS
+        cpus = len(os.sched_getaffinity(0))
+        for trials in (1, 65, 130, 700):
+            for workers in (None, 0, 1):
+                started.clear()
+                sample_sir_limit_shadowed(geometry, different, 4, 8.0, trials, SEED, 42, workers=workers)
+                assert len(started) == min(cpus, simulate._THREADS, -(-trials // _BLOCK)) - 1
+                assert not any(helper.is_alive() for helper in started)
+        # many CPUs: still at most _THREADS parts, so at most _THREADS workspaces
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
+        started.clear()
+        sample_sir_finite_m(geometry, different, 42, FiniteMConfig(), 4000, SEED)
+        assert len(started) == simulate._THREADS - 1
+        for call in (
+            lambda: sample_sir_limit(geometry, different, 3, 700, SEED, pilot_dim=42),
+            lambda: sample_sir_limit_shadowed(geometry, different, 1, 8.0, 700, SEED, 42, max_tier=1),
+            lambda: sample_sir_finite_m(geometry, different, 3, FiniteMConfig(), 700, SEED),
+        ):
+            started.clear()
+            call()
+            assert started == []
+
+    @pytest.mark.parametrize("failing_block", [0, 2])
+    def test_part_error_raised_in_caller(self, geometry, monkeypatch, failing_block):
+        # block 0 is part 0, on the calling thread; block 2 the last of three
+        # parts, on a helper
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(simulate, "_THREADS", 3)
+        scn = self._heavy_scenario(geometry)
+        baseline = threading.active_count()
+        threads = set()
+
+        def failing(scn, seed, blocks, ws, rows, block_rows):
+            threads.add(threading.current_thread())
+            if blocks[0] == failing_block:
+                raise ArithmeticError(f"block {failing_block}")
+            time.sleep(0.05)  # the other parts outlast the failing one
+            rows[...] = 1.0
+
+        with pytest.raises(ArithmeticError, match=f"block {failing_block}"):
+            _run_blocks(failing, scn, SEED, 3 * _BLOCK, None)
+        assert threading.active_count() == baseline
+        assert len(threads) == 3 and threading.current_thread() in threads
+
+    def test_helpers_keep_the_callers_error_state(self, geometry, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        scn = self._heavy_scenario(geometry)
+        seen = {}
+
+        def recording(scn, seed, blocks, ws, rows, block_rows):
+            seen[threading.current_thread()] = np.geterr()
+            rows[...] = 1.0
+
+        with np.errstate(all="raise", under="ignore"):
+            expect = np.geterr()
+            _run_blocks(recording, scn, SEED, 2 * _BLOCK, None)
+        assert expect != np.geterr()
+        assert len(seen) == 2
+        assert all(state == expect for state in seen.values())
+
+    def test_pool_bounded_by_blocks_and_cpus(self, geometry, monkeypatch):
+        made = []
+
+        class Recording:
+            """An in-process stand-in for the pool: it records its size and
+            starts no process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        reused = PilotScheme.REUSED_SETS
+        serial = sample_sir_limit(geometry, reused, 3, 700, SEED, workers=0).samples
+        # 11 blocks on 4 CPUs: at most one process per CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        pooled = sample_sir_limit(geometry, reused, 3, 700, SEED, workers=10**6).samples
+        assert made == [4]
+        assert np.array_equal(pooled, serial)
+        # 3 blocks on 64 CPUs: at most one process per block
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        made.clear()
+        pooled = sample_sir_limit(geometry, reused, 3, 130, SEED, workers=10**6).samples
+        assert made == [3]
+        assert np.array_equal(pooled, serial[:130])
+        # one block: no pool
+        made.clear()
+        sample_sir_limit(geometry, reused, 3, 64, SEED, workers=8)
+        assert made == []
 
 
 class TestWorkspace:
