@@ -251,7 +251,7 @@ def _validation_checks(config: ScenarioConfig):
     These are quick runtime checks.  The acceptance suite takes its
     pilot-completeness and pilot-weighting-identity verdicts from here, but
     keeps its own independent oracles for the closed form (a brentq root
-    solve) and the quadrature (10^7 streamed samples).
+    solve) and the disc-moment series (10^7 streamed samples).
     """
     rng = np.random.default_rng(config.seed)
     kdim = config.pilot_budget
@@ -298,7 +298,7 @@ def _validation_checks(config: ScenarioConfig):
     tol = 1e-13
     yield "pilot-weighting-identities", id_err <= tol, f"max rel err={id_err:.3e} tol={tol:.3e}"
 
-    # the quadrature moments of that tier vs direct Monte Carlo over its disc
+    # the series moments of that tier vs direct Monte Carlo over its disc
     spec = tier_specs(geo, 1)[0]
     patch = cap.circle_approximation(geo, spec, config.circle_mode)
     n = 1_000_000

@@ -2,23 +2,19 @@
 
 With uplink power control, an interferer in a co-channel cell contributes
 x = (r_l / r_j)^(2 gamma) to the normalized interference at the base
-station of interest (r_l: distance to its own base station, r_j: distance
-to ours).  Under the circular-cell approximation the two are linked by the
-law of cosines through the cell separation, and the mean and variance of x
-reduce to smooth 2-D integrals over the interferer's polar position, which
-are evaluated here by adaptive tensor-product Gauss-Legendre quadrature,
-once per (disc radius, separation, gamma): the pilot scheme and dimension
-only weight the result.
+station of interest (r_l: distance to its own base station; r_j: distance
+to ours, by the law of cosines through the cell separation D).  At
+t = r_l / D the angular mean of (1 - 2 t cos(theta) + t^2)^(-gamma) is
+2F1(gamma, gamma; 1; t^2) (Gradshteyn & Ryzhik 3.665), so over a circular
+cell of radius b = rho D, E[x] = sum_n ((gamma)_n / n!)^2 rho^(2 gamma + 2 n)
+/ (gamma + n + 1) with (gamma)_n the rising factorial, and E[x^2] is the
+same sum at 2 gamma.  Pilot weighting turns (mu_x, var_x) into per-user
+moments (mu_y, var_y); summing tiers gives a Gaussian interference total
+whose tail against the SIR target S and outage alpha is the admission
+feasibility condition.
 
-Pilot weighting turns (mu_x, var_x) into per-user moments (mu_y, var_y);
-summing tiers gives a Gaussian interference total whose tail against the
-SIR target S and outage alpha is the admission feasibility condition.
-
-The Gauss-Legendre rule and Q^-1 are computed here rather than imported:
-the rule is numpy's leggauss (the Jacobi-matrix eigenvalues of Golub and
-Welsch, Math. Comp. 23, 1969, one Newton step) and Q^-1 is Wichura's AS241
-(Appl. Stat. 37, 1988) as CPython's statistics.NormalDist evaluates it,
-each bit for bit, so no command loads numpy.polynomial or statistics.
+Q^-1 is Wichura's AS241 (Appl. Stat. 37, 1988), bit for bit as CPython's
+statistics.NormalDist evaluates it, so no command loads statistics.
 """
 
 from __future__ import annotations
@@ -32,8 +28,9 @@ import numpy as np
 from .geometry import CirclePatch
 from .pilots import PilotScheme
 
-# Relative agreement of two successive quadrature orders that ends refinement.
-_QUAD_RTOL = 1e-8
+# Terms allowed in one disc series: a disc the geometry builds (b/D <= 1/sqrt(3))
+# needs under 100, one that all but touches the target station over 10^8
+_SERIES_TERMS = 10_000
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -104,15 +101,6 @@ class QosTarget:
 MAX_ABS_DB = 1000.0
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the last estimate."""
-
-    def __init__(self, message: str, estimate: float, residual: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.residual = residual
-
-
 def interference_ratio(r_l, theta, separation: float, gamma: float):
     """x = (r_l / r_j)^(2 gamma) with r_j from the law of cosines.
 
@@ -129,87 +117,29 @@ def interference_ratio(r_l, theta, separation: float, gamma: float):
     return (r2 / rj2) ** gamma
 
 
-def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Legendre series sum c_j P_j(x) by Clenshaw recursion, len(c) >= 2,
-    in numpy's legval operation order."""
-    nd = len(c)
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, len(c) + 1):
-        nd -= 1
-        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the n-point rule on [-1, 1], equal to
-    numpy's leggauss(n) for n >= 2 (order 1 is never asked for)."""
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[: n - 1] * scl[1:n]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    # one Newton step on P_n, whose derivative is the sum of (2j - 1)
-    # P_(j-1) over j = n, n - 2, ...
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    der = np.zeros(n)
-    j = np.arange(n, 0, -2)
-    der[j - 1] = 2 * j - 1
-    dy, df = _legval(x, c), _legval(x, der)
-    x -= dy / df
-    # weights c / (P_n'(x) P_(n-1)(x)), scaled against overflow, symmetrised
-    # and normalised to the interval length
-    fm = _legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _disc_average(fn, radius: float, order: int) -> float:
-    """Average of fn(r, theta) over the disc density 2r/b^2 x 1/pi."""
-    x, weights = _gauss_legendre(order)
-    r = 0.5 * radius * (x + 1.0)
-    wr = 0.5 * radius * weights * (2.0 * r / radius**2)
-    theta = 0.5 * math.pi * (x + 1.0)
-    wt = 0.5 * math.pi * weights / math.pi
-    vals = fn(r[:, None], theta[None, :])
-    return float(wr @ vals @ wt)
-
-
-def _adaptive_disc_average(fn, radius: float) -> float:
-    """Refine the Gauss-Legendre order until two estimates agree to _QUAD_RTOL."""
-    order = 16
-    prev = _disc_average(fn, radius, order)
-    while order <= 1024:
-        order *= 2
-        cur = _disc_average(fn, radius, order)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        resid = abs(cur - prev) / scale
-        if resid <= _QUAD_RTOL:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"quadrature did not reach rtol={_QUAD_RTOL:g} by order {order}",
-        estimate=prev,
-        residual=resid,
-    )
+def _disc_series(rho2: float, g: float) -> float:
+    """Disc mean of (r_l / r_j)^(2 g), sum_n ((g)_n / n!)^2 rho2^(g+n) / (g+n+1) at
+    rho2 = (b / D)^2 < 1, until a geometric bound on the rest is below half an ulp."""
+    a = rho2**g
+    total = a / (g + 1.0)
+    for n in range(_SERIES_TERMS):
+        ratio = ((g + n) / (n + 1)) ** 2 * rho2  # falls towards rho2 as n grows
+        a *= ratio
+        term = a / (g + n + 2.0)
+        total += term
+        if ratio < 1.0 and term * ratio <= (1.0 - ratio) * total * 2.0**-53:
+            return total
+    raise ValueError(f"the disc lies too close to the target station (b/D = {math.sqrt(rho2):.9g}):"
+                     f" its moment series needs over {_SERIES_TERMS} terms")
 
 
 @functools.cache
 def _disc_moments(radius: float, separation: float, gamma: float) -> tuple[float, float]:
-    """Quadrature (mu_x, var_x) of x over the disc; shared by both pilot
-    schemes and every pilot dimension (a QuadratureError is not cached)."""
-
-    def integrand(r, theta):
-        return interference_ratio(r, theta, separation, gamma)
-
-    mu_x = _adaptive_disc_average(integrand, radius)
-    var_x = _adaptive_disc_average(lambda r, theta: (integrand(r, theta) - mu_x) ** 2, radius)
-    return mu_x, var_x
+    """(mu_x, var_x) of x over the disc by the series; shared by both pilot
+    schemes and every pilot dimension (a ValueError is not cached)."""
+    rho2 = (radius / separation) ** 2
+    mu_x = _disc_series(rho2, gamma)
+    return mu_x, _disc_series(rho2, 2.0 * gamma) - mu_x * mu_x
 
 
 def compute_tier_moments(
@@ -218,7 +148,7 @@ def compute_tier_moments(
     pilot_dim: int,
     scheme: PilotScheme,
 ) -> TierMoments:
-    """Quadrature moments of x over the circular cell, then pilot weighting.
+    """Moments of x over the circular cell, then pilot weighting.
 
     Reused sets keep (mu_x, var_x) unchanged (phi is the constant 1).
     Different sets give mu_y = mu_x / K and, with the large-K convention

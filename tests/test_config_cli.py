@@ -79,7 +79,8 @@ VALIDATE_FAULTS = {
     "q-inverse-roundtrip": (intf, "q_inverse", _off_by_1e6),
     "closed-form-vs-root": (cap, "root_interferer_count", _off_by_1e6),
     "pilot-weighting-identities": (cap, "compute_tier_moments", _mu_y_off_by_1e6),
-    # interference_ratio would not do: the quadrature reads it too
+    # a fault in the disc draw (interference_ratio, which the moment series
+    # does not read, would do as well)
     "quadrature-vs-sampling": (
         cli, "sample_circle_position", lambda f: lambda radius, *a: f(0.99 * radius, *a)
     ),
@@ -575,7 +576,7 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: cell radius")
 
-    @pytest.mark.parametrize("gamma", ["1000", "1e308"])  # moments underflow; quadrature fails
+    @pytest.mark.parametrize("gamma", ["1000", "1e308"])  # moments underflow; the series fails
     def test_extreme_path_loss_exponent_is_config_error(self, gamma, empty_file, capsys):
         out = ["--out", os.devnull]
         sets = ["--set", f"geometry.path_loss_exponent={gamma}"]

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc
+from scipy.integrate import quad
+from scipy.special import erfc, hyp2f1
 
 from mimocap import interference as intf
 from mimocap.geometry import CirclePatch, circle_approximation, tier_specs
 from mimocap.interference import (
     GaussianInterference,
     QosTarget,
-    QuadratureError,
     TierMoments,
     compute_tier_moments,
     interference_ratio,
@@ -125,22 +125,6 @@ class TestQFunction:
         assert math.isnan(q_function(np.nan))
 
 
-class TestGaussLegendre:
-    # every order the adaptive rule reaches: 16, doubled up to 2048
-    ADAPTIVE_ORDERS = [16 * 2**j for j in range(8)]
-
-    @pytest.mark.parametrize("orders", [range(2, 131), ADAPTIVE_ORDERS], ids=["2-130", "adaptive"])
-    def test_equals_leggauss(self, orders):
-        # oracle: numpy's leggauss, which _gauss_legendre computes in place
-        from numpy.polynomial.legendre import leggauss
-
-        for n in orders:
-            nodes, weights = intf._gauss_legendre(n)
-            ref_nodes, ref_weights = leggauss(n)
-            assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights), n
-            assert not nodes.flags.writeable and not weights.flags.writeable
-
-
 @pytest.fixture(scope="module")
 def tier1_patch(request):
     from mimocap import NetworkGeometry
@@ -218,6 +202,103 @@ class TestMoments:
         assert beta_law_var_y(tm.mu_x, tm.var_x, k) < tm.var_y
 
 
+def oracle_disc_moments(rho, gamma):
+    """Independent oracle: (mu_x, var_x) from scipy's quad over scipy's
+    2F1, E[x^g'] = (2 / rho^2) int_0^rho t^(2 g' + 1) 2F1(g', g'; 1; t^2) dt
+    at g' = gamma and 2 gamma."""
+
+    def raw_moment(g):
+        val, _ = quad(lambda t: t ** (2.0 * g + 1.0) * hyp2f1(g, g, 1.0, t * t), 0.0, rho,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        return 2.0 * val / (rho * rho)
+
+    mu = raw_moment(gamma)
+    return mu, raw_moment(2.0 * gamma) - mu * mu
+
+
+class TestDiscSeries:
+    GAMMAS = [2.0001, 2.5, 3.0, 3.7, 4.0, 6.0, 10.0]
+
+    @pytest.mark.parametrize(
+        "rho, gamma", [(0.05, 2.0001), (0.3, 3.7), (1.0 / math.sqrt(3.0), 4.0),
+                       (1.0 / math.sqrt(3.0), 20.0), (0.6, 10.0)]
+    )
+    def test_angular_mean_is_hyp2f1(self, rho, gamma):
+        # Gradshteyn & Ryzhik 3.665, which the series rests on, checked by
+        # integrating the law-of-cosines integrand over the angle
+        val, _ = quad(lambda th: (1.0 - 2.0 * rho * math.cos(th) + rho * rho) ** -gamma,
+                      0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert val / math.pi == pytest.approx(hyp2f1(gamma, gamma, 1.0, rho * rho), rel=1e-13)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_matches_quad_oracle(self, gamma):
+        from mimocap import NetworkGeometry
+
+        for w in (1, 3, 7):
+            geo = NetworkGeometry(path_loss_exponent=gamma).with_reuse(w)
+            for mode in ("equal_area", "match_radius"):
+                for spec in tier_specs(geo, 4):
+                    patch = circle_approximation(geo, spec, mode)
+                    got = intf._disc_moments.__wrapped__(
+                        patch.circle_radius_m, patch.separation_m, gamma
+                    )
+                    want = oracle_disc_moments(patch.circle_radius_m / patch.separation_m, gamma)
+                    assert got == pytest.approx(want, rel=1e-13), (w, mode, spec.tier_index)
+
+    def test_worst_shipped_disc_converges_well_under_the_cap(self, monkeypatch):
+        # gamma = 10 at b / D = 1/sqrt(3) (match_radius, reuse 1, tier 1): the
+        # E[x^2] sum at 2 gamma = 20 is the longest series any config sums
+        from mimocap import NetworkGeometry
+
+        geo = NetworkGeometry(path_loss_exponent=10.0)
+        patch = circle_approximation(geo, tier_specs(geo, 1)[0], "match_radius")
+        assert patch.circle_radius_m / patch.separation_m == pytest.approx(1.0 / math.sqrt(3.0))
+        args = (patch.circle_radius_m, patch.separation_m, 10.0)
+        mu, var = intf._disc_moments.__wrapped__(*args)
+        assert math.isfinite(mu) and math.isfinite(var) and mu > 0.0 and var > 0.0
+        monkeypatch.setattr(intf, "_SERIES_TERMS", 100)
+        assert intf._disc_moments.__wrapped__(*args) == (mu, var)
+
+    @pytest.mark.parametrize("mode", ["equal_area", "match_radius"])
+    @pytest.mark.parametrize("w", [1, 3, 7])
+    def test_fifty_tiers_give_positive_moments(self, w, mode):
+        from mimocap import NetworkGeometry
+        from mimocap.capacity import tier1_moments
+
+        # model.tier_count's largest value
+        moments = tier1_moments(NetworkGeometry(), PilotScheme.REUSED_SETS, 42, w, mode, 50)
+        assert len(moments) == 50
+        for _count, tm in moments:
+            assert math.isfinite(tm.mu_x) and math.isfinite(tm.var_x)
+            assert tm.mu_x > 0.0 and tm.var_x > 0.0
+
+    # rho from 1e-6 (every disc the geometry builds has rho > 0.016; far
+    # below 1e-6 x^2's mean leaves the normal doubles) to 0.6.  mu_x falls
+    # with gamma only while rho stays below about 0.52: beyond, the disc
+    # reaches where r_l > r_j and x > 1, and at rho = 0.6 mu_x climbs from
+    # 0.15 at gamma = 2 to 6.6 at gamma = 10.
+    @given(
+        rho=st.floats(1e-6, 0.6),
+        rho_hi=st.floats(1e-6, 0.6),
+        gamma=st.floats(2.0, 10.0, exclude_min=True),
+        gamma_hi=st.floats(2.0, 10.0, exclude_min=True),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_monotone_in_rho_and_gamma(self, rho, rho_hi, gamma, gamma_hi):
+        rho, rho_hi = sorted((rho, rho_hi))
+        gamma, gamma_hi = sorted((gamma, gamma_hi))
+        assume(rho_hi > rho * (1.0 + 1e-9) and gamma_hi > gamma + 1e-6)
+
+        def moments(r, g):
+            return intf._disc_moments.__wrapped__(r, 1.0, g)
+
+        mu, var = moments(rho, gamma)
+        assert var > 0.0
+        assert moments(rho_hi, gamma)[0] > mu
+        if rho_hi <= 0.5:
+            assert moments(rho_hi, gamma_hi)[0] < moments(rho_hi, gamma)[0]
+
+
 class TestMomentMemo:
     def test_schemes_share_one_quadrature(self, tier1_patch):
         intf._disc_moments.cache_clear()
@@ -231,11 +312,12 @@ class TestMomentMemo:
         assert (reused.mu_x, reused.var_x) == (different.mu_x, different.var_x) == fresh
 
     def test_quadrature_error_is_not_cached(self):
-        # a disc that all but touches the target station: x is unbounded
+        # a disc that all but touches the target station: its series would
+        # need some 10^8 terms
         intf._disc_moments.cache_clear()
         patch = CirclePatch(1.0, 1.0000001)
         for _ in range(2):
-            with pytest.raises(QuadratureError):
+            with pytest.raises(ValueError, match="too close to the target station"):
                 compute_tier_moments(patch, GAMMA, 4, PilotScheme.REUSED_SETS)
         info = intf._disc_moments.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
