@@ -30,10 +30,12 @@ _MAX_TRIALS = 10_000_000  # sir-cdf keeps every limit sample: 80 MB per scheme a
 _MAX_FINITE_M_SINRS = 42_000_000
 _MAX_TIERS = 50  # 50 co-channel tiers already hold 534 cells at w = 1
 # The samplers draw _BLOCK trials x (co-channel cells + 1) x users per cell
-# values per array, and a call's workspace holds its longest run at up to
-# simulate._FINITE_BYTES = 140 bytes per value, 0.7 GB at this bound.  A run
-# is one block, or as many as fit simulate._RUN_BYTES (1.7 MB), so this
-# bounds runs too.  The per-key bounds above do not cap the product.
+# values per array, and each part of a call holds its longest run at up to
+# simulate._FINITE_BYTES = 140 bytes per value.  A run is one block, or as
+# many as fit simulate._RUN_BYTES (1.7 MB), so this bounds runs too.  A call
+# whose one block outgrows simulate._THREAD_BYTES runs up to two parts
+# (simulate._THREADS), so two one-block workspaces: 1.4 GB at this bound.
+# The per-key bounds above do not cap the product.
 _MAX_BLOCK_VALUES = 5_000_000
 
 

@@ -89,11 +89,19 @@ _RUN_BYTES = 1_700_000
 _LIMIT_BYTES = 72  # 68.2: four draw arrays, overlaps, rho_ctr and its scratch
 _SHADOWED_BYTES = 26  # per candidate station, 25.5: log gains, normals (first dy^2), scratch
 _FINITE_BYTES = 140  # 138.3 at k = 1: draws, amp, a, w and two complex term planes
-# A call whose one block outgrows _RUN_BYTES runs on at most _THREADS
+# A call whose one block outgrows _THREAD_BYTES runs on at most _THREADS
 # threads, each with one block's workspace (see _run_blocks).  Only two CPUs
-# were timed: a 2-vCPU x86-64 VM, where such calls took 0.66-0.83x their
-# serial time.
+# were timed: a 2-vCPU x86-64 VM, where calls whose one block outgrows
+# _RUN_BYTES took 0.66-0.83x their serial time.
 _THREADS = 2
+# Two threads against one on that VM, BLAS threads pinned to one, 6
+# alternating pairs in process (ranges over two sets of runs): the fixed-book
+# limit call (1.35 MB) 0.61-0.62x, the different-sets limit at k = 42
+# (1.35 MB) 0.69-0.78x, the limit at k = 32 (1.03 MB) 0.78-0.84x, finite M at
+# w = 1, k = 21 (1.32 MB) 0.71-0.95x and at k = 27 (1.7 MB) 0.78x.  The
+# reuse-3 search pass (0.88 MB) read 0.90-1.24x and gained nothing in fresh
+# finite-m-table runs, so it stays serial.
+_THREAD_BYTES = 1_000_000
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _PLANES = tuple(PilotScheme)  # the SINR planes of _finite_block: reused, then different sets
@@ -580,9 +588,9 @@ def _run_blocks(
     part.  Both outputs are returned.
 
     The blocks are split into contiguous parts, at most one per block.  At
-    workers n >= 2 there is one part per pool process, min(n, CPU count).
+    workers n >= 2 there is one part per pool process, min(n, usable CPUs).
     Otherwise a call has one part, or, where one block's workspace exceeds
-    _RUN_BYTES, one per usable CPU up to _THREADS: part 0 on the calling
+    _THREAD_BYTES, one per usable CPU up to _THREADS: part 0 on the calling
     thread and the others on helper threads (the Philox fills and the large
     array passes of such blocks release the GIL).  Every draw and every
     evaluated trial depends on its block alone, so the output depends
@@ -595,9 +603,9 @@ def _run_blocks(
     n = len(blocks)
     pooled = workers is not None and workers > 1
     if pooled:
-        count = min(workers, os.cpu_count() or 1, n)
+        count = min(workers, _usable_cpus(), n)
     else:
-        count = min(_usable_cpus(), _THREADS, n) if _block_bytes(scn) > _RUN_BYTES else 1
+        count = min(_usable_cpus(), _THREADS, n) if _block_bytes(scn) > _THREAD_BYTES else 1
     parts = [blocks[i * n // count : (i + 1) * n // count] for i in range(count)]
     if pooled and count > 1:
         # imported here, not at module level: most calls run serially, and the

@@ -221,12 +221,17 @@ class TestRunsOfBlocks:
 
 def _heavy_outputs(geometry, trials, workers) -> list:
     """Samples and diagnostics of calls whose one block's workspace exceeds
-    _RUN_BYTES: shadowed at k = 4 over 3 tiers, and finite M at k = 42."""
+    _THREAD_BYTES: shadowed at k = 4 over 3 tiers, finite M at k = 42, and
+    the fixed-book limit call at k = 42 on one tier of circles."""
+    different = PilotScheme.DIFFERENT_SETS
     samples, diag = sample_sir_limit_shadowed(
-        geometry, PilotScheme.DIFFERENT_SETS, 4, 8.0, trials, SEED, 42,
-        workers=workers, diagnostics=True,
+        geometry, different, 4, 8.0, trials, SEED, 42, workers=workers, diagnostics=True,
     )
     out = [samples.samples, diag.max_interference_ratio, diag.tier_shares]
+    book = generate_pilot_book(different, 42, 7, np.random.default_rng(SEED))
+    out.append(
+        sample_sir_limit(geometry, different, 42, trials, SEED, 42, book, "circle", 1, workers).samples
+    )
     cfg = FiniteMConfig()
     for scheme in PilotScheme:
         out.append(sample_sir_finite_m(geometry, scheme, 42, cfg, trials, SEED, workers=workers).samples)
@@ -235,13 +240,13 @@ def _heavy_outputs(geometry, trials, workers) -> list:
 
 
 class TestThreadedParts:
-    """A call at workers None, 0 or 1 whose one block outgrows _RUN_BYTES
+    """A call at workers None, 0 or 1 whose one block outgrows _THREAD_BYTES
     runs its parts on threads, with the output of a serial call."""
 
     @staticmethod
     def _heavy_scenario(geometry):
         scn = _scenario(geometry, PilotScheme.DIFFERENT_SETS, 42, 1, finite_m=FiniteMConfig(), load=1)
-        assert _block_bytes(scn) > simulate._RUN_BYTES
+        assert _block_bytes(scn) > simulate._THREAD_BYTES
         return scn
 
     @pytest.mark.parametrize("trials", [1, 65, 130])
@@ -288,10 +293,21 @@ class TestThreadedParts:
         started.clear()
         sample_sir_finite_m(geometry, different, 42, FiniteMConfig(), 4000, SEED)
         assert len(started) == simulate._THREADS - 1
+        # one block of 1.35 MB, past _THREAD_BYTES though within _RUN_BYTES
+        book = generate_pilot_book(different, 42, 7, np.random.default_rng(SEED))
+        for call in (
+            lambda: sample_sir_limit(geometry, different, 42, 700, SEED, 42, book, "circle", 1),
+            lambda: sample_sir_limit(geometry, different, 42, 700, SEED, pilot_dim=42, max_tier=1),
+        ):
+            started.clear()
+            call()
+            assert len(started) == simulate._THREADS - 1
         for call in (
             lambda: sample_sir_limit(geometry, different, 3, 700, SEED, pilot_dim=42),
             lambda: sample_sir_limit_shadowed(geometry, different, 1, 8.0, 700, SEED, 42, max_tier=1),
             lambda: sample_sir_finite_m(geometry, different, 3, FiniteMConfig(), 700, SEED),
+            # the reuse-3 pass at budget 14: one block of 878 KB
+            lambda: _finite_pass.__wrapped__(geometry.with_reuse(3), FiniteMConfig(), 1, 700, SEED, None),
         ):
             started.clear()
             call()
@@ -358,12 +374,12 @@ class TestThreadedParts:
         reused = PilotScheme.REUSED_SETS
         serial = sample_sir_limit(geometry, reused, 3, 700, SEED, workers=0).samples
         # 11 blocks on 4 CPUs: at most one process per CPU
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
         pooled = sample_sir_limit(geometry, reused, 3, 700, SEED, workers=10**6).samples
         assert made == [4]
         assert np.array_equal(pooled, serial)
         # 3 blocks on 64 CPUs: at most one process per block
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
         made.clear()
         pooled = sample_sir_limit(geometry, reused, 3, 130, SEED, workers=10**6).samples
         assert made == [3]
@@ -372,6 +388,11 @@ class TestThreadedParts:
         made.clear()
         sample_sir_limit(geometry, reused, 3, 64, SEED, workers=8)
         assert made == []
+        # one usable CPU: no pool
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        pooled = sample_sir_limit(geometry, reused, 3, 700, SEED, workers=2).samples
+        assert made == []
+        assert np.array_equal(pooled, serial)
 
 
 class TestWorkspace:
