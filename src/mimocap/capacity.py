@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .pilots import PilotScheme
 _FLOOR_GUARD = 1e-9
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     """Capacity figures for one (scheme, reuse factor) over the SIR points
     of one QoS target.
 
@@ -157,12 +156,7 @@ def best_reuse(reports: Iterable[CapacityReport]) -> CapacityReport:
     (np.argmax takes the first maximum)."""
     reports = sorted(reports, key=lambda rep: rep.chosen_reuse)
     pick = np.argmax([rep.k_max for rep in reports], axis=0)
-    return CapacityReport(
-        **{
-            f.name: np.choose(pick, [getattr(rep, f.name) for rep in reports])
-            for f in fields(CapacityReport)
-        }
-    )
+    return CapacityReport(*(np.choose(pick, field) for field in zip(*reports)))
 
 
 def root_interferer_count(interference: GaussianInterference, qos: QosTarget) -> float:

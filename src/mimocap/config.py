@@ -4,8 +4,10 @@ Sweeps involve ~20 parameters, so commands take a config file plus
 repeatable --set section.key=value overrides instead of positional
 arguments.  Unknown sections or keys are rejected (typo safety).  Angles
 are radians, distances meters; SIR is dB at this boundary and linear
-inside the library.  Every default lives in the dataclasses; _KEYS only
-says which file key sets which field.
+inside the library.  Every default lives in the __init__ signatures of
+ScenarioConfig and of its three nested records (NetworkGeometry,
+FiniteMConfig, QosGrid), immutable value records that validate when built;
+_KEYS only says which file key sets which field.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import configparser
 import hashlib
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
+from ._record import ValueRecord
 from .geometry import NetworkGeometry, cochannel_cells
 from .interference import MAX_ABS_DB
 from .simulate import _BLOCK, FiniteMConfig
@@ -43,88 +45,100 @@ class ConfigError(Exception):
     """Invalid scenario configuration."""
 
 
-@dataclass(frozen=True)
-class QosGrid:
+class QosGrid(ValueRecord):
     """SIR points in dB and the outage probabilities of the QoS sweep."""
 
-    sir_db_min: float = -5.0
-    sir_db_max: float = 45.0
-    sir_db_step: float = 0.1
-    alphas: tuple[float, ...] = (0.05,)
+    __slots__ = _fields = ("sir_db_min", "sir_db_max", "sir_db_step", "alphas")
 
-    def __post_init__(self):
-        if self.sir_db_step <= 0.0:
+    def __init__(
+        self,
+        sir_db_min: float = -5.0,
+        sir_db_max: float = 45.0,
+        sir_db_step: float = 0.1,
+        alphas: tuple[float, ...] = (0.05,),
+    ):
+        if sir_db_step <= 0.0:
             raise ConfigError("qos.sir_db_step must be positive")
-        if self.sir_db_max < self.sir_db_min:
+        if sir_db_max < sir_db_min:
             raise ConfigError("qos.sir_db_max must be >= qos.sir_db_min")
-        if (self.sir_db_max - self.sir_db_min) / self.sir_db_step >= _MAX_SIR_POINTS:
+        if (sir_db_max - sir_db_min) / sir_db_step >= _MAX_SIR_POINTS:
             raise ConfigError(f"the qos grid must hold at most {_MAX_SIR_POINTS} SIR points")
-        if not -MAX_ABS_DB <= self.sir_db_min <= self.sir_db_max <= MAX_ABS_DB:
+        if not -MAX_ABS_DB <= sir_db_min <= sir_db_max <= MAX_ABS_DB:
             raise ConfigError(f"qos.sir_db_min/max must lie within +-{MAX_ABS_DB:g} dB")
-        if not self.alphas:
+        if not alphas:
             raise ConfigError("qos.alphas must list at least one outage probability")
-        for a in self.alphas:
+        for a in alphas:
             if not 0.0 < a < 0.5:
                 raise ConfigError(f"outage probability {a} outside (0, 0.5)")
+        self._set(sir_db_min, sir_db_max, sir_db_step, alphas)
 
     def sir_db_values(self) -> list[float]:
         n = int(math.floor((self.sir_db_max - self.sir_db_min) / self.sir_db_step + 1e-9)) + 1
         return [round(self.sir_db_min + i * self.sir_db_step, 10) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(ValueRecord):
     """One validated scenario: every setting the commands read."""
 
     # config_hash reads the fields in this order
-    geometry: NetworkGeometry = field(default_factory=NetworkGeometry)
-    finite_m: FiniteMConfig = field(default_factory=FiniteMConfig)
-    qos: QosGrid = field(default_factory=QosGrid)
-    pilot_budget: int = 42
-    scheme: str = "both"  # reused | different | both
-    trials: int = 100_000
-    seed: int = 20260808
-    finite_m_trials: int = 10_000
-    circle_mode: str = "equal_area"
-    tier_count: int = 1
-    region: str = "hexagon"
-    workers: int = 0  # 0 = serial
+    __slots__ = _fields = (
+        "geometry", "finite_m", "qos", "pilot_budget", "scheme", "trials", "seed",
+        "finite_m_trials", "circle_mode", "tier_count", "region", "workers",
+    )
 
-    def __post_init__(self):
-        if self.scheme not in ("reused", "different", "both"):
-            raise ConfigError(f"pilots.scheme must be reused/different/both, got {self.scheme!r}")
-        if self.pilot_budget < 1:
+    def __init__(
+        self,
+        geometry: NetworkGeometry = NetworkGeometry(),
+        finite_m: FiniteMConfig = FiniteMConfig(),
+        qos: QosGrid = QosGrid(),
+        pilot_budget: int = 42,
+        scheme: str = "both",  # reused | different | both
+        trials: int = 100_000,
+        seed: int = 20260808,
+        finite_m_trials: int = 10_000,
+        circle_mode: str = "equal_area",
+        tier_count: int = 1,
+        region: str = "hexagon",
+        workers: int = 0,  # 0 = serial
+    ):
+        if scheme not in ("reused", "different", "both"):
+            raise ConfigError(f"pilots.scheme must be reused/different/both, got {scheme!r}")
+        if pilot_budget < 1:
             raise ConfigError("pilots.budget must be >= 1")
-        if self.trials < 1 or self.finite_m_trials < 1:
+        if trials < 1 or finite_m_trials < 1:
             raise ConfigError("trial counts must be >= 1")
-        if self.circle_mode not in ("equal_area", "match_radius"):
-            raise ConfigError(f"unknown circle mode {self.circle_mode!r}")
-        if self.region not in ("hexagon", "circle"):
-            raise ConfigError(f"unknown sampling region {self.region!r}")
-        if self.tier_count < 1:
+        if circle_mode not in ("equal_area", "match_radius"):
+            raise ConfigError(f"unknown circle mode {circle_mode!r}")
+        if region not in ("hexagon", "circle"):
+            raise ConfigError(f"unknown sampling region {region!r}")
+        if tier_count < 1:
             raise ConfigError("model.tier_count must be >= 1")
-        if not 0 <= self.seed < 2**64:  # the Philox key is 64 bits; trial_rng would wrap it
+        if not 0 <= seed < 2**64:  # the Philox key is 64 bits; trial_rng would wrap it
             raise ConfigError("montecarlo.seed must lie in [0, 2^64)")
         cpus = os.cpu_count() or 1
-        if not 0 <= self.workers <= cpus:
+        if not 0 <= workers <= cpus:
             raise ConfigError(f"montecarlo.workers must lie in [0, {cpus}] (the CPU count)")
-        if max(self.pilot_budget, self.finite_m.pilot_length) > _MAX_PILOTS:
+        if max(pilot_budget, finite_m.pilot_length) > _MAX_PILOTS:
             raise ConfigError(f"pilots.budget and finite_m.pilot_length must be <= {_MAX_PILOTS}")
-        if self.trials > _MAX_TRIALS:
+        if trials > _MAX_TRIALS:
             raise ConfigError(f"montecarlo.trials must be <= {_MAX_TRIALS}")
-        if self.finite_m_trials * self.finite_m.pilot_length > _MAX_FINITE_M_SINRS:
+        if finite_m_trials * finite_m.pilot_length > _MAX_FINITE_M_SINRS:
             raise ConfigError(f"finite_m.trials x pilot_length must be <= {_MAX_FINITE_M_SINRS}")
-        if self.tier_count > _MAX_TIERS:
+        if tier_count > _MAX_TIERS:
             raise ConfigError(f"model.tier_count must be <= {_MAX_TIERS}")
         # the cell count of a tier does not depend on w, and w = 1 has the most users
-        cells = len(cochannel_cells(self.geometry, self.tier_count)) + 1
-        users = max(self.pilot_budget, self.finite_m.pilot_length)
+        cells = len(cochannel_cells(geometry, tier_count)) + 1
+        users = max(pilot_budget, finite_m.pilot_length)
         if _BLOCK * cells * users > _MAX_BLOCK_VALUES:
             raise ConfigError(
                 f"a sampler block of {_BLOCK} trials x {cells} cells x {users} users must be <= "
                 f"{_MAX_BLOCK_VALUES} values (lower model.tier_count, pilots.budget or "
                 "finite_m.pilot_length)"
             )
+        self._set(
+            geometry, finite_m, qos, pilot_budget, scheme, trials, seed, finite_m_trials,
+            circle_mode, tier_count, region, workers,
+        )
 
     @property
     def schemes(self) -> tuple[str, ...]:
@@ -174,6 +188,8 @@ _KEYS = {
     ("montecarlo", "workers"): ("workers", None, int),
 }
 _SECTIONS = {section for section, _ in _KEYS}
+# the ScenarioConfig fields that hold a record, and its class
+_NESTED = {"geometry": NetworkGeometry, "finite_m": FiniteMConfig, "qos": QosGrid}
 
 
 def _parse(section: str, key: str, parse, raw: str):
@@ -211,30 +227,27 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> ScenarioConfig:
 
     changes = {}
     try:
-        # field by field, so errors surface in the order the fields are built;
-        # a nested dataclass field's default_factory is its class
-        for f in fields(ScenarioConfig):
+        # field by field, so errors surface in the order the fields are built
+        for field in ScenarioConfig._fields:
             given = {
                 sub: _parse(section, key, parse, raw[section, key])
                 for (section, key), (name, sub, parse) in _KEYS.items()
-                if name == f.name and (section, key) in raw
+                if name == field and (section, key) in raw
             }
             if given:
-                nested = f.default_factory is not MISSING
-                changes[f.name] = f.default_factory(**given) if nested else given[None]
+                changes[field] = _NESTED[field](**given) if field in _NESTED else given[None]
         return ScenarioConfig(**changes)
-    except ValueError as exc:  # dataclass validation
+    except ValueError as exc:  # record validation
         raise ConfigError(str(exc)) from exc
 
 
 def config_hash(config: ScenarioConfig) -> str:
     """Stable short hash of every field, for CSV header provenance."""
     lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            lines += [f"{f.name}.{key}={val!r}" for key, val in sorted(vars(value).items())]
+    for field, value in config._asdict().items():
+        if field in _NESTED:
+            lines += [f"{field}.{key}={val!r}" for key, val in sorted(value._asdict().items())]
         else:
-            lines.append(f"{f.name}={value!r}")
+            lines.append(f"{field}={value!r}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return digest[:16]

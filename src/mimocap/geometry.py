@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
+
+from ._record import Record, ValueRecord
 
 # Axial shift vectors generating the co-channel sublattice for each
 # supported reuse factor (i^2 + i*j + j^2 = w).
@@ -31,8 +33,7 @@ CELL_RADIUS_RANGE_M = (1e-3, 1e7)
 PATH_LOSS_EXPONENT_MAX = 10.0
 
 
-@dataclass(frozen=True)
-class NetworkGeometry:
+class NetworkGeometry(ValueRecord):
     """Hexagonal network scenario parameters.
 
     cell_radius_m is the hexagon circumradius; users are excluded within
@@ -40,25 +41,28 @@ class NetworkGeometry:
     chosen by tier count (cochannel_cells, tier_specs).
     """
 
-    cell_radius_m: float = 1600.0
-    hole_radius_m: float = 100.0
-    reuse_factor: int = 1
-    path_loss_exponent: float = 4.0
+    __slots__ = _fields = ("cell_radius_m", "hole_radius_m", "reuse_factor", "path_loss_exponent")
 
-    def __post_init__(self):
-        if self.reuse_factor not in REUSE_SHIFTS:
+    def __init__(
+        self,
+        cell_radius_m: float = 1600.0,
+        hole_radius_m: float = 100.0,
+        reuse_factor: int = 1,
+        path_loss_exponent: float = 4.0,
+    ):
+        if reuse_factor not in REUSE_SHIFTS:
             raise ValueError(
-                f"unsupported reuse factor {self.reuse_factor}; "
-                f"supported: {SUPPORTED_REUSE}"
+                f"unsupported reuse factor {reuse_factor}; supported: {SUPPORTED_REUSE}"
             )
         low, high = CELL_RADIUS_RANGE_M
-        if not low <= self.cell_radius_m <= high:
+        if not low <= cell_radius_m <= high:
             raise ValueError(f"cell radius must lie in [{low:g}, {high:g}] m")
         # within the inradius the hole leaves the sampler 9.3% of the hexagon
-        if not 0.0 <= self.hole_radius_m <= math.sqrt(3.0) / 2.0 * self.cell_radius_m:
+        if not 0.0 <= hole_radius_m <= math.sqrt(3.0) / 2.0 * cell_radius_m:
             raise ValueError("hole radius must satisfy 0 <= a_h <= sqrt(3)/2 a (the inradius)")
-        if not 2.0 < self.path_loss_exponent <= PATH_LOSS_EXPONENT_MAX:  # 2: infinite moments
+        if not 2.0 < path_loss_exponent <= PATH_LOSS_EXPONENT_MAX:  # 2: infinite moments
             raise ValueError(f"path loss exponent must lie in (2, {PATH_LOSS_EXPONENT_MAX:g}]")
+        self._set(cell_radius_m, hole_radius_m, reuse_factor, path_loss_exponent)
 
     @property
     def center_spacing_m(self) -> float:
@@ -66,35 +70,32 @@ class NetworkGeometry:
         return math.sqrt(3.0) * self.cell_radius_m
 
     def with_reuse(self, reuse_factor: int) -> "NetworkGeometry":
-        return replace(self, reuse_factor=reuse_factor)
+        return self._replace(reuse_factor=reuse_factor)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Cell:
+class Cell(NamedTuple):
     """One co-channel cell: its center and its tier index (1 = nearest)."""
 
     center: tuple[float, float]
     tier: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CirclePatch:
+class CirclePatch(Record):
     """Circular-cell approximation of an interfering cell.
 
     circle_radius_m is the cell-disc radius; separation_m the distance from
     the interfering cell center to the base station of interest.
     """
 
-    circle_radius_m: float
-    separation_m: float
+    __slots__ = _fields = ("circle_radius_m", "separation_m")
 
-    def __post_init__(self):
-        if not self.circle_radius_m < self.separation_m:
+    def __init__(self, circle_radius_m: float, separation_m: float):
+        if not circle_radius_m < separation_m:
             raise ValueError("circle radius must be smaller than the separation")
+        self._set(circle_radius_m, separation_m)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TierSpec:
+class TierSpec(NamedTuple):
     """Co-channel cells at the tier_index-th co-channel distance."""
 
     tier_index: int

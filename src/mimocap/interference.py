@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .geometry import CirclePatch
 from .pilots import PilotScheme
 
@@ -35,8 +36,7 @@ _SERIES_TERMS = 10_000
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TierMoments:
+class TierMoments(NamedTuple):
     """Interference moments for one co-channel tier.
 
     mu_x / var_x describe a single full-collision interferer; mu_y / var_y
@@ -50,20 +50,18 @@ class TierMoments:
     var_y: float
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class GaussianInterference:
+class GaussianInterference(Record):
     """Mean and variance of a Gaussian interference total."""
 
-    mean: float
-    variance: float
+    __slots__ = _fields = ("mean", "variance")
 
-    def __post_init__(self):
-        if self.variance < 0.0:
+    def __init__(self, mean: float, variance: float):
+        if variance < 0.0:
             raise ValueError("variance must be non-negative")
+        self._set(mean, variance)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class QosTarget:
+class QosTarget(Record):
     """Minimum SIR (linear) and allowed outage probability.
 
     min_sir_linear is one threshold, or an array of thresholds that share
@@ -71,14 +69,14 @@ class QosTarget:
     once, in the array's shape.
     """
 
-    min_sir_linear: float | np.ndarray
-    outage: float
+    __slots__ = _fields = ("min_sir_linear", "outage")
 
-    def __post_init__(self):
-        if not np.all(np.asarray(self.min_sir_linear) > 0.0):
+    def __init__(self, min_sir_linear: float | np.ndarray, outage: float):
+        if not np.all(np.asarray(min_sir_linear) > 0.0):
             raise ValueError("SIR threshold must be positive")
-        if not 0.0 < self.outage < 0.5:
+        if not 0.0 < outage < 0.5:
             raise ValueError("outage must lie in (0, 0.5)")
+        self._set(min_sir_linear, outage)
 
     @classmethod
     def from_db(cls, min_sir_db, outage: float) -> "QosTarget":

@@ -10,8 +10,8 @@ cross-cell correlations phi = |<psi_a, psi_b>|^2 become random with mean
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ class PilotScheme(Enum):
         raise ValueError(f"unknown pilot scheme {name!r}; use 'reused' or 'different'")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PilotBook:
+class PilotBook(NamedTuple):
     """Per-cell pilot matrices plus the column-to-user assignment."""
 
     scheme: PilotScheme

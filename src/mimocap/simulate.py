@@ -59,10 +59,11 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record, ValueRecord
 from .geometry import (
     NetworkGeometry,
     cochannel_cells,
@@ -136,17 +137,16 @@ def trial_rng(seed: int, block: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_stream_key_type()(key), counter=counter))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class SirSampleSet:
+class SirSampleSet(Record):
     """SIR realizations (linear scale) for one scenario, in trial order."""
 
-    samples: np.ndarray
+    _fields = ("samples",)  # no __slots__: sorted_samples is cached in __dict__
 
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+    def __init__(self, samples: np.ndarray):
+        arr = np.asarray(samples, dtype=float)
         if arr.size and not np.all(arr > 0.0):
             raise ValueError("SIR samples must be positive")
-        object.__setattr__(self, "samples", arr)
+        self._set(arr)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -156,36 +156,37 @@ class SirSampleSet:
         return np.sort(self.samples)
 
 
-@dataclass(frozen=True)
-class FiniteMConfig:
+class FiniteMConfig(ValueRecord):
     """Finite-antenna MRC scenario; SNRs are cell-edge values with uplink
     power control, None disables the corresponding noise term."""
 
-    antennas: int = 500
-    pilot_length: int = 42
-    ul_snr_db: float | None = 10.0
-    pilot_snr_db: float | None = 10.0
+    __slots__ = _fields = ("antennas", "pilot_length", "ul_snr_db", "pilot_snr_db")
 
-    def __post_init__(self):
-        if self.antennas < 1:
+    def __init__(
+        self,
+        antennas: int = 500,
+        pilot_length: int = 42,
+        ul_snr_db: float | None = 10.0,
+        pilot_snr_db: float | None = 10.0,
+    ):
+        if antennas < 1:
             raise ValueError("antenna count must be >= 1")
-        if self.pilot_length < 1:
+        if pilot_length < 1:
             raise ValueError("pilot length must be >= 1")
-        for name, snr_db in (("ul_snr_db", self.ul_snr_db), ("pilot_snr_db", self.pilot_snr_db)):
+        for name, snr_db in (("ul_snr_db", ul_snr_db), ("pilot_snr_db", pilot_snr_db)):
             if snr_db is not None and not abs(snr_db) <= MAX_ABS_DB:
                 raise ValueError(f"{name} = {snr_db:g} dB lies outside +-{MAX_ABS_DB:g} dB")
+        self._set(antennas, pilot_length, ul_snr_db, pilot_snr_db)
 
 
-@dataclass(frozen=True)
-class ShadowDiagnostics:
+class ShadowDiagnostics(NamedTuple):
     """Interference share per tier and the largest interference ratio drawn."""
 
     tier_shares: dict[int, float]
     max_interference_ratio: float
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class _Scenario:
+class _Scenario(NamedTuple):
     """Everything a block needs; immutable, shared by the threads of a call
     and picklable for pool processes."""
 
@@ -849,13 +850,12 @@ def wilson_interval(failures: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class CapacitySearchResult:
+class CapacitySearchResult(NamedTuple):
     """Admitted load per reuse factor, its outage with the Wilson interval,
     and the best reuse factor and load."""
 
     per_reuse: dict[int, int]
-    outage_at_k: dict[int, tuple[float, tuple[float, float]]] = field(repr=False)
+    outage_at_k: dict[int, tuple[float, tuple[float, float]]]
     best_reuse: int = 0
     best_k: int = 0
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import os
@@ -67,7 +66,7 @@ def _off_by_1e6(f):
 def _mu_y_off_by_1e6(f):
     def faulty(*a):
         tm = f(*a)
-        return dataclasses.replace(tm, mu_y=tm.mu_y * (1 + 1e-6))
+        return tm._replace(mu_y=tm.mu_y * (1 + 1e-6))
 
     return faulty
 
@@ -85,7 +84,7 @@ VALIDATE_FAULTS = {
         cli, "sample_circle_position", lambda f: lambda radius, *a: f(0.99 * radius, *a)
     ),
     "moment-monotonicity": (
-        intf, "compute_tier_moments", lambda f: lambda *a: dataclasses.replace(f(*a), mu_x=1.0)
+        intf, "compute_tier_moments", lambda f: lambda *a: f(*a)._replace(mu_x=1.0)
     ),
 }
 
@@ -210,10 +209,10 @@ class TestConfig:
         name, sub, _parse = _KEYS[section, key]
         expected = ScenarioConfig()
         if sub is None:
-            expected = dataclasses.replace(expected, **{name: value})
+            expected = expected._replace(**{name: value})
         else:
-            nested = dataclasses.replace(getattr(expected, name), **{sub: value})
-            expected = dataclasses.replace(expected, **{name: nested})
+            nested = getattr(expected, name)._replace(**{sub: value})
+            expected = expected._replace(**{name: nested})
         assert expected != ScenarioConfig()
         assert load_config(empty_file, (f"{section}.{key}={raw}",)) == expected
 
@@ -221,6 +220,28 @@ class TestConfig:
         # CSV headers carry these; a changed hash breaks provenance of old outputs
         assert config_hash(load_config(str(CONFIGS / "default.ini"))) == "1e1d52dabb117199"
         assert config_hash(load_config(str(CONFIGS / "smoke.ini"))) == "a710e9501e977d39"
+        # every field of the three nested records off its default
+        nested = (
+            "geometry.cell_radius_m=1000",
+            "geometry.hole_radius_m=50",
+            "geometry.reuse_factor=3",
+            "geometry.path_loss_exponent=3.5",
+            "finite_m.antennas=128",
+            "finite_m.pilot_length=21",
+            "finite_m.ul_snr_db=5.5",
+            "finite_m.pilot_snr_db=none",
+            "qos.sir_db_min=-10",
+            "qos.sir_db_max=30",
+            "qos.sir_db_step=0.5",
+            "qos.alphas=0.01, 0.1",
+            "montecarlo.seed=7",
+        )
+        config = load_config(str(CONFIGS / "default.ini"), nested)
+        default = ScenarioConfig()
+        for name, sub, _parse in _KEYS.values():
+            if sub is not None:
+                assert getattr(getattr(config, name), sub) != getattr(getattr(default, name), sub)
+        assert config_hash(config) == "30c5f112afcc55cf"
 
     @pytest.mark.parametrize(
         "override",

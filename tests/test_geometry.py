@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,34 +39,34 @@ class TestLayout:
 
     def test_center_cell_uses_resource_one(self, geometry):
         for w in (1, 3, 7):
-            layout = ring_lattice(replace(geometry, reuse_factor=w), 3)
+            layout = ring_lattice(geometry.with_reuse(w), 3)
             assert layout[0].axial == (0, 0)
             assert layout[0].resource == 1
 
     def test_reuse3_ring1_has_no_cochannel(self, geometry):
         # nearest reuse-3 co-channel cells sit in ring 2
-        layout = ring_lattice(replace(geometry, reuse_factor=3), 1)
+        layout = ring_lattice(geometry.with_reuse(3), 1)
         assert len(layout) == 7
         assert cell_distances(layout) == []
 
     def test_reuse7_six_cochannel_in_ring3(self, geometry):
-        layout = ring_lattice(replace(geometry, reuse_factor=7), 3)
+        layout = ring_lattice(geometry.with_reuse(7), 3)
         dists = cell_distances(layout)
         assert len(dists) == 6
         assert np.allclose(dists, 1600.0 * math.sqrt(21.0))
         # a two-ring lattice contains none of them
-        small = ring_lattice(replace(geometry, reuse_factor=7), 2)
+        small = ring_lattice(geometry.with_reuse(7), 2)
         assert len(small) == 19 and cell_distances(small) == []
 
     def test_color_count_equals_reuse_factor(self, geometry):
         for w in (1, 3, 7):
-            layout = ring_lattice(replace(geometry, reuse_factor=w), 4)
+            layout = ring_lattice(geometry.with_reuse(w), 4)
             assert len({c.resource for c in layout}) == w
 
     def test_cochannel_distance_multiplicity(self, geometry):
         # co-channel distances come in multiples of 6 per tier
         for w in (1, 3):
-            layout = ring_lattice(replace(geometry, reuse_factor=w), 3)
+            layout = ring_lattice(geometry.with_reuse(w), 3)
             dists = np.array(cell_distances(layout))
             for d in np.unique(np.round(dists, 6)):
                 assert np.sum(np.isclose(dists, d)) % 6 == 0
@@ -108,7 +107,7 @@ class TestTiers:
         # the analytic tier-1 separation must equal the minimum co-channel
         # distance found in an explicitly built lattice
         for w in (1, 3, 7):
-            geo = replace(geometry, reuse_factor=w)
+            geo = geometry.with_reuse(w)
             spec = tier_specs(geo, 1)[0]
             brute = cell_distances(ring_lattice(geo, 4))[0]
             assert spec.separation_m == pytest.approx(brute, rel=1e-12)
@@ -116,7 +115,7 @@ class TestTiers:
 
     def test_tier1_values(self, geometry):
         assert tier_specs(geometry, 1)[0].separation_m == pytest.approx(2771.28, abs=0.01)
-        geo3 = replace(geometry, reuse_factor=3)
+        geo3 = geometry.with_reuse(3)
         assert tier_specs(geo3, 1)[0].separation_m == pytest.approx(4800.0)
 
     def test_tier2_is_next_sublattice_shell(self, geometry):
@@ -133,7 +132,7 @@ class TestTiers:
     def test_min_rings(self, geometry):
         # the tier-1 ring first appears in ring 1, 2 and 3 of the lattice
         for w, rings in ((1, 1), (3, 2), (7, 3)):
-            layout = ring_lattice(replace(geometry, reuse_factor=w), 4)
+            layout = ring_lattice(geometry.with_reuse(w), 4)
             first = min(c.ring for c in layout if c.resource == 1 and c.axial != (0, 0))
             assert first == rings == min_rings_for_cochannel(w)
 
@@ -141,7 +140,7 @@ class TestTiers:
         # the colored ring lattice holds whole tiers: its co-channel cells
         # are those of the first t tiers, same cells, same order, same tiers
         for w in (1, 3, 7):
-            geo = replace(geometry, reuse_factor=w)
+            geo = geometry.with_reuse(w)
             for rings in range(1, 6):
                 want = [(c.center, tier) for c, tier in cochannel_with_tiers(geo, rings)]
                 t = max(tier for _, tier in want)
@@ -149,7 +148,7 @@ class TestTiers:
 
     def test_cochannel_cells_fill_whole_tiers(self, geometry):
         for w in (1, 3, 7):
-            geo = replace(geometry, reuse_factor=w)
+            geo = geometry.with_reuse(w)
             for t in range(1, 5):
                 specs = tier_specs(geo, t)
                 cells = cochannel_cells(geo, t)
@@ -163,7 +162,7 @@ class TestTiers:
         # cells back, as a tuple no caller can change under another
         cells = cochannel_cells(geometry.with_reuse(3), 2)
         assert isinstance(cells, tuple)
-        assert cochannel_cells(replace(geometry, reuse_factor=3), 2) is cells
+        assert cochannel_cells(geometry.with_reuse(3), 2) is cells
         assert cochannel_cells(geometry, 0) == ()
 
 
@@ -183,7 +182,7 @@ class TestCircleApproximation:
 
     def test_radius_below_separation_for_all_reuse(self, geometry):
         for w in (1, 3, 7):
-            geo = replace(geometry, reuse_factor=w)
+            geo = geometry.with_reuse(w)
             for mode in ("equal_area", "match_radius"):
                 patch = circle_approximation(geo, tier_specs(geo, 1)[0], mode)
                 assert patch.circle_radius_m < patch.separation_m

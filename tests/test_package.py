@@ -98,7 +98,9 @@ def test_cli_import_leaves_numpy_random_out():
 def test_commands_leave_single_path_modules_out():
     # q_inverse and the Gauss-Legendre rule are computed in interference.py,
     # so neither importing the CLI nor running the analytic commands loads
-    # statistics (with its fractions and decimal) or numpy.polynomial
+    # statistics (with its fractions and decimal) or numpy.polynomial; the
+    # records are NamedTuples or hand-written classes, so no command loads
+    # dataclasses
     import os
     import pathlib
     import subprocess
@@ -108,13 +110,16 @@ def test_commands_leave_single_path_modules_out():
     script = (
         "import os, sys\n"
         "import mimocap.cli\n"
-        "names = ('statistics', 'fractions', 'decimal', 'numpy.polynomial')\n"
+        "names = ('statistics', 'fractions', 'decimal', 'numpy.polynomial', 'dataclasses')\n"
         "subs = tuple(n + '.' for n in names)\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m in names or m.startswith(subs))\n"
         "print('import', loaded())\n"
         "out = ['--out', os.devnull]\n"
-        "runs = (['capacity-table', '--diagnostics', os.devnull], ['sir-cdf'], ['validate'])\n"
+        "runs = (\n"
+        "    ['capacity-table', '--diagnostics', os.devnull], ['sir-cdf'], ['finite-m-table'],\n"
+        "    ['validate'],\n"
+        ")\n"
         "for cmd, *extra in runs:\n"
         "    rc = mimocap.cli.main([cmd, 'configs/smoke.ini', *out, *extra])\n"
         "    print(cmd, rc, loaded())\n"
@@ -128,6 +133,7 @@ def test_commands_leave_single_path_modules_out():
         "import []",
         "capacity-table 0 []",
         "sir-cdf 0 []",
+        "finite-m-table 0 []",
         "validate 0 []",
     ]
 
@@ -142,3 +148,77 @@ def test_cache_keys_hash_and_compare_by_value():
         a, b, c = cls(), cls(), cls(**change)
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != c and len({a, b, c}) == 2
+
+
+def test_records_are_immutable_and_validate():
+    # every public record refuses assignment and deletion of a field, and
+    # the validating ones raise the same messages as ever on a bad field
+    import pickle
+    import re
+
+    import numpy as np
+    import pytest
+
+    from mimocap.config import ConfigError, QosGrid, ScenarioConfig
+    from mimocap.geometry import Cell
+    from mimocap.simulate import ShadowDiagnostics
+
+    rng = np.random.default_rng(1)
+    book = mimocap.generate_pilot_book(mimocap.PilotScheme.REUSED_SETS, 3, 2, rng)
+    records = [
+        (mimocap.CapacityReport(*[np.zeros(2)] * 7), "k_max"),
+        (mimocap.CapacitySearchResult({1: 3}, {1: (0.0, (0.0, 0.1))}, 1, 3), "best_k"),
+        (mimocap.CirclePatch(1.0, 2.0), "separation_m"),
+        (mimocap.FiniteMConfig(), "antennas"),
+        (mimocap.GaussianInterference(1.0, 0.5), "variance"),
+        (mimocap.NetworkGeometry(), "reuse_factor"),
+        (book, "matrices"),
+        (mimocap.QosTarget(1.0, 0.05), "outage"),
+        (mimocap.SirSampleSet(np.ones(3)), "samples"),
+        (mimocap.TierMoments(1.0, 0.1, 0.5, 0.05), "mu_y"),
+        (mimocap.TierSpec(1, 6, 10.0), "separation_m"),
+        (Cell((0.0, 0.0), 1), "tier"),
+        (ShadowDiagnostics({1: 1.0}, 0.5), "max_interference_ratio"),
+        (QosGrid(), "alphas"),
+        (ScenarioConfig(), "seed"),
+    ]
+    for record, name in records:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+
+    bad = [
+        (lambda: mimocap.NetworkGeometry(reuse_factor=2), ValueError,
+         "unsupported reuse factor 2; supported: (1, 3, 7)"),
+        (lambda: mimocap.NetworkGeometry().with_reuse(2), ValueError,
+         "unsupported reuse factor 2; supported: (1, 3, 7)"),
+        (lambda: mimocap.NetworkGeometry(hole_radius_m=-1.0), ValueError,
+         "hole radius must satisfy 0 <= a_h <= sqrt(3)/2 a (the inradius)"),
+        (lambda: mimocap.CirclePatch(2.0, 1.0), ValueError,
+         "circle radius must be smaller than the separation"),
+        (lambda: mimocap.GaussianInterference(1.0, -1.0), ValueError,
+         "variance must be non-negative"),
+        (lambda: mimocap.QosTarget(0.0, 0.05), ValueError, "SIR threshold must be positive"),
+        (lambda: mimocap.QosTarget(1.0, 0.5), ValueError, "outage must lie in (0, 0.5)"),
+        (lambda: mimocap.SirSampleSet(np.array([1.0, -1.0])), ValueError,
+         "SIR samples must be positive"),
+        (lambda: mimocap.FiniteMConfig(antennas=0), ValueError, "antenna count must be >= 1"),
+        (lambda: mimocap.FiniteMConfig(pilot_snr_db=2000.0), ValueError,
+         "pilot_snr_db = 2000 dB lies outside +-1000 dB"),
+        (lambda: QosGrid(sir_db_step=0.0), ConfigError, "qos.sir_db_step must be positive"),
+        (lambda: ScenarioConfig(scheme="all"), ConfigError,
+         "pilots.scheme must be reused/different/both, got 'all'"),
+    ]
+    for build, error, message in bad:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+    geometry = mimocap.NetworkGeometry()
+    assert geometry.with_reuse(3) == mimocap.NetworkGeometry(reuse_factor=3)
+    assert geometry.with_reuse(1) == geometry
+    # a process pool pickles these inside every scenario it is sent
+    for record in (geometry, mimocap.FiniteMConfig(ul_snr_db=None), ScenarioConfig(seed=5)):
+        assert pickle.loads(pickle.dumps(record)) == record
