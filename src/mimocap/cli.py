@@ -68,20 +68,17 @@ _FORMATS = {float: "%.10g", int: "%d", str: "%s"}
 _CHUNK_ROWS = 8192
 
 # capacity-table repeats the same sir_db and alpha values on every row, so it
-# formats them once per table and writes the cells as str
+# formats them once per table and writes the cells as str.  The table row at
+# w_best is the diagnostics row at that w, so the shared cells are formatted
+# once per (scheme, alpha, w, SIR point) and serve both files.
+_SHARED_COLUMNS = (("k_u", float), ("k_max", int), ("y_e", float), ("n_max", int))
 _TABLE_COLUMNS = (
-    ("sir_db", str), ("alpha", str), ("scheme", str), ("w_best", int),
-    ("k_u", float), ("k_max", int), ("y_e", float), ("n_max", int),
+    ("sir_db", str), ("alpha", str), ("scheme", str), ("w_best", int), *_SHARED_COLUMNS,
 )
 _DIAGNOSTIC_COLUMNS = (
-    ("sir_db", str), ("alpha", str), ("scheme", str), ("w", int), ("feasible", int),
-    ("k_u", float), ("k_max", int), ("y_e", float), ("n_max", int), ("pilot_budget", int),
+    *_TABLE_COLUMNS[:3], ("w", int), ("feasible", int), *_SHARED_COLUMNS, ("pilot_budget", int),
 )
-# CapacityReport fields behind the diagnostics columns from "w" on
-_DIAGNOSTIC_FIELDS = (
-    "chosen_reuse", "feasible", "k_u", "k_max", "effective_interference", "n_max", "pilot_budget",
-)
-_SIR_CDF_COLUMNS = (("curve", str), ("sir_db", float), ("cdf", float))
+_SIR_CDF_COLUMNS = (("curve", str), ("sir_db", str), ("cdf", float))
 _FINITE_M_COLUMNS = (
     ("qos", str), ("sir_db", float), ("alpha", float), ("scheme", str), ("w_best", int),
     ("k_max", int), ("k_w1", int), ("k_w3", int), ("k_w7", int),
@@ -89,41 +86,41 @@ _FINITE_M_COLUMNS = (
 )
 
 
+def _template(columns) -> str:
+    return ",".join(_FORMATS[t] for _, t in columns)
+
+
+def _head(comments, columns) -> str:
+    return "".join(f"{line}\n" for line in comments) + ",".join(name for name, _ in columns) + "\n"
+
+
 def _write_rows(stream, comments, columns, rows):
     """Comment lines, the header, then one line per row tuple through a
     %-template built from the declared (name, type) columns."""
-    names, types = zip(*columns)
-    template = ",".join(_FORMATS[t] for t in types) + "\n"
-    stream.write("".join(f"{line}\n" for line in comments) + ",".join(names) + "\n")
+    template = _template(columns) + "\n"
+    stream.write(_head(comments, columns))
     rows = iter(rows)
     while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
         stream.write("".join(map(template.__mod__, chunk)))
 
 
-def _interleave(reports, name: str, n: int) -> list:
-    """Field `name` of per-reuse-factor reports over n SIR points, as one
-    list ordered by SIR point, then by report."""
-    per_rep = [np.broadcast_to(getattr(rep, name), (n,)) for rep in reports]
-    return np.stack(per_rep, axis=1).ravel().tolist()
+def _shared_cells(report) -> list[str]:
+    """The k_u,k_max,y_e,n_max cells of one report, one string per SIR point."""
+    fields = (report.k_u, report.k_max, report.effective_interference, report.n_max)
+    return list(map(_template(_SHARED_COLUMNS).__mod__, zip(*(f.tolist() for f in fields))))
 
 
 def cmd_capacity_table(config: ScenarioConfig, out, diagnostics) -> int:
     sir_db = config.qos.sir_db_values()
-    n = len(sir_db)
     sir_cells = [_FORMATS[float] % s for s in sir_db]
     reuses = (1, 3, 7)
-    rows = []
-    diag_rows = []
-    switch_notes = []
+    w_cells = {w: _FORMATS[int] % w + "," for w in reuses}
+    table, diag_text, switch_notes = [], [], []
     for scheme_name in config.schemes:
         scheme = PilotScheme.parse(scheme_name)
         moments = {
             w: cap.tier1_moments(
-                config.geometry,
-                scheme,
-                config.pilot_budget,
-                w,
-                config.circle_mode,
+                config.geometry, scheme, config.pilot_budget, w, config.circle_mode,
                 tier_count=config.tier_count,
             )
             for w in reuses
@@ -136,34 +133,33 @@ def cmd_capacity_table(config: ScenarioConfig, out, diagnostics) -> int:
             ]
             best = cap.best_reuse(per_w)
             chosen = best.chosen_reuse.tolist()
-            alpha_cell = _FORMATS[float] % alpha
-            rows += zip(
-                sir_cells,
-                [alpha_cell] * n,
-                [scheme_name] * n,
-                chosen,
-                best.k_u.tolist(),
-                best.k_max.tolist(),
-                best.effective_interference.tolist(),
-                best.n_max.tolist(),
-            )
+            prefix = (sir_cells, itertools.repeat(f",{_FORMATS[float] % alpha},{scheme_name},"))
+            if diagnostics is None:
+                cells = _shared_cells(best)
+            else:
+                per_w_cells = dict(zip(reuses, map(_shared_cells, per_w)))
+                cells = [per_w_cells[w][i] for i, w in enumerate(chosen)]
+                pieces = []
+                for rep in per_w:
+                    leads = [w_cells[rep.chosen_reuse] + _FORMATS[int] % f + "," for f in (0, 1)]
+                    tail = itertools.repeat("," + _FORMATS[int] % rep.pilot_budget + "\n")
+                    feasible = map(leads.__getitem__, rep.feasible.tolist())
+                    pieces += (*prefix, feasible, per_w_cells[rep.chosen_reuse], tail)
+                # one line per SIR point and reuse factor, in that order
+                diag_text.append("".join(itertools.chain.from_iterable(zip(*pieces))))
+            pieces = (*prefix, map(w_cells.get, chosen), cells, itertools.repeat("\n"))
+            table.append("".join(itertools.chain.from_iterable(zip(*pieces))))
             switch_notes += [
                 f"# switch: scheme={scheme_name} alpha={alpha:.10g} "
                 f"w{chosen[i - 1]}->w{chosen[i]} at {sir_db[i]:.10g} dB"
-                for i in range(1, n)
+                for i in range(1, len(chosen))
                 if chosen[i] != chosen[i - 1]
             ]
-            if diagnostics is not None:
-                diag_rows += zip(
-                    [s for s in sir_cells for _ in reuses],
-                    [alpha_cell] * (n * len(reuses)),
-                    [scheme_name] * (n * len(reuses)),
-                    *(_interleave(per_w, name, n) for name in _DIAGNOSTIC_FIELDS),
-                )
-    _write_rows(out, _header("capacity-table", config) + switch_notes, _TABLE_COLUMNS, rows)
+    out.write(_head(_header("capacity-table", config) + switch_notes, _TABLE_COLUMNS))
+    out.writelines(table)
     if diagnostics is not None:
-        header = _header("capacity-table-diagnostics", config)
-        _write_rows(diagnostics, header, _DIAGNOSTIC_COLUMNS, diag_rows)
+        diagnostics.write(_head(_header("capacity-table-diagnostics", config), _DIAGNOSTIC_COLUMNS))
+        diagnostics.writelines(diag_text)
     return 0
 
 
@@ -201,9 +197,10 @@ def cmd_sir_cdf(config: ScenarioConfig, out) -> int:
         sirs = samples.sorted_samples[idx]
         cdf = (idx + 1) / n
         approx = intf.sir_outage_gaussian(sirs, gi)
-        sir_db = (10.0 * np.log10(sirs)).tolist()
-        rows += zip([f"{scheme_name}-empirical"] * len(idx), sir_db, cdf.tolist())
-        rows += zip([f"{scheme_name}-approx"] * len(idx), sir_db, approx.tolist())
+        # both curves of a scheme share their sir_db cells
+        sir_cells = [_FORMATS[float] % s for s in (10.0 * np.log10(sirs)).tolist()]
+        rows += zip([f"{scheme_name}-empirical"] * len(idx), sir_cells, cdf.tolist())
+        rows += zip([f"{scheme_name}-approx"] * len(idx), sir_cells, approx.tolist())
     _write_rows(out, _header("sir-cdf", config), _SIR_CDF_COLUMNS, rows)
     return 0
 

@@ -607,6 +607,59 @@ class TestCli:
         assert load_config(empty_file, ("geometry.path_loss_exponent=10",))
 
 
+def _csv_rows(path) -> list[dict]:
+    """The rows of a CSV output as {column: cell text}."""
+    names, *rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [dict(zip(names.split(","), row.split(","))) for row in rows]
+
+
+class TestCapacityTableFiles:
+    SHARED = ("k_u", "k_max", "y_e", "n_max")
+    # to 60 dB at two tiers: w_best switches 1 -> 3 -> 7, and back to 1 where
+    # no reuse factor admits anyone
+    GRID = (
+        "qos.sir_db_min=-5", "qos.sir_db_max=60", "qos.sir_db_step=0.5",
+        "qos.alphas=0.001,0.05,0.2", "model.tier_count=2",
+    )
+
+    def test_table_cells_are_the_diagnostics_cells_at_w_best(self, tmp_path):
+        out, diag = tmp_path / "table.csv", tmp_path / "diag.csv"
+        sets = [arg for item in self.GRID for arg in ("--set", item)]
+        argv = ["capacity-table", str(CONFIGS / "default.ini"), *sets]
+        assert main([*argv, "--out", str(out), "--diagnostics", str(diag)]) == 0
+        per_w = {}
+        for row in _csv_rows(diag):
+            per_w.setdefault((row["sir_db"], row["alpha"], row["scheme"]), {})[int(row["w"])] = row
+        table = _csv_rows(out)
+        assert len(table) == len(per_w) == 131 * 3 * 2
+        for row in table:
+            rows = per_w[row["sir_db"], row["alpha"], row["scheme"]]
+            assert sorted(rows) == [1, 3, 7]
+            # the smallest w with the largest k_max
+            top = max(int(r["k_max"]) for r in rows.values())
+            w_best = min(w for w, r in rows.items() if int(r["k_max"]) == top)
+            assert int(row["w_best"]) == w_best
+            assert [row[c] for c in self.SHARED] == [rows[w_best][c] for c in self.SHARED]
+        # the grid reaches what the check is for
+        assert {row["w_best"] for row in table} == {"1", "3", "7"}
+        assert any(row["k_max"] == "0" for row in table)
+        assert {r["feasible"] for rows in per_w.values() for r in rows.values()} == {"0", "1"}
+        assert out.read_text().count("# switch: ") > 2 * 3 * 2
+
+    @pytest.mark.parametrize("tier_count", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["reused", "different", "both"])
+    def test_table_bytes_do_not_depend_on_diagnostics(self, scheme, tier_count, tmp_path):
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = [
+            "capacity-table", str(CONFIGS / "default.ini"),
+            "--set", f"pilots.scheme={scheme}", "--set", f"model.tier_count={tier_count}",
+            "--set", "qos.alphas=0.001,0.005,0.01,0.05,0.2",
+        ]
+        assert main([*argv, "--out", str(out1)]) == 0
+        assert main([*argv, "--out", str(out2), "--diagnostics", str(tmp_path / "d.csv")]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+
 def _per_cell_format(x) -> str:
     if isinstance(x, float):
         return format(x, ".10g")
