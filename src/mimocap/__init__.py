@@ -10,6 +10,7 @@ from .capacity import (
 )
 from .geometry import (
     CirclePatch,
+    FiniteMConfig,
     NetworkGeometry,
     TierSpec,
     circle_approximation,
@@ -27,7 +28,6 @@ from .interference import (
 from .pilots import PilotBook, PilotScheme, cross_correlation, generate_pilot_book
 from .simulate import (
     CapacitySearchResult,
-    FiniteMConfig,
     SirSampleSet,
     empirical_capacity_search,
     sample_sir_finite_m,

@@ -26,10 +26,10 @@ import numpy as np
 from . import capacity as cap
 from . import interference as intf
 from .config import ConfigError, ScenarioConfig, config_hash, load_config
-from .geometry import sample_circle_position, tier_specs
+from .geometry import tier_specs
 from .interference import QosTarget
 from .pilots import PilotScheme, cross_correlation, generate_pilot_book
-from .simulate import empirical_capacity_search, sample_sir_limit
+from .simulate import empirical_capacity_search, sample_circle_position, sample_sir_limit
 
 _QOS_PRESETS = (
     ("low", 0.0, 0.01),
@@ -65,7 +65,6 @@ def _open_out(path: str | None):
 # %-format of each declared column type; '%.10g' % x == format(x, '.10g')
 # for every double, nan, infinities and -0.0 included
 _FORMATS = {float: "%.10g", int: "%d", str: "%s"}
-_CHUNK_ROWS = 8192
 
 # capacity-table repeats the same sir_db and alpha values on every row, so it
 # formats them once per table and writes the cells as str.  The table row at
@@ -99,9 +98,7 @@ def _write_rows(stream, comments, columns, rows):
     %-template built from the declared (name, type) columns."""
     template = _template(columns) + "\n"
     stream.write(_head(comments, columns))
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        stream.write("".join(map(template.__mod__, chunk)))
+    stream.write("".join(map(template.__mod__, rows)))
 
 
 def _shared_cells(report) -> list[str]:
@@ -255,7 +252,7 @@ def _validation_checks(config: ScenarioConfig):
 
     # pilot completeness: correlations of one pilot against a full book sum to 1
     book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, kdim, 2, rng)
-    probe = book.pilot(0, kdim - 1)
+    probe = book.matrices[0][:, book.assignments[0][kdim - 1]]
     total = sum(cross_correlation(probe, book.matrices[1][:, j]) for j in range(kdim))
     err = abs(total - 1.0)
     tol = 1e-10

@@ -7,7 +7,9 @@ are radians, distances meters; SIR is dB at this boundary and linear
 inside the library.  Every default lives in the __init__ signatures of
 ScenarioConfig and of its three nested records (NetworkGeometry,
 FiniteMConfig, QosGrid), immutable value records that validate when built;
-_KEYS only says which file key sets which field.
+_KEYS only says which file key sets which field.  The scenario records and
+value bounds come from geometry, so loading a config imports neither numpy
+nor the samplers.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import math
 import os
 
 from ._record import ValueRecord
-from .geometry import NetworkGeometry, cochannel_cells
-from .interference import MAX_ABS_DB
-from .simulate import _BLOCK, FiniteMConfig
+from .geometry import MAX_ABS_DB, FiniteMConfig, NetworkGeometry, cochannel_cells
 
 # Bounds on what a config may ask of the machine; none of them is a knob.
 _MAX_SIR_POINTS = 100_000  # per alpha; checked before the grid list is built
@@ -31,14 +31,14 @@ _MAX_TRIALS = 10_000_000  # sir-cdf keeps every limit sample: 80 MB per scheme a
 # here; the bound predates the second scheme and stays, so every config that loaded loads)
 _MAX_FINITE_M_SINRS = 42_000_000
 _MAX_TIERS = 50  # 50 co-channel tiers already hold 534 cells at w = 1
-# The samplers draw _BLOCK trials x (co-channel cells + 1) x users per cell
-# values per array, and each part of a call holds its longest run at up to
-# simulate._FINITE_BYTES = 140 bytes per value.  A run is one block, or as
-# many as fit simulate._RUN_BYTES (1.7 MB), so this bounds runs too.  A call
-# whose one block outgrows simulate._THREAD_BYTES runs up to two parts
-# (simulate._THREADS), so two one-block workspaces: 1.4 GB at this bound.
-# The per-key bounds above do not cap the product.
-_MAX_BLOCK_VALUES = 5_000_000
+# Per trial, the samplers draw (co-channel cells + 1) x users per cell values
+# per array, in blocks of simulate._BLOCK = 64 trials, at up to
+# simulate._FINITE_BYTES = 140 bytes per value.  A run is one block, or as many
+# as fit simulate._RUN_BYTES (1.7 MB), so this bounds runs too.  At this bound,
+# 5 x 10^6 values a block, simulate._THREADS = 2 one-block workspaces fit the
+# peak, simulate._PEAK_BYTES = 1.4 GB, that caps the parts of a call.  The
+# per-key bounds above do not cap the product.
+_MAX_TRIAL_VALUES = 78_125
 
 
 class ConfigError(Exception):
@@ -129,10 +129,10 @@ class ScenarioConfig(ValueRecord):
         # the cell count of a tier does not depend on w, and w = 1 has the most users
         cells = len(cochannel_cells(geometry, tier_count)) + 1
         users = max(pilot_budget, finite_m.pilot_length)
-        if _BLOCK * cells * users > _MAX_BLOCK_VALUES:
+        if cells * users > _MAX_TRIAL_VALUES:
             raise ConfigError(
-                f"a sampler block of {_BLOCK} trials x {cells} cells x {users} users must be <= "
-                f"{_MAX_BLOCK_VALUES} values (lower model.tier_count, pilots.budget or "
+                f"a sampler block of {cells} cells x {users} users per trial must be <= "
+                f"{_MAX_TRIAL_VALUES} values (lower model.tier_count, pilots.budget or "
                 "finite_m.pilot_length)"
             )
         self._set(

@@ -1,4 +1,5 @@
-"""Hexagonal cellular layout, co-channel cells and tiers, and user placement.
+"""The scenario core: the hexagonal cell layout, its co-channel cells and
+tiers, and the validated scenario records with the bounds on their values.
 
 Cells sit on a triangular lattice with center spacing sqrt(3) * cell_radius
 (cell_radius is the hexagon circumradius).  Co-channel cells under reuse
@@ -6,8 +7,10 @@ factor w form a scaled, rotated copy of the same lattice with spacing
 sqrt(3*w) * a, so the nearest co-channel tier sits at that distance with 6
 members and tier t at the t-th shell of that copy.
 
-All objects here are immutable and safe to share across workers; samplers
-take an explicit numpy Generator.
+All objects here are immutable and safe to share across workers.  The
+module is pure Python: config loads and checks a scenario through it
+without numpy, and the user-placement samplers live with the Monte Carlo
+engine in simulate.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from ._record import Record, ValueRecord
 
@@ -31,6 +32,10 @@ SUPPORTED_REUSE = tuple(sorted(REUSE_SHIFTS))
 CELL_RADIUS_RANGE_M = (1e-3, 1e7)
 # Past any measured exponent; at 1000 the interference moments underflow.
 PATH_LOSS_EXPONENT_MAX = 10.0
+# dB settings (SIR thresholds, SNRs) must lie within +-MAX_ABS_DB, far past
+# any real link: their linear values, 1e-100 to 1e100, and the products of a
+# few of them stay finite normal doubles through every command
+MAX_ABS_DB = 1000.0
 
 
 class NetworkGeometry(ValueRecord):
@@ -71,6 +76,29 @@ class NetworkGeometry(ValueRecord):
 
     def with_reuse(self, reuse_factor: int) -> "NetworkGeometry":
         return self._replace(reuse_factor=reuse_factor)
+
+
+class FiniteMConfig(ValueRecord):
+    """Finite-antenna MRC scenario; SNRs are cell-edge values with uplink
+    power control, None disables the corresponding noise term."""
+
+    __slots__ = _fields = ("antennas", "pilot_length", "ul_snr_db", "pilot_snr_db")
+
+    def __init__(
+        self,
+        antennas: int = 500,
+        pilot_length: int = 42,
+        ul_snr_db: float | None = 10.0,
+        pilot_snr_db: float | None = 10.0,
+    ):
+        if antennas < 1:
+            raise ValueError("antenna count must be >= 1")
+        if pilot_length < 1:
+            raise ValueError("pilot length must be >= 1")
+        for name, snr_db in (("ul_snr_db", ul_snr_db), ("pilot_snr_db", pilot_snr_db)):
+            if snr_db is not None and not abs(snr_db) <= MAX_ABS_DB:
+                raise ValueError(f"{name} = {snr_db:g} dB lies outside +-{MAX_ABS_DB:g} dB")
+        self._set(antennas, pilot_length, ul_snr_db, pilot_snr_db)
 
 
 class Cell(NamedTuple):
@@ -194,74 +222,3 @@ def circle_approximation(
     else:
         raise ValueError(f"unknown circle approximation mode {mode!r}")
     return CirclePatch(circle_radius_m=b, separation_m=tier.separation_m)
-
-
-def sample_circle_position(radius_m: float, rngs, size: int, out=None):
-    """size uniform draws over a disc from each stream of the sequence rngs,
-    returned as arrays (r, theta) of shape (len(rngs), size), row i drawn
-    from rngs[i] alone: size uniforms for r, then size for theta.  out, a
-    pair of such arrays, receives them in place of new ones.
-
-    Radius density is 2r/b^2, the angle uniform on [0, 2*pi).
-    """
-    r, theta = out if out is not None else (np.empty((len(rngs), size)) for _ in range(2))
-    for rng, r_row, theta_row in zip(rngs, r, theta):
-        rng.random(out=r_row)
-        rng.random(out=theta_row)
-    np.sqrt(r, out=r)
-    r *= radius_m
-    theta *= 2.0 * math.pi
-    return r, theta
-
-
-def rhombus_edges(cell_radius_m: float) -> np.ndarray:
-    """(2, 2, 3) edges of the rhombi of sample_hexagon_position: rhombus j is
-    spanned by [0, :, j] = v_j and [1, :, j] = v_(j+1) of the alternate hexagon
-    vertices v = (0, a), (sqrt(3) a / 2, -a / 2), (-sqrt(3) a / 2, -a / 2)."""
-    a, h = cell_radius_m, math.sqrt(3.0) * cell_radius_m / 2.0
-    x, y = [0.0, h, -h], [a, -a / 2.0, -a / 2.0]
-    return np.array([[x, y], [x[1:] + x[:1], y[1:] + y[:1]]])
-
-
-def sample_hexagon_position(geometry: NetworkGeometry, rngs, size: int, out=None):
-    """size uniform draws over the hexagonal cell with the hole disc excluded,
-    from each stream of the sequence rngs, in rhombus coordinates.
-
-    The hexagon is three equal rhombi: rhombus j holds the points
-    s v_j + t v_(j+1), s and t in [0, 1), of rhombus_edges, which lie
-    rho = a^2 (s^2 - s t + t^2) squared from the cell center (the edges meet
-    at 120 degrees).  A draw picks a rhombus uniformly and a uniform point
-    inside it, and only points in the hole are redrawn: the integer part of
-    3 u picks the rhombus, and the exact fractional part is s.  Stream i
-    draws (2, size) uniforms, then (2, p) for the p draws of its row that
-    fell in the hole, and so on; the redraw rounds run across all streams at
-    once.  Returns arrays (j, s, t, rho) of shape (len(rngs), size), row i
-    drawn from rngs[i] alone; out, four such arrays, receives them instead.
-    """
-    a2 = geometry.cell_radius_m**2
-    hole2 = geometry.hole_radius_m**2
-
-    def rhombus_coordinates(s, t, j, rho):  # s * 3 becomes j + s, in place
-        s *= 3.0
-        j[...] = s
-        s -= j
-        np.multiply(np.subtract(s, t, out=rho), s, out=rho)
-        rho += t * t
-        rho *= a2
-
-    dtypes = (np.intp, float, float, float)
-    j, s, t, rho = out if out is not None else (np.empty((len(rngs), size), d) for d in dtypes)
-    for rng, s_row, t_row in zip(rngs, s, t):  # (2, size) uniforms per stream
-        rng.random(out=s_row)
-        rng.random(out=t_row)
-    rhombus_coordinates(s, t, j, rho)
-    pending = np.flatnonzero(rho < hole2)  # stream-major, as drawn
-    while pending.size:
-        counts = np.bincount(pending // size, minlength=len(rngs))
-        s_new, t_new = np.concatenate([rng.random((2, c)) for rng, c in zip(rngs, counts) if c], 1)
-        j_new, rho_new = np.empty(pending.size, np.intp), np.empty(pending.size)
-        rhombus_coordinates(s_new, t_new, j_new, rho_new)
-        for array, new in zip((j, s, t, rho), (j_new, s_new, t_new, rho_new)):
-            array.flat[pending] = new
-        pending = pending[rho_new < hole2]
-    return j, s, t, rho

@@ -93,12 +93,6 @@ class QosTarget(Record):
         return cls(min_sir_linear=np.array([10.0 ** (s / 10.0) for s in points]), outage=outage)
 
 
-# dB settings (SIR thresholds, SNRs) must lie within +-MAX_ABS_DB, far past
-# any real link: their linear values, 1e-100 to 1e100, and the products of a
-# few of them stay finite normal doubles through every command
-MAX_ABS_DB = 1000.0
-
-
 def interference_ratio(r_l, theta, separation: float, gamma: float):
     """x = (r_l / r_j)^(2 gamma) with r_j from the law of cosines.
 

@@ -42,10 +42,6 @@ class PilotBook(NamedTuple):
     def cell_count(self) -> int:
         return self.matrices.shape[0]
 
-    def pilot(self, cell: int, user: int) -> np.ndarray:
-        """Pilot sequence of the user-th admitted user of a cell."""
-        return self.matrices[cell][:, self.assignments[cell][user]]
-
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.

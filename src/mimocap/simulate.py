@@ -21,8 +21,9 @@ slice of a trial-ordered output, whose length is the run's trial count.
 A call splits its blocks into contiguous parts (see _run_blocks), and each
 part owns one workspace (_Workspace), sized by its first and longest run,
 in which every run draws and evaluates in place, so a part touches fresh
-pages once, not once per run.  Hexagon users are kept in rhombus
-coordinates with rho_own, and an evaluator takes rho_ctr off a
+pages once, not once per run.  Users are placed by sample_circle_position
+and sample_hexagon_position; hexagon users are kept in rhombus coordinates
+(rhombus_edges) with rho_own, and an evaluator takes rho_ctr off a
 per-scenario table: the unshadowed limit terms (r_own / r_ctr)^(2 gamma) =
 (rho_own / rho_ctr)^gamma, and every user's amplitude in the finite-M one.
 
@@ -63,16 +64,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._record import Record, ValueRecord
-from .geometry import (
-    NetworkGeometry,
-    cochannel_cells,
-    equal_area_radius,
-    rhombus_edges,
-    sample_circle_position,
-    sample_hexagon_position,
-)
-from .interference import MAX_ABS_DB, QosTarget
+from ._record import Record
+from .geometry import FiniteMConfig, NetworkGeometry, cochannel_cells, equal_area_radius
+from .interference import QosTarget
 from .pilots import PilotBook, PilotScheme
 
 _ROLE_POSITIONS = 1
@@ -103,6 +97,9 @@ _THREADS = 2
 # reuse-3 search pass (0.88 MB) read 0.90-1.24x and gained nothing in fresh
 # finite-m-table runs, so it stays serial.
 _THREAD_BYTES = 1_000_000
+# A call runs no more parts, threads or pool processes, than one-block
+# workspaces fit _PEAK_BYTES; config bounds a block so that _THREADS fit.
+_PEAK_BYTES = 1_400_000_000
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _PLANES = tuple(PilotScheme)  # the SINR planes of _finite_block: reused, then different sets
@@ -154,29 +151,6 @@ class SirSampleSet(Record):
     @functools.cached_property
     def sorted_samples(self) -> np.ndarray:
         return np.sort(self.samples)
-
-
-class FiniteMConfig(ValueRecord):
-    """Finite-antenna MRC scenario; SNRs are cell-edge values with uplink
-    power control, None disables the corresponding noise term."""
-
-    __slots__ = _fields = ("antennas", "pilot_length", "ul_snr_db", "pilot_snr_db")
-
-    def __init__(
-        self,
-        antennas: int = 500,
-        pilot_length: int = 42,
-        ul_snr_db: float | None = 10.0,
-        pilot_snr_db: float | None = 10.0,
-    ):
-        if antennas < 1:
-            raise ValueError("antenna count must be >= 1")
-        if pilot_length < 1:
-            raise ValueError("pilot length must be >= 1")
-        for name, snr_db in (("ul_snr_db", ul_snr_db), ("pilot_snr_db", pilot_snr_db)):
-            if snr_db is not None and not abs(snr_db) <= MAX_ABS_DB:
-                raise ValueError(f"{name} = {snr_db:g} dB lies outside +-{MAX_ABS_DB:g} dB")
-        self._set(antennas, pilot_length, ul_snr_db, pilot_snr_db)
 
 
 class ShadowDiagnostics(NamedTuple):
@@ -248,6 +222,77 @@ def _block_streams(seed: int, blocks: range, role: int):
     stream and its _BLOCK rows of the run's trial axis."""
     for j, block in enumerate(blocks):
         yield trial_rng(seed, block, role), slice(j * _BLOCK, (j + 1) * _BLOCK)
+
+
+def sample_circle_position(radius_m: float, rngs, size: int, out=None):
+    """size uniform draws over a disc from each stream of the sequence rngs,
+    returned as arrays (r, theta) of shape (len(rngs), size), row i drawn
+    from rngs[i] alone: size uniforms for r, then size for theta.  out, a
+    pair of such arrays, receives them in place of new ones.
+
+    Radius density is 2r/b^2, the angle uniform on [0, 2*pi).
+    """
+    r, theta = out if out is not None else (np.empty((len(rngs), size)) for _ in range(2))
+    for rng, r_row, theta_row in zip(rngs, r, theta):
+        rng.random(out=r_row)
+        rng.random(out=theta_row)
+    np.sqrt(r, out=r)
+    r *= radius_m
+    theta *= 2.0 * math.pi
+    return r, theta
+
+
+def rhombus_edges(cell_radius_m: float) -> np.ndarray:
+    """(2, 2, 3) edges of the rhombi of sample_hexagon_position: rhombus j is
+    spanned by [0, :, j] = v_j and [1, :, j] = v_(j+1) of the alternate hexagon
+    vertices v = (0, a), (sqrt(3) a / 2, -a / 2), (-sqrt(3) a / 2, -a / 2)."""
+    a, h = cell_radius_m, math.sqrt(3.0) * cell_radius_m / 2.0
+    x, y = [0.0, h, -h], [a, -a / 2.0, -a / 2.0]
+    return np.array([[x, y], [x[1:] + x[:1], y[1:] + y[:1]]])
+
+
+def sample_hexagon_position(geometry: NetworkGeometry, rngs, size: int, out=None):
+    """size uniform draws over the hexagonal cell with the hole disc excluded,
+    from each stream of the sequence rngs, in rhombus coordinates.
+
+    The hexagon is three equal rhombi: rhombus j holds the points
+    s v_j + t v_(j+1), s and t in [0, 1), of rhombus_edges, which lie
+    rho = a^2 (s^2 - s t + t^2) squared from the cell center (the edges meet
+    at 120 degrees).  A draw picks a rhombus uniformly and a uniform point
+    inside it, and only points in the hole are redrawn: the integer part of
+    3 u picks the rhombus, and the exact fractional part is s.  Stream i
+    draws (2, size) uniforms, then (2, p) for the p draws of its row that
+    fell in the hole, and so on; the redraw rounds run across all streams at
+    once.  Returns arrays (j, s, t, rho) of shape (len(rngs), size), row i
+    drawn from rngs[i] alone; out, four such arrays, receives them instead.
+    """
+    a2 = geometry.cell_radius_m**2
+    hole2 = geometry.hole_radius_m**2
+
+    def rhombus_coordinates(s, t, j, rho):  # s * 3 becomes j + s, in place
+        s *= 3.0
+        j[...] = s
+        s -= j
+        np.multiply(np.subtract(s, t, out=rho), s, out=rho)
+        rho += t * t
+        rho *= a2
+
+    dtypes = (np.intp, float, float, float)
+    j, s, t, rho = out if out is not None else (np.empty((len(rngs), size), d) for d in dtypes)
+    for rng, s_row, t_row in zip(rngs, s, t):  # (2, size) uniforms per stream
+        rng.random(out=s_row)
+        rng.random(out=t_row)
+    rhombus_coordinates(s, t, j, rho)
+    pending = np.flatnonzero(rho < hole2)  # stream-major, as drawn
+    while pending.size:
+        counts = np.bincount(pending // size, minlength=len(rngs))
+        s_new, t_new = np.concatenate([rng.random((2, c)) for rng, c in zip(rngs, counts) if c], 1)
+        j_new, rho_new = np.empty(pending.size, np.intp), np.empty(pending.size)
+        rhombus_coordinates(s_new, t_new, j_new, rho_new)
+        for array, new in zip((j, s, t, rho), (j_new, s_new, t_new, rho_new)):
+            array.flat[pending] = new
+        pending = pending[rho_new < hole2]
+    return j, s, t, rho
 
 
 def _draw_users(scn: _Scenario, seed: int, blocks: range, ws: _Workspace, rows):
@@ -588,8 +633,9 @@ def _run_blocks(
     (blocks, block_width) per-block output, and ws the workspace of its
     part.  Both outputs are returned.
 
-    The blocks are split into contiguous parts, at most one per block.  At
-    workers n >= 2 there is one part per pool process, min(n, usable CPUs).
+    The blocks are split into contiguous parts, at most one per block and
+    at most as many as one-block workspaces fit in _PEAK_BYTES.  At workers
+    n >= 2 there is one part per pool process, min(n, usable CPUs).
     Otherwise a call has one part, or, where one block's workspace exceeds
     _THREAD_BYTES, one per usable CPU up to _THREADS: part 0 on the calling
     thread and the others on helper threads (the Philox fills and the large
@@ -602,11 +648,13 @@ def _run_blocks(
         raise ValueError("seed must lie in [0, 2^64)")
     blocks = range(-(-trials // _BLOCK))
     n = len(blocks)
+    block_bytes = _block_bytes(scn)
+    most = min(n, max(1, _PEAK_BYTES // block_bytes))  # parts
     pooled = workers is not None and workers > 1
     if pooled:
-        count = min(workers, _usable_cpus(), n)
+        count = min(workers, _usable_cpus(), most)
     else:
-        count = min(_usable_cpus(), _THREADS, n) if _block_bytes(scn) > _THREAD_BYTES else 1
+        count = min(_usable_cpus(), _THREADS, most) if block_bytes > _THREAD_BYTES else 1
     parts = [blocks[i * n // count : (i + 1) * n // count] for i in range(count)]
     if pooled and count > 1:
         # imported here, not at module level: most calls run serially, and the

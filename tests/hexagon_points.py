@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from mimocap.geometry import rhombus_edges
+from mimocap.simulate import rhombus_edges
 
 
 def point_in_hexagon(x, y, circumradius: float):

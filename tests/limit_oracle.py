@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from hexagon_points import point_in_hexagon
-from mimocap.geometry import equal_area_radius, sample_circle_position
+from mimocap.geometry import equal_area_radius
 from mimocap.pilots import PilotScheme
-from mimocap.simulate import trial_rng
+from mimocap.simulate import sample_circle_position, trial_rng
 
 _ROLE_POSITIONS = 1
 _ROLE_PILOTS = 2

@@ -2,7 +2,6 @@ import io
 import math
 import os
 import pathlib
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -348,12 +347,18 @@ class TestConfig:
         load_config(config_file, ("geometry.reuse_factor=3", "model.tier_count=2"))
         assert len(calls) == 1
 
-    def test_hash_stability(self, config_file):
+    def test_hash_stability(self, config_file, empty_file):
         a = config_hash(load_config(config_file))
         b = config_hash(load_config(config_file))
         assert a == b and len(a) == 16
         c = config_hash(load_config(config_file, ("montecarlo.seed=9",)))
         assert c != a
+        # each key's non-default value moves the hash off the default's, and
+        # off that of every other single-key change
+        hashes = {config_hash(load_config(empty_file))}
+        for (section, key), (raw, _value) in OVERRIDES.items():
+            hashes.add(config_hash(load_config(empty_file, (f"{section}.{key}={raw}",))))
+        assert len(hashes) == len(OVERRIDES) + 1 == 22
 
 
 class TestCli:
@@ -694,8 +699,7 @@ class TestCsvWriter:
         expect += ",".join(name for name, _ in columns) + "\n"
         expect += "".join(",".join(_per_cell_format(v) for v in row) + "\n" for row in rows)
         out = io.StringIO()
-        with mock.patch.object(cli, "_CHUNK_ROWS", 7):  # several chunks per table
-            cli._write_rows(out, comments, columns, rows)
+        cli._write_rows(out, comments, columns, rows)
         assert out.getvalue() == expect
 
     def test_bools_in_int_columns_write_as_digits(self):

@@ -23,7 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mimocap.cli import main
-from mimocap.config import _KEYS, _MAX_FINITE_M_SINRS, ConfigError, load_config
+from mimocap import simulate
+from mimocap.config import _KEYS, _MAX_FINITE_M_SINRS, _MAX_TRIAL_VALUES, ConfigError, load_config
 
 TINY = """
 [qos]
@@ -159,3 +160,12 @@ def test_every_value_exits_cleanly(section, key, tmp_path):
         given(raw=_drawn(section, key))(check)
     )
     run()
+
+
+def test_largest_sampler_block_fits_the_workspace_peak():
+    # computed, not run: at the load-time bound on a sampler block, the
+    # threaded path's one-block workspaces, at the most bytes per value a
+    # command's sampler takes, fit the peak that caps a call's parts
+    per_value = max(simulate._LIMIT_BYTES, simulate._FINITE_BYTES)
+    block_bytes = simulate._BLOCK * _MAX_TRIAL_VALUES * per_value
+    assert block_bytes * simulate._THREADS <= simulate._PEAK_BYTES

@@ -13,10 +13,9 @@ from mimocap.geometry import (
     circle_approximation,
     cochannel_cells,
     equal_area_radius,
-    sample_circle_position,
-    sample_hexagon_position,
     tier_specs,
 )
+from mimocap.simulate import sample_circle_position, sample_hexagon_position
 
 
 def cell_distances(layout, resource=1):

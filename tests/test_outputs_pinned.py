@@ -123,6 +123,22 @@ def test_outputs_match_pinned_digests(case, family, config, command, overrides, 
     )
 
 
+
+def test_python_m_mimocap_matches_pinned_validate():
+    # the package's __main__ runs the CLI: `python -m mimocap validate`
+    # prints the pinned smoke-w0-validate report
+    import subprocess
+
+    root = HERE.parent
+    argv = ["validate", "configs/smoke.ini", "--set", "montecarlo.workers=0", "--out", "-"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mimocap", *argv], cwd=root, env=env, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    pinned = json.loads(PINNED.read_text())["sha256"]["smoke-w0-validate/stdout"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == pinned
+
 def _pin() -> None:
     import tempfile
 

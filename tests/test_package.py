@@ -138,6 +138,40 @@ def test_commands_leave_single_path_modules_out():
     ]
 
 
+
+def test_config_loads_without_numpy_or_the_samplers():
+    # the scenario records and their bounds live in geometry, which is pure
+    # Python: with the package __init__ bypassed, loading both shipped
+    # configs imports neither numpy nor simulate or interference
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    from mimocap import geometry, simulate
+
+    assert simulate.FiniteMConfig is geometry.FiniteMConfig is mimocap.FiniteMConfig
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = (
+        "import sys, types\n"
+        "package = types.ModuleType('mimocap')\n"
+        "package.__path__ = [sys.argv[1]]\n"
+        "sys.modules['mimocap'] = package\n"
+        "import mimocap.config\n"
+        "import mimocap.geometry\n"
+        "for name in ('smoke', 'default'):\n"
+        "    mimocap.config.load_config(f'configs/{name}.ini')\n"
+        "names = ('numpy', 'mimocap.simulate', 'mimocap.interference')\n"
+        "print(sorted(set(names) & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(root / "src" / "mimocap")],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 def test_cache_keys_hash_and_compare_by_value():
     # cochannel_cells and _finite_pass are lru_caches keyed on these, so
     # equal values must hit the same entry

@@ -10,6 +10,11 @@ from pilot_oracles import beta_phi_variance, sample_contamination_profile
 K = 42
 
 
+def pilot(book, cell, user):
+    """Pilot sequence of the user-th admitted user of a cell."""
+    return book.matrices[cell][:, book.assignments[cell][user]]
+
+
 def test_scheme_parse():
     assert PilotScheme.parse("reused") is PilotScheme.REUSED_SETS
     assert PilotScheme.parse("DIFFERENT") is PilotScheme.DIFFERENT_SETS
@@ -28,7 +33,7 @@ def test_completeness_sums_to_one(dim, seed):
     # any fixed pilot against all columns of any unitary: sum(phi) == 1
     rng = np.random.default_rng(seed)
     book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, dim, 2, rng)
-    probe = book.pilot(0, 0)
+    probe = pilot(book, 0, 0)
     total = sum(cross_correlation(probe, book.matrices[1][:, j]) for j in range(dim))
     assert abs(total - 1.0) < 1e-10
 
@@ -36,10 +41,10 @@ def test_completeness_sums_to_one(dim, seed):
 def test_reused_sets_collision_structure(rng):
     book = generate_pilot_book(PilotScheme.REUSED_SETS, K, 3, rng)
     for user in (0, 5, 41):
-        assert cross_correlation(book.pilot(0, user), book.pilot(1, user)) == pytest.approx(1.0)
-        assert cross_correlation(book.pilot(0, user), book.pilot(2, user)) == pytest.approx(1.0)
-    assert cross_correlation(book.pilot(0, 0), book.pilot(1, 1)) < 1e-12
-    assert cross_correlation(book.pilot(0, 3), book.pilot(2, 17)) < 1e-12
+        assert cross_correlation(pilot(book, 0, user), pilot(book, 1, user)) == pytest.approx(1.0)
+        assert cross_correlation(pilot(book, 0, user), pilot(book, 2, user)) == pytest.approx(1.0)
+    assert cross_correlation(pilot(book, 0, 0), pilot(book, 1, 1)) < 1e-12
+    assert cross_correlation(pilot(book, 0, 3), pilot(book, 2, 17)) < 1e-12
 
 
 def test_reused_cells_share_one_matrix(rng):
@@ -51,14 +56,14 @@ def test_reused_cells_share_one_matrix(rng):
 
 def test_different_sets_k1_always_collides(rng):
     book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, 1, 4, rng)
-    assert cross_correlation(book.pilot(0, 0), book.pilot(3, 0)) == pytest.approx(1.0)
+    assert cross_correlation(pilot(book, 0, 0), pilot(book, 3, 0)) == pytest.approx(1.0)
 
 
 def test_self_and_orthogonal_correlations(rng):
     book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, K, 1, rng)
-    psi = book.pilot(0, 7)
+    psi = pilot(book, 0, 7)
     assert cross_correlation(psi, psi) == pytest.approx(1.0)
-    other = book.pilot(0, 8)
+    other = pilot(book, 0, 8)
     assert cross_correlation(psi, other) < 1e-12
 
 
@@ -73,7 +78,7 @@ def test_book_sampled_phi_mean(rng):
     vals = np.empty(n)
     for i in range(n):
         book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, K, 2, rng)
-        vals[i] = cross_correlation(book.pilot(0, 0), book.pilot(1, 0))
+        vals[i] = cross_correlation(pilot(book, 0, 0), pilot(book, 1, 0))
     se = vals.std(ddof=1) / np.sqrt(n)
     assert abs(vals.mean() - 1.0 / K) <= 3.0 * se
 
@@ -95,7 +100,7 @@ def test_contamination_profile_matches_book_sampling(rng):
     from_books = np.empty(n)
     for i in range(n):
         book = generate_pilot_book(PilotScheme.DIFFERENT_SETS, 8, 2, rng)
-        from_books[i] = cross_correlation(book.pilot(0, 0), book.pilot(1, 0))
+        from_books[i] = cross_correlation(pilot(book, 0, 0), pilot(book, 1, 0))
     shortcut = sample_contamination_profile(8, 1, rng, trials=n)[:, 0]
     _stat, p = ks_2samp(from_books, shortcut)
     assert p > 0.01

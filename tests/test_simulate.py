@@ -10,7 +10,6 @@ import pytest
 from scipy.stats import ks_2samp
 
 from mimocap import simulate
-from mimocap.geometry import rhombus_edges
 from mimocap.capacity import tier1_moments
 from mimocap.interference import QosTarget
 from mimocap.pilots import PilotScheme, generate_pilot_book
@@ -31,6 +30,7 @@ from mimocap.simulate import (
     _scenario,
     _shadowed_ratio,
     empirical_capacity_search,
+    rhombus_edges,
     sample_sir_finite_m,
     sample_sir_limit,
     sample_sir_limit_shadowed,
@@ -391,6 +391,20 @@ class TestThreadedParts:
         # one usable CPU: no pool
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
         pooled = sample_sir_limit(geometry, reused, 3, 700, SEED, workers=2).samples
+        assert made == []
+        assert np.array_equal(pooled, serial)
+        # 11 blocks on 64 CPUs: at most as many processes as one-block
+        # workspaces fit the workspace peak, and no pool where one fits
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
+        block_bytes = _block_bytes(_scenario(geometry, reused, 3, 3))
+        monkeypatch.setattr(simulate, "_PEAK_BYTES", 5 * block_bytes - 1)
+        made.clear()
+        pooled = sample_sir_limit(geometry, reused, 3, 700, SEED, workers=10**6).samples
+        assert made == [4]
+        assert np.array_equal(pooled, serial)
+        monkeypatch.setattr(simulate, "_PEAK_BYTES", 2 * block_bytes - 1)
+        made.clear()
+        pooled = sample_sir_limit(geometry, reused, 3, 700, SEED, workers=10**6).samples
         assert made == []
         assert np.array_equal(pooled, serial)
 
