@@ -110,6 +110,7 @@ def _shared_cells(report) -> list[str]:
 def cmd_capacity_table(config: ScenarioConfig, out, diagnostics) -> int:
     sir_db = config.qos.sir_db_values()
     sir_cells = [_FORMATS[float] % s for s in sir_db]
+    grid = QosTarget.from_db(sir_db, config.qos.alphas[0])  # each alpha swaps only the outage
     reuses = (1, 3, 7)
     w_cells = {w: _FORMATS[int] % w + "," for w in reuses}
     table, diag_text, switch_notes = [], [], []
@@ -123,7 +124,7 @@ def cmd_capacity_table(config: ScenarioConfig, out, diagnostics) -> int:
             for w in reuses
         }
         for alpha in config.qos.alphas:
-            qos = QosTarget.from_db(sir_db, alpha)
+            qos = grid._replace(outage=alpha)
             per_w = [
                 cap.capacity_for_reuse(scheme, qos, config.pilot_budget, w, moments[w])
                 for w in reuses

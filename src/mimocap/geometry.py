@@ -131,13 +131,23 @@ class TierSpec(NamedTuple):
     separation_m: float
 
 
-def hex_ring(m: int, n: int) -> int:
-    """Hexagonal (ring) distance of axial coordinate (m, n) from the origin."""
-    return (abs(m) + abs(n) + abs(m + n)) // 2
+@functools.lru_cache(maxsize=64)
+def _shells(max_tier: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The first max_tier shells of the triangular lattice, nearest first,
+    as (norm, points): the Loeschian number a^2 + a*b + b^2 and every point
+    (a, b) on it.  Memoised: tier_specs and cochannel_cells both read it.
 
-
-def axial_to_xy(m: int, n: int, spacing: float) -> tuple[float, float]:
-    return spacing * (m + 0.5 * n), spacing * (math.sqrt(3.0) / 2.0) * n
+    The squares 1, 4, ..., max_tier^2 are max_tier Loeschian numbers, so
+    every shell sought has norm <= max_tier^2, and a^2 + a*b + b^2 >= 3 b^2
+    / 4 (and 3 a^2 / 4) bounds |a| and |b| by sqrt(4 max_tier^2 / 3).
+    """
+    reach = math.isqrt(4 * max_tier * max_tier // 3) + 1
+    points: dict[int, list[tuple[int, int]]] = {}
+    for a in range(-reach, reach + 1):
+        for b in range(-reach, reach + 1):
+            points.setdefault(a * a + a * b + b * b, []).append((a, b))
+    del points[0]
+    return tuple((norm, tuple(points[norm])) for norm in sorted(points)[:max_tier])
 
 
 @functools.lru_cache(maxsize=32)
@@ -149,27 +159,21 @@ def cochannel_cells(geometry: NetworkGeometry, max_tier: int) -> tuple[Cell, ...
     Under reuse w = i^2 + i*j + j^2 they are the sublattice spanned by the
     axial vectors (i, j) and (-j, i + j), its 60-degree rotation (MacDonald,
     "The Cellular Concept", BSTJ 1979).  The point a*(i, j) + b*(-j, i + j)
-    sits sqrt(a^2 + a*b + b^2) tier-1 separations away, so its tier is the
-    rank of that norm among the shells of tier_specs.
+    sits sqrt(a^2 + a*b + b^2) tier-1 separations away, so the t-th lattice
+    shell holds the cells of tier t.  The ring of axial (m, n) is its
+    hexagonal distance (|m| + |n| + |m + n|) / 2 from the center.
     """
     if max_tier < 1:
         return ()
     i, j = REUSE_SHIFTS[geometry.reuse_factor]
-    shells = tier_specs(geometry, max_tier)
-    tier_of = {
-        round((s.separation_m / shells[0].separation_m) ** 2): s.tier_index for s in shells
-    }
-    reach = math.isqrt(4 * max(tier_of) // 3) + 1  # a^2 + a*b + b^2 >= 3 a^2 / 4
     d = geometry.center_spacing_m
     found = []
-    for a in range(-reach, reach + 1):
-        for b in range(-reach, reach + 1):
-            tier = tier_of.get(a * a + a * b + b * b)
-            if tier is None:
-                continue
+    for spec, (_, points) in zip(tier_specs(geometry, max_tier), _shells(max_tier)):
+        for a, b in points:
             m, n = a * i - b * j, a * j + b * (i + j)
-            x, y = axial_to_xy(m, n, d)
-            found.append(((hex_ring(m, n), math.atan2(y, x) % (2 * math.pi)), Cell((x, y), tier)))
+            x, y = d * (m + 0.5 * n), d * (math.sqrt(3.0) / 2.0) * n
+            ring = (abs(m) + abs(n) + abs(m + n)) // 2
+            found.append(((ring, math.atan2(y, x) % (2 * math.pi)), Cell((x, y), spec.tier_index)))
     found.sort(key=lambda entry: entry[0])
     return tuple(cell for _, cell in found)
 
@@ -184,21 +188,10 @@ def tier_specs(geometry: NetworkGeometry, max_tier: int) -> list[TierSpec]:
     """
     if max_tier < 1:
         raise ValueError("max_tier must be >= 1")
-    # Shells of a triangular lattice: norms^2 are the Loeschian numbers
-    # p^2 + p q + q^2.  Enumerate a patch large enough for max_tier shells.
-    reach = 2 * max_tier + 4
-    counts: dict[int, int] = {}
-    for p in range(-reach, reach + 1):
-        for q in range(-reach, reach + 1):
-            if (p, q) == (0, 0):
-                continue
-            norm2 = p * p + p * q + q * q
-            counts[norm2] = counts.get(norm2, 0) + 1
     tier1 = math.sqrt(3.0 * geometry.reuse_factor) * geometry.cell_radius_m
-    shells = sorted(counts)[:max_tier]
     return [
-        TierSpec(tier_index=t + 1, cell_count=counts[n2], separation_m=tier1 * math.sqrt(n2))
-        for t, n2 in enumerate(shells)
+        TierSpec(tier_index=t, cell_count=len(points), separation_m=tier1 * math.sqrt(norm))
+        for t, (norm, points) in enumerate(_shells(max_tier), start=1)
     ]
 
 

@@ -3,13 +3,27 @@
 Builds the whole hexagonal ring lattice, colours it by the cosets of the
 reuse sublattice, and keeps the cells that share the center cell's colour.
 This is the co-channel layout found by exhaustive search, independent of
-geometry.cochannel_cells, which generates the sublattice directly.
+geometry.cochannel_cells, which generates the sublattice directly: the
+shift table, the spacing, the ring distance and the axial-to-xy map are
+written out here again, from the textbook, rather than imported.
 """
 
 import math
 from dataclasses import dataclass
 
-from mimocap.geometry import REUSE_SHIFTS, NetworkGeometry, axial_to_xy, hex_ring
+# The shift (i, j) of each reuse factor w = i^2 + i*j + j^2 (MacDonald,
+# "The Cellular Concept", BSTJ 1979).
+SHIFTS = {1: (1, 0), 3: (1, 1), 7: (2, 1)}
+
+
+def hex_ring(m: int, n: int) -> int:
+    """Hexagonal distance of axial coordinate (m, n) from the origin."""
+    return (abs(m) + abs(n) + abs(m + n)) // 2
+
+
+def axial_to_xy(m: int, n: int, spacing: float) -> tuple[float, float]:
+    """Axial (m, n) on a triangular lattice of the given center spacing."""
+    return spacing * (m + 0.5 * n), spacing * (math.sqrt(3.0) / 2.0) * n
 
 
 @dataclass(frozen=True)
@@ -22,23 +36,23 @@ class LatticeCell:
 
 def is_cochannel_offset(dm: int, dn: int, reuse_factor: int) -> bool:
     """True if the axial offset (dm, dn) lies on the reuse-w sublattice."""
-    i, j = REUSE_SHIFTS[reuse_factor]
+    i, j = SHIFTS[reuse_factor]
     w = reuse_factor
     return ((i + j) * dm + j * dn) % w == 0 and (i * dn - j * dm) % w == 0
 
 
 def min_rings_for_cochannel(reuse_factor: int) -> int:
     """Smallest ring count whose lattice contains tier-1 co-channel cells."""
-    return hex_ring(*REUSE_SHIFTS[reuse_factor])
+    return hex_ring(*SHIFTS[reuse_factor])
 
 
-def ring_lattice(geometry: NetworkGeometry, rings: int) -> list[LatticeCell]:
+def ring_lattice(geometry, rings: int) -> list[LatticeCell]:
     """Every cell within `rings` rings, ordered by (ring, angle).
 
     Resource indices are the cosets of the reuse sublattice, numbered in
     order of first appearance; the center cell always gets resource 1.
     """
-    d = geometry.center_spacing_m
+    d = math.sqrt(3.0) * geometry.cell_radius_m  # center spacing, from the circumradius
     coords = [
         (m, n)
         for m in range(-rings, rings + 1)
@@ -64,7 +78,7 @@ def ring_lattice(geometry: NetworkGeometry, rings: int) -> list[LatticeCell]:
     return cells
 
 
-def cochannel_with_tiers(geometry: NetworkGeometry, rings: int) -> list[tuple[LatticeCell, int]]:
+def cochannel_with_tiers(geometry, rings: int) -> list[tuple[LatticeCell, int]]:
     """(cell, tier) for the co-channel cells of the center cell within
     max(rings, min_rings_for_cochannel) rings, in lattice order.
 

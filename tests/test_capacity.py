@@ -13,6 +13,14 @@ from mimocap.capacity import (
     root_interferer_count,
     tier1_moments,
 )
+from mimocap.config import _MAX_PILOTS, _MAX_TRIAL_VALUES, ScenarioConfig
+from mimocap.geometry import (
+    CELL_RADIUS_RANGE_M,
+    MAX_ABS_DB,
+    PATH_LOSS_EXPONENT_MAX,
+    NetworkGeometry,
+    cochannel_cells,
+)
 from mimocap.interference import GaussianInterference, QosTarget, q_inverse, qos_feasible
 from mimocap.pilots import PilotScheme
 
@@ -35,6 +43,34 @@ def moments_by_reuse():
 
     geometry = NetworkGeometry()
     return {(s, w): tier1_moments(geometry, s, K, w) for s in PilotScheme for w in (1, 3, 7)}
+
+
+@st.composite
+def _scenarios(draw):
+    """(config, two ascending SIR points in dB, two ascending alphas): a
+    whole scenario within the load-time bounds, built as a config is."""
+    radius = draw(st.floats(*CELL_RADIUS_RANGE_M))
+    geometry = NetworkGeometry(
+        cell_radius_m=radius,
+        hole_radius_m=draw(st.floats(0.0, 1.0)) * math.sqrt(3.0) / 2.0 * radius,
+        path_loss_exponent=draw(st.floats(2.0, PATH_LOSS_EXPONENT_MAX, exclude_min=True)),
+    )
+    tier_count = draw(st.integers(1, 3))
+    # the sampler block bound caps the budget; w = 1 has the most cells
+    cells = len(cochannel_cells(geometry, tier_count)) + 1
+    budget = draw(st.integers(1, min(_MAX_PILOTS, _MAX_TRIAL_VALUES // cells)))
+    config = ScenarioConfig(
+        geometry=geometry,
+        pilot_budget=budget,
+        circle_mode=draw(st.sampled_from(["equal_area", "match_radius"])),
+        tier_count=tier_count,
+    )
+    # the whole load-time range, and as often the range where capacity moves
+    sir = st.one_of(st.floats(-MAX_ABS_DB, MAX_ABS_DB), st.floats(-20.0, 60.0))
+    alpha = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+    sir_db = draw(st.lists(sir, min_size=2, max_size=2))
+    alphas = draw(st.lists(alpha, min_size=2, max_size=2))
+    return config, sorted(sir_db), sorted(alphas)
 
 
 def best(moments_by_reuse, scheme, qos):
@@ -187,6 +223,28 @@ class TestBestReuse:
             k_tight = best(moments_by_reuse, scheme, QosTarget.from_db(12.0, 0.01)).k_max
             k_loose = best(moments_by_reuse, scheme, QosTarget.from_db(12.0, 0.1)).k_max
             assert k_tight <= k_loose
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(case=_scenarios())
+    def test_monotone_over_drawn_scenarios(self, case):
+        # per scheme and reuse factor, at any scenario a config can load,
+        # k_max never rises with the SIR threshold and never falls with alpha
+        config, sir_db, alphas = case
+        for scheme in PilotScheme:
+            for w in (1, 3, 7):
+                moments = tier1_moments(
+                    config.geometry, scheme, config.pilot_budget, w, config.circle_mode,
+                    tier_count=config.tier_count,
+                )
+                k = [
+                    capacity_for_reuse(
+                        scheme, QosTarget.from_db(sir_db, a), config.pilot_budget, w, moments
+                    ).k_max
+                    for a in alphas
+                ]
+                for k_at_alpha in k:
+                    assert k_at_alpha[1] <= k_at_alpha[0]
+                assert np.all(k[0] <= k[1])
 
     def test_tie_breaks_toward_smaller_reuse(self, moments_by_reuse):
         # at very high SIR everything is infeasible: all k_max = 0, pick w=1

@@ -6,6 +6,8 @@ from scipy.stats import chisquare
 
 from hexagon_points import point_in_hexagon, rhombus_xy
 from lattice_oracle import cochannel_with_tiers, min_rings_for_cochannel, ring_lattice
+from mimocap import config
+from mimocap import geometry as geometry_module
 from mimocap.geometry import (
     PATH_LOSS_EXPONENT_MAX,
     CirclePatch,
@@ -146,9 +148,10 @@ class TestTiers:
                 assert [(c.center, c.tier) for c in cochannel_cells(geo, t)] == want
 
     def test_cochannel_cells_fill_whole_tiers(self, geometry):
+        # every tier count a config can reach
         for w in (1, 3, 7):
             geo = geometry.with_reuse(w)
-            for t in range(1, 5):
+            for t in range(1, config._MAX_TIERS + 1):
                 specs = tier_specs(geo, t)
                 cells = cochannel_cells(geo, t)
                 assert len(cells) == sum(s.cell_count for s in specs)
@@ -163,6 +166,16 @@ class TestTiers:
         assert isinstance(cells, tuple)
         assert cochannel_cells(geometry.with_reuse(3), 2) is cells
         assert cochannel_cells(geometry, 0) == ()
+
+    def test_cochannel_cells_call_tier_specs(self, geometry, monkeypatch):
+        # a cache miss labels its tiers through geometry.tier_specs, looked
+        # up in the module at call time, the call a traced run counts
+        real, calls = geometry_module.tier_specs, []
+        monkeypatch.setattr(geometry_module, "tier_specs", lambda *a: calls.append(a) or real(*a))
+        cochannel_cells.cache_clear()
+        cells = cochannel_cells(geometry, 3)
+        assert calls == [(geometry, 3)]
+        assert cochannel_cells(geometry, 3) is cells and len(calls) == 1
 
 
 class TestCircleApproximation:
