@@ -60,6 +60,10 @@ def _cases():
             for command in OUTPUTS:
                 case, family = f"{config}-w{workers}-{command}", f"{config}-{command}"
                 yield case, family, config, command, (f"montecarlo.workers={workers}",)
+        # one scheme alone: a reused-only table draws no pilot overlaps
+        for scheme in ("reused", "different"):
+            case = family = f"{config}-w0-finite-m-table-{scheme}"
+            yield case, family, config, "finite-m-table", ("montecarlo.workers=0", f"pilots.scheme={scheme}")
     case = "default-analytic-sweep-capacity-table"
     yield case, case, "default", "capacity-table", ANALYTIC_SWEEP
 
