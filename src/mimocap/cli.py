@@ -204,38 +204,24 @@ def cmd_sir_cdf(config: ScenarioConfig, out) -> int:
 
 
 def cmd_finite_m_table(config: ScenarioConfig, out) -> int:
+    schemes = [PilotScheme.parse(name) for name in config.schemes]
+    result = empirical_capacity_search(
+        config.geometry,
+        schemes,
+        [QosTarget.from_db(sir_db, alpha) for _, sir_db, alpha in _QOS_PRESETS],
+        trials=config.finite_m_trials,
+        seed=config.seed,
+        finite_m=config.finite_m,
+        max_tier=config.tier_count,
+        workers=config.workers,
+    )
     rows = []
-    for scheme_name in config.schemes:
-        scheme = PilotScheme.parse(scheme_name)
-        for label, sir_db, alpha in _QOS_PRESETS:
-            qos = QosTarget.from_db(sir_db, alpha)
-            result = empirical_capacity_search(
-                config.geometry,
-                scheme,
-                qos,
-                trials=config.finite_m_trials,
-                seed=config.seed,
-                finite_m=config.finite_m,
-                max_tier=config.tier_count,
-                workers=config.workers,
-            )
-            outage, interval = result.outage_at_k[result.best_reuse]
-            rows.append(
-                (
-                    label,
-                    sir_db,
-                    alpha,
-                    scheme_name,
-                    result.best_reuse,
-                    result.best_k,
-                    result.per_reuse[1],
-                    result.per_reuse[3],
-                    result.per_reuse[7],
-                    outage,
-                    interval[0],
-                    interval[1],
-                )
-            )
+    for scheme_name, scheme in zip(config.schemes, schemes):
+        for i, (label, sir_db, alpha) in enumerate(_QOS_PRESETS):
+            w, k = result.best[scheme, i]
+            outage, interval = result.outage_at_k[scheme, i, w]
+            per_reuse = (result.per_reuse[scheme, i, r] for r in (1, 3, 7))
+            rows.append((label, sir_db, alpha, scheme_name, w, k, *per_reuse, outage, *interval))
     _write_rows(out, _header("finite-m-table", config), _FINITE_M_COLUMNS, rows)
     return 0
 

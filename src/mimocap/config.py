@@ -26,9 +26,9 @@ from .geometry import MAX_ABS_DB, FiniteMConfig, NetworkGeometry, cochannel_cell
 _MAX_SIR_POINTS = 100_000  # per alpha; checked before the grid list is built
 _MAX_PILOTS = 10_000  # a pilot book is budget x budget complex per cell (1.6 GB at 10^4)
 _MAX_TRIALS = 10_000_000  # sir-cdf keeps every limit sample: 80 MB per scheme at 10^7
-# trials x pilot length: the search memoises (trials, L // w) floats of both schemes,
-# whatever pilots.scheme is, at w = 1, 3 and 7, 2.95 per trial per pilot (1.0 GB
-# here; the bound predates the second scheme and stays, so every config that loaded loads)
+# trials x pilot length: a finite-m-table at the bound runs about a minute (serial,
+# 2-vCPU x86-64 VM: 44 s at 42 pilots x 10^6 trials, 66 s at 10 x 4.2 x 10^6); the
+# value stays, so every config that loaded loads
 _MAX_FINITE_M_SINRS = 42_000_000
 _MAX_TIERS = 50  # 50 co-channel tiers already hold 534 cells at w = 1
 # Per trial, the samplers draw (co-channel cells + 1) x users per cell values

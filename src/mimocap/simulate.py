@@ -35,8 +35,9 @@ trial costs O(N) whatever M is, has the law of the M x N simulation, and
 yields the SINR at every per-cell load.  empirical_capacity_search reads the
 largest load with outage P(SINR < S) <= alpha off one such pass per reuse
 factor, every load on the same draws (common random numbers).  Both pilot
-schemes draw the same users and fading, so every pass is a different-sets
-one that fills both schemes, and one memoised pass serves either.
+schemes draw the same users and fading, so a different-sets pass fills
+both, and its runs turn their SINRs into exact integer failure counts for
+every scheme and QoS target asked for (_failure_counts), summed per pass.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, block, role) (Salmon et al., "Parallel random numbers: as easy as
@@ -66,7 +67,6 @@ import numpy as np
 
 from ._record import Record
 from .geometry import FiniteMConfig, NetworkGeometry, cochannel_cells, equal_area_radius
-from .interference import QosTarget
 from .pilots import PilotBook, PilotScheme
 
 _ROLE_POSITIONS = 1
@@ -899,34 +899,32 @@ def wilson_interval(failures: int, n: int) -> tuple[float, float]:
 
 
 class CapacitySearchResult(NamedTuple):
-    """Admitted load per reuse factor, its outage with the Wilson interval,
-    and the best reuse factor and load."""
+    """Admitted load per (scheme, target index, reuse factor), its outage
+    with the Wilson interval under the same key, and the best (reuse factor,
+    load) per (scheme, target index)."""
 
-    per_reuse: dict[int, int]
-    outage_at_k: dict[int, tuple[float, tuple[float, float]]]
-    best_reuse: int = 0
-    best_k: int = 0
+    per_reuse: dict[tuple[PilotScheme, int, int], int]
+    outage_at_k: dict[tuple[PilotScheme, int, int], tuple[float, tuple[float, float]]]
+    best: dict[tuple[PilotScheme, int], tuple[int, int]]
 
 
-@functools.lru_cache(maxsize=3)  # one pass per reuse factor, across QoS presets and schemes
-def _finite_pass(geometry, finite_m, max_tier, trials, seed, workers) -> np.ndarray:
-    """Read-only (trials, 2, budget) finite-M SINRs at the pilot budget of
-    the reuse factor, planes in the order of _PLANES and column k - 1 for
-    load k, both schemes from one set of draws."""
-    budget = finite_m.pilot_length // geometry.reuse_factor
-    sinr = np.empty((trials, len(_PLANES), 0))
-    if budget:
-        different = PilotScheme.DIFFERENT_SETS
-        scn = _scenario(geometry, different, budget, max_tier, finite_m=finite_m, load=1)
-        sinr, _ = _run_blocks(_finite_block, scn, seed, trials, workers, (len(_PLANES), budget))
-    sinr.flags.writeable = False
-    return sinr
+def _failure_counts(thresholds, scn: _Scenario, seed: int, blocks: range, ws, rows, counts):
+    """_finite_block over the run blocks, then per block the trials whose
+    SINR falls below each linear threshold: counts (blocks, thresholds x
+    planes x users_per_cell), ordered (threshold, plane, load); rows only
+    gives the run's trial count.  The SINRs, about 30 kB a run on one tier,
+    live outside the workspace, as _finite_block's per-load arrays do."""
+    sinr = np.empty((len(rows), _PLANES.index(scn.scheme) + 1, scn.users_per_cell))
+    _finite_block(scn, seed, blocks, ws, sinr, counts)
+    short = sinr.reshape(len(rows), 1, -1) < np.reshape(thresholds, (-1, 1))
+    starts = np.arange(0, len(rows), _BLOCK)
+    np.add.reduceat(short, starts, dtype=float, out=counts.reshape(len(counts), *short.shape[1:]))
 
 
 def empirical_capacity_search(
     geometry: NetworkGeometry,
-    scheme: PilotScheme,
-    qos: QosTarget,
+    schemes,
+    targets,
     trials: int,
     seed: int,
     finite_m: FiniteMConfig = FiniteMConfig(),
@@ -934,26 +932,34 @@ def empirical_capacity_search(
     workers: int | None = None,
 ) -> CapacitySearchResult:
     """Largest per-cell load per reuse factor whose finite-M outage
-    P(SINR < S), estimated over all trials, is <= alpha.
+    P(SINR < S), estimated over all trials, is <= alpha, for every pilot
+    scheme of schemes and QoS target of targets (sequences).
 
     One pass per reuse factor draws every trial at the full pilot budget;
     load k keeps the first k users of each cell, so each load has the law
-    of sample_sir_finite_m at k and all loads share the draws (common
-    random numbers).
+    of sample_sir_finite_m at k, and all loads, targets and schemes share
+    the draws (common random numbers).  A different-sets pass fills both
+    schemes; a search for reused sets alone draws no pilot overlaps.
     """
-    per_reuse: dict[int, int] = {}
-    outage_at_k: dict[int, tuple[float, tuple[float, float]]] = {}
-    plane = _PLANES.index(scheme)
+    scheme = max(schemes, key=_PLANES.index)  # different sets fill both planes
+    count = functools.partial(_failure_counts, tuple(q.min_sir_linear for q in targets))
+    per_reuse, outage_at_k, best = {}, {}, {}
     for w in (1, 3, 7):
-        geo = geometry.with_reuse(w)
-        sinr = _finite_pass(geo, finite_m, max_tier, trials, seed, workers)[:, plane]
-        failures = np.count_nonzero(sinr < qos.min_sir_linear, axis=0)
-        admitted = np.flatnonzero(failures / trials <= qos.outage)
-        k = int(admitted[-1]) + 1 if admitted.size else 0
-        per_reuse[w] = k
-        outage_at_k[w] = (math.nan, (math.nan, math.nan))
-        if k:
-            fails = int(failures[k - 1])
-            outage_at_k[w] = (fails / trials, wilson_interval(fails, trials))
-    best_w = max(per_reuse, key=lambda w: (per_reuse[w], -w))
-    return CapacitySearchResult(per_reuse, outage_at_k, best_w, per_reuse[best_w])
+        budget = finite_m.pilot_length // w
+        failures = np.zeros((len(targets), _PLANES.index(scheme) + 1, budget))
+        if budget:
+            scn = _scenario(geometry.with_reuse(w), scheme, budget, max_tier, finite_m=finite_m, load=1)
+            _, per_block = _run_blocks(count, scn, seed, trials, workers, (0,), failures.size)
+            failures = per_block.sum(axis=0).reshape(failures.shape)
+        for s in schemes:
+            for i, qos in enumerate(targets):
+                fails = failures[i, _PLANES.index(s)]
+                admitted = np.flatnonzero(fails / trials <= qos.outage)
+                k = per_reuse[s, i, w] = int(admitted[-1]) + 1 if admitted.size else 0
+                outage_at_k[s, i, w] = (math.nan, (math.nan, math.nan))
+                if k:
+                    f = int(fails[k - 1])
+                    outage_at_k[s, i, w] = (f / trials, wilson_interval(f, trials))
+                if k > best.setdefault((s, i), (w, k))[1]:  # the smallest w of the largest k
+                    best[s, i] = (w, k)
+    return CapacitySearchResult(per_reuse, outage_at_k, best)

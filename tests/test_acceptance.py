@@ -218,21 +218,19 @@ def test_06_finite_m_table_pattern(capsys):
     presets = (("low", 0.0, 0.01), ("medium", 10.0, 0.05), ("high", 25.0, 0.05), ("very_high", 30.0, 0.005))
     reference = {"reused": (14, 14, 6, 6), "different": (42, 14, 14, 6)}
     cfg = FiniteMConfig()  # M=500, 42 pilots, 10 dB cell-edge SNRs
-    table = {}
-    for scheme in PilotScheme:
-        row = []
-        for _label, sdb, alpha in presets:
-            res = empirical_capacity_search(
-                GEO,
-                scheme,
-                QosTarget.from_db(sdb, alpha),
-                trials=10_000,
-                seed=SEED,
-                finite_m=cfg,
-                max_tier=1,
-            )
-            row.append(res.best_k)
-        table[scheme.value] = tuple(row)
+    res = empirical_capacity_search(
+        GEO,
+        list(PilotScheme),
+        [QosTarget.from_db(sdb, alpha) for _label, sdb, alpha in presets],
+        trials=10_000,
+        seed=SEED,
+        finite_m=cfg,
+        max_tier=1,
+    )
+    table = {
+        scheme.value: tuple(res.best[scheme, i][1] for i in range(len(presets)))
+        for scheme in PilotScheme
+    }
     reused, different = table["reused"], table["different"]
     # hard target: column-wise dominance of the different-sets scheme
     for col in range(4):

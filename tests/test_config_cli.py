@@ -522,11 +522,10 @@ class TestCli:
         assert not out.exists() if option == "--out" else out.read_text() == ""
 
     def test_finite_m_table_both_schemes_is_reused_then_different(self, config_file, tmp_path):
-        # byte for byte apart from the config hash, whichever passes serve it
+        # byte for byte apart from the config hash, whichever pass serves it
         sets = ["--set", "finite_m.antennas=16", "--set", "finite_m.trials=60"]
         tables = {}
         for scheme in ("both", "reused", "different"):
-            simulate._finite_pass.cache_clear()
             out = tmp_path / f"{scheme}.csv"
             args = [*sets, "--set", f"pilots.scheme={scheme}", "--out", str(out)]
             assert main(["finite-m-table", config_file, *args]) == 0
@@ -537,15 +536,33 @@ class TestCli:
         assert tables["reused"][:head] == tables["different"][:head]
         assert tables["both"] == tables["reused"] + tables["different"][head:]
 
-    @pytest.mark.parametrize("scheme, schemes", [("both", 2), ("reused", 1), ("different", 1)])
-    def test_finite_m_table_runs_one_pass_per_reuse_factor(self, config_file, scheme, schemes):
-        # every search of every scheme and QoS preset reads the same 3 passes
-        simulate._finite_pass.cache_clear()
+    @pytest.mark.parametrize("scheme", ["both", "reused", "different"])
+    def test_finite_m_table_runs_one_search_of_one_pass_per_reuse_factor(
+        self, config_file, monkeypatch, scheme
+    ):
+        # one search takes every scheme and QoS preset, and runs the blocks
+        # of one pass per reuse factor with a pilot budget
+        searches, passes = [], []
+        empirical_capacity_search, run_blocks = cli.empirical_capacity_search, simulate._run_blocks
+
+        def counted_search(*args, **kwargs):
+            searches.append(args)
+            return empirical_capacity_search(*args, **kwargs)
+
+        def counted_run_blocks(run_fn, scn, *args):
+            passes.append(scn.geometry.reuse_factor)
+            return run_blocks(run_fn, scn, *args)
+
+        monkeypatch.setattr(cli, "empirical_capacity_search", counted_search)
+        monkeypatch.setattr(simulate, "_run_blocks", counted_run_blocks)
         sets = ["--set", "finite_m.antennas=16", "--set", "finite_m.trials=60"]
-        args = [*sets, "--set", f"pilots.scheme={scheme}", "--out", os.devnull]
-        assert main(["finite-m-table", config_file, *args]) == 0
-        info = simulate._finite_pass.cache_info()
-        assert (info.hits, info.misses) == (3 * len(cli._QOS_PRESETS) * schemes - 3, 3)
+        for pilot_length, reuses in ((42, [1, 3, 7]), (6, [1, 3])):
+            searches.clear()
+            passes.clear()
+            args = [*sets, "--set", f"finite_m.pilot_length={pilot_length}"]
+            args += ["--set", f"pilots.scheme={scheme}", "--out", os.devnull]
+            assert main(["finite-m-table", config_file, *args]) == 0
+            assert len(searches) == 1 and passes == reuses
 
     def test_sir_cdf_budget_below_reuse7_is_config_error(self, config_file, capsys):
         # reuse 7 leaves 6 // 7 = 0 pilots per cell

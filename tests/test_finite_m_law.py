@@ -17,6 +17,7 @@ import numpy as np
 
 from hexagon_points import rhombus_xy
 from law_checks import law_failures
+from search_pass import full_budget_pass
 from mimocap.pilots import PilotScheme
 from mimocap.simulate import (
     _BLOCK,
@@ -24,7 +25,6 @@ from mimocap.simulate import (
     _ROLE_FADING,
     FiniteMConfig,
     _draw_users,
-    _finite_pass,
     _run_blocks,
     _scenario,
     sample_sir_finite_m,
@@ -142,7 +142,7 @@ def test_each_load_of_a_full_budget_pass_matches_brute_force_in_law(geometry):
             scn = _scenario(geo, scheme, k, max_tier=1, finite_m=cfg, load=k)
             seed = SEED + 1000 + 2 * i
             oracle = brute_force(scn, seed, TRIALS)
-            fast = _finite_pass(geo, cfg, 1, TRIALS, seed + 1, None)[:, _PLANES.index(scheme), k - 1]
+            fast = full_budget_pass(geo, cfg, 1, TRIALS, seed + 1)[:, _PLANES.index(scheme), k - 1]
             yield f"{scheme.value} w={w} load {k} of {42 // w} M={m} snr={snr_db} dB", oracle, fast
 
     failures, pooled = law_failures(cells())

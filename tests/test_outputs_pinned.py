@@ -32,7 +32,6 @@ import sys
 import numpy as np
 import pytest
 
-from mimocap import simulate
 from mimocap.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -63,7 +62,8 @@ def _cases():
         # one scheme alone: a reused-only table draws no pilot overlaps
         for scheme in ("reused", "different"):
             case = family = f"{config}-w0-finite-m-table-{scheme}"
-            yield case, family, config, "finite-m-table", ("montecarlo.workers=0", f"pilots.scheme={scheme}")
+            overrides = ("montecarlo.workers=0", f"pilots.scheme={scheme}")
+            yield case, family, config, "finite-m-table", overrides
     case = "default-analytic-sweep-capacity-table"
     yield case, case, "default", "capacity-table", ANALYTIC_SWEEP
 
@@ -85,7 +85,6 @@ def _fingerprint(line: bytes) -> str:
 
 def _run(tmp_path, config, command, overrides) -> dict[str, bytes]:
     """The bytes of every output of one command, by file name."""
-    simulate._finite_pass.cache_clear()  # each case computes its own passes
     sets = [arg for item in overrides for arg in ("--set", item)]
     argv = [command, str(CONFIGS / f"{config}.ini"), *sets]
     paths = {name: tmp_path / name for name in OUTPUTS[command].values()}

@@ -29,6 +29,40 @@ def test_traced_names_resolve():
     assert not missing
 
 
+def test_benchmark_tracer_covers_finite_m_table_with_one_search():
+    # perfbench's tracer, as the benchmark child installs it, on the
+    # finite-m-search workload's command: every name that perfbench/run.py
+    # expects records a call, and the table takes one search
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = (
+        "import json, os, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import mimocap.cli, mimocap.config\n"
+        "from run import WORKLOADS\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "argv = ['finite-m-table', 'configs/smoke.ini', '--set', 'finite_m.trials=40']\n"
+        "rc = mimocap.cli.main([*argv, '--out', os.devnull])\n"
+        "errors = tracer.coverage_errors(WORKLOADS['finite-m-search'].expected)\n"
+        "calls = tracer.summary()['simulate.empirical_capacity_search.calls']\n"
+        "print(json.dumps([rc, errors, calls]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(root / "perfbench")],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [], 1]
+
+
 def test_library_runs_without_scipy():
     # scipy costs most of the CLI's start-up and is a test-only dependency
     import os
@@ -173,8 +207,8 @@ def test_config_loads_without_numpy_or_the_samplers():
     assert proc.stdout.strip() == "[]"
 
 def test_cache_keys_hash_and_compare_by_value():
-    # cochannel_cells and _finite_pass are lru_caches keyed on these, so
-    # equal values must hit the same entry
+    # cochannel_cells is an lru_cache keyed on NetworkGeometry, so equal
+    # values must hit the same entry; FiniteMConfig is a value record too
     from mimocap.geometry import NetworkGeometry
     from mimocap.simulate import FiniteMConfig
 
@@ -199,9 +233,10 @@ def test_records_are_immutable_and_validate():
 
     rng = np.random.default_rng(1)
     book = mimocap.generate_pilot_book(mimocap.PilotScheme.REUSED_SETS, 3, 2, rng)
+    key = (mimocap.PilotScheme.REUSED_SETS, 0, 1)  # (scheme, target index, w)
     records = [
         (mimocap.CapacityReport(*[np.zeros(2)] * 7), "k_max"),
-        (mimocap.CapacitySearchResult({1: 3}, {1: (0.0, (0.0, 0.1))}, 1, 3), "best_k"),
+        (mimocap.CapacitySearchResult({key: 3}, {key: (0.0, (0.0, 0.1))}, {key[:2]: (1, 3)}), "best"),
         (mimocap.CirclePatch(1.0, 2.0), "separation_m"),
         (mimocap.FiniteMConfig(), "antennas"),
         (mimocap.GaussianInterference(1.0, 0.5), "variance"),

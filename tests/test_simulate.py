@@ -23,7 +23,6 @@ from mimocap.simulate import (
     _block_bytes,
     _draw_users,
     _finite_block,
-    _finite_pass,
     _limit_block,
     _run_blocks,
     _run_length,
@@ -39,6 +38,7 @@ from mimocap.simulate import (
 )
 from hexagon_points import rhombus_xy
 from pilot_oracles import beta_law_var_y
+from search_pass import full_budget_pass, per_block_failures, search_scenario
 
 SEED = 9221
 # finite-M close to the limiting SIR: many antennas and no noise
@@ -67,7 +67,8 @@ class TestDeterminism:
             lambda g, s: sample_sir_limit_shadowed(g, PilotScheme.DIFFERENT_SETS, 3, 8.0, 10, s, 42),
             lambda g, s: sample_sir_finite_m(g, PilotScheme.REUSED_SETS, 3, FiniteMConfig(antennas=24), 10, s),
             lambda g, s: empirical_capacity_search(
-                g, PilotScheme.DIFFERENT_SETS, QosTarget.from_db(0.0, 0.05), 10, s, FiniteMConfig(pilot_length=9)
+                g, [PilotScheme.DIFFERENT_SETS], [QosTarget.from_db(0.0, 0.05)], 10, s,
+                FiniteMConfig(pilot_length=9),
             ),
         ],
         ids=["limit", "shadowed", "finite_m", "search"],
@@ -111,7 +112,7 @@ class TestDeterminism:
             lambda n: sample_sir_limit(geometry, reused, 3, n, SEED, region="circle").samples,
             lambda n: sample_sir_limit_shadowed(geometry, different, 3, 8.0, n, SEED, 42).samples,
             lambda n: sample_sir_finite_m(geometry, different, 3, cfg, n, SEED).samples,
-            lambda n: _finite_pass(geometry, FiniteMConfig(pilot_length=9), 1, n, SEED, None)[:, 1],
+            lambda n: full_budget_pass(geometry, FiniteMConfig(pilot_length=9), 1, n, SEED)[:, 1],
         ]
         for run in runs:
             assert np.array_equal(run(300)[:100], run(100))
@@ -136,8 +137,9 @@ def _sampler_outputs(geometry, book, trials, workers) -> list:
             )
             out += [samples.samples, diag.max_interference_ratio, diag.tier_shares]
         out.append(sample_sir_finite_m(w3, scheme, 2, cfg, trials, SEED, workers=workers).samples)
-    # past the memo, so that every call draws: both planes of a search pass
-    out.append(_finite_pass.__wrapped__(w3, cfg, 1, trials, SEED, workers))
+    # both planes of a search pass, and the search's per-block failure counts
+    out.append(full_budget_pass(w3, cfg, 1, trials, SEED, workers))
+    out.append(per_block_failures(search_scenario(w3, cfg, 1), (1.0, 4.0), trials, SEED, workers))
     for region in ("hexagon", "circle"):
         samples = sample_sir_limit(
             w7, PilotScheme.DIFFERENT_SETS, 2, trials, SEED, 3, book, region, 1, workers
@@ -181,12 +183,14 @@ class TestRunsOfBlocks:
             lambda: sample_sir_limit(geometry, reused, 1, 2000, SEED),
             lambda: sample_sir_limit_shadowed(w7, different, 1, 8.0, 2000, SEED, 6, max_tier=1),
             lambda: sample_sir_finite_m(w7, different, 1, cfg, 2000, SEED),
-            lambda: _finite_pass.__wrapped__(w7, FiniteMConfig(pilot_length=7), 1, 2000, SEED, None),
+            lambda: full_budget_pass(w7, FiniteMConfig(pilot_length=7), 1, 2000, SEED),
+            lambda: per_block_failures(search_scenario(w7, cfg, 1), (1.0, 4.0), 2000, SEED),
         ]
         one_block_over_budget = [
             lambda: sample_sir_limit_shadowed(geometry, different, 4, 8.0, 200, SEED, 42),
             lambda: sample_sir_finite_m(geometry, different, 42, cfg, 200, SEED),
-            lambda: _finite_pass.__wrapped__(geometry, cfg, 1, 200, SEED, None),
+            lambda: full_budget_pass(geometry, cfg, 1, 200, SEED),
+            lambda: per_block_failures(search_scenario(geometry, cfg, 1), (1.0, 4.0), 200, SEED),
         ]
         budget = simulate._RUN_BYTES
         for call in several_blocks + one_block_over_budget:
@@ -235,7 +239,8 @@ def _heavy_outputs(geometry, trials, workers) -> list:
     cfg = FiniteMConfig()
     for scheme in PilotScheme:
         out.append(sample_sir_finite_m(geometry, scheme, 42, cfg, trials, SEED, workers=workers).samples)
-    out.append(_finite_pass.__wrapped__(geometry, cfg, 1, trials, SEED, workers))
+    out.append(full_budget_pass(geometry, cfg, 1, trials, SEED, workers))
+    out.append(per_block_failures(search_scenario(geometry, cfg, 1), (1.0, 4.0), trials, SEED, workers))
     return out
 
 
@@ -307,7 +312,7 @@ class TestThreadedParts:
             lambda: sample_sir_limit_shadowed(geometry, different, 1, 8.0, 700, SEED, 42, max_tier=1),
             lambda: sample_sir_finite_m(geometry, different, 3, FiniteMConfig(), 700, SEED),
             # the reuse-3 pass at budget 14: one block of 878 KB
-            lambda: _finite_pass.__wrapped__(geometry.with_reuse(3), FiniteMConfig(), 1, 700, SEED, None),
+            lambda: full_budget_pass(geometry.with_reuse(3), FiniteMConfig(), 1, 700, SEED),
         ):
             started.clear()
             call()
@@ -425,7 +430,7 @@ class TestWorkspace:
                 geometry, scheme, 3, 8.0, trials, seed, 9, diagnostics=True
             )
             finite = sample_sir_finite_m(geometry, scheme, 3, cfg, trials, seed)
-            by_load = _finite_pass(geometry, cfg, 1, trials, seed, None)[:, _PLANES.index(scheme)]
+            by_load = full_budget_pass(geometry, cfg, 1, trials, seed)[:, _PLANES.index(scheme)]
             shares = np.array(list(diag.tier_shares.values()))
             samples = [limit, booked, shadowed, finite]
             return [a for s in samples for a in (s.samples, s.sorted_samples)] + [shares, by_load]
@@ -437,7 +442,6 @@ class TestWorkspace:
         outputs(different, 300, SEED + 2)
         for got, expect in zip(first, kept):
             assert np.array_equal(got, expect)
-        assert not first[-1].flags.writeable  # the memoised array stays read-only
 
 
 def _hypot_distances(scn, u, v):
@@ -546,7 +550,7 @@ _UNDEFINED = "SINR is undefined with no interferers and no data noise"
         ),
         (lambda g: sample_sir_finite_m(g, _R, 1, _QUIET, 10, SEED, max_tier=0), _UNDEFINED),
         (
-            lambda g: empirical_capacity_search(g, _D, QosTarget.from_db(0.0, 0.05), 10, SEED, _QUIET, 0),
+            lambda g: empirical_capacity_search(g, [_D], [QosTarget.from_db(0.0, 0.05)], 10, SEED, _QUIET, 0),
             _UNDEFINED,
         ),
         # two bad inputs: the first check in the samplers' order fires
@@ -829,65 +833,47 @@ class TestOutageAndSearch:
         # the analytic k_u at w=1 (Gaussian approximation error allowed)
         res = empirical_capacity_search(
             geometry,
-            PilotScheme.DIFFERENT_SETS,
-            QosTarget.from_db(10.0, 0.05),
+            [_D],
+            [QosTarget.from_db(10.0, 0.05)],
             trials=4000,
             seed=SEED,
             finite_m=NEAR_LIMIT,
         )
-        assert 6 <= res.per_reuse[1] <= 13
+        assert 6 <= res.per_reuse[_D, 0, 1] <= 13
 
     def test_search_monotone_in_sir(self, geometry):
         # both thresholds are applied to the same draws, so a stricter SIR
         # target can only lower the admitted load, at every reuse factor
-        results = {}
-        for sdb in (10.0, 25.0):
-            results[sdb] = empirical_capacity_search(
-                geometry,
-                PilotScheme.DIFFERENT_SETS,
-                QosTarget.from_db(sdb, 0.05),
-                trials=1500,
-                seed=SEED,
-                finite_m=NEAR_LIMIT,
-            ).per_reuse
-        assert all(results[25.0][w] <= results[10.0][w] for w in (1, 3, 7))
+        targets = [QosTarget.from_db(sdb, 0.05) for sdb in (10.0, 25.0)]
+        res = empirical_capacity_search(
+            geometry, [_D], targets, trials=1500, seed=SEED, finite_m=NEAR_LIMIT
+        ).per_reuse
+        assert all(res[_D, 1, w] <= res[_D, 0, w] for w in (1, 3, 7))
 
     def test_search_reports_per_reuse_and_best(self, geometry):
         qos = QosTarget.from_db(0.0, 0.05)
         res = empirical_capacity_search(
-            geometry, PilotScheme.DIFFERENT_SETS, qos, trials=800, seed=SEED, finite_m=NEAR_LIMIT
+            geometry, [_D], [qos], trials=800, seed=SEED, finite_m=NEAR_LIMIT
         )
-        assert set(res.per_reuse) == {1, 3, 7}
-        assert res.per_reuse[1] == 42  # pilot-limited at low SIR
-        assert res.best_k == max(res.per_reuse.values())
-        assert res.outage_at_k[res.best_reuse][0] <= qos.outage
+        assert set(res.per_reuse) == set(res.outage_at_k) == {(_D, 0, w) for w in (1, 3, 7)}
+        assert res.per_reuse[_D, 0, 1] == 42  # pilot-limited at low SIR
+        best_w, best_k = res.best[_D, 0]
+        assert best_k == res.per_reuse[_D, 0, best_w] == max(res.per_reuse.values())
+        assert res.outage_at_k[_D, 0, best_w][0] <= qos.outage
         with pytest.raises(ValueError, match="trials"):
             empirical_capacity_search(
-                geometry, PilotScheme.DIFFERENT_SETS, qos, trials=0, seed=SEED, finite_m=NEAR_LIMIT
+                geometry, [_D], [qos], trials=0, seed=SEED, finite_m=NEAR_LIMIT
             )
 
     def test_search_worker_count_invariant(self, geometry):
         cfg = FiniteMConfig(antennas=32, pilot_length=9)
-        qos = QosTarget.from_db(0.0, 0.05)
-        for scheme in PilotScheme:
+        qos = [QosTarget.from_db(0.0, 0.05)]
+        for schemes in ([_R], [_D], list(PilotScheme)):
             for max_tier in (1, 2):
                 kwargs = dict(trials=300, seed=SEED, finite_m=cfg, max_tier=max_tier)
-                serial = empirical_capacity_search(geometry, scheme, qos, **kwargs)
-                parallel = empirical_capacity_search(geometry, scheme, qos, **kwargs, workers=2)
+                serial = empirical_capacity_search(geometry, schemes, qos, **kwargs)
+                parallel = empirical_capacity_search(geometry, schemes, qos, **kwargs, workers=2)
                 assert serial == parallel
-
-    def test_search_results_do_not_depend_on_the_scheme_asked_first(self, geometry):
-        # the first search runs the passes and the second reads them
-        cfg = FiniteMConfig(antennas=32, pilot_length=9)
-        qos = QosTarget.from_db(0.0, 0.05)
-        results = []
-        for order in (list(PilotScheme), list(PilotScheme)[::-1]):
-            _finite_pass.cache_clear()
-            results.append(
-                {s: empirical_capacity_search(geometry, s, qos, 300, SEED, cfg, 2) for s in order}
-            )
-        assert results[0] == results[1]
-        assert results[0][_R] != results[0][_D]
 
     def test_finite_m_search_rejects_undefined_sinr(self, geometry):
         # no data noise and no co-channel cells: load 1 leaves the tagged
@@ -896,9 +882,73 @@ class TestOutageAndSearch:
             cfg = FiniteMConfig(antennas=8, pilot_length=4, ul_snr_db=None, pilot_snr_db=pilot_snr_db)
             with pytest.raises(ValueError, match="undefined"):
                 empirical_capacity_search(
-                    geometry, PilotScheme.REUSED_SETS, QosTarget.from_db(60.0, 0.05),
+                    geometry, [_R], [QosTarget.from_db(60.0, 0.05)],
                     trials=20, seed=SEED, finite_m=cfg, max_tier=0,
                 )
+
+
+# targets whose admitted loads at M = 16 and 9 pilots spread over 0 .. budget
+_TARGETS = [
+    QosTarget.from_db(sir_db, alpha)
+    for sir_db, alpha in ((-5.0, 0.2), (0.0, 0.05), (8.0, 0.45), (15.0, 0.05))
+]
+
+
+def _search_from_the_full_pass(geometry, schemes, targets, trials, seed, cfg):
+    """The search result read off the whole SINR array of each pass: the
+    failures of every (scheme, target, load), then the largest admitted
+    load, its outage and the best reuse factor."""
+    per_reuse, outage_at_k, best = {}, {}, {}
+    for w in (1, 3, 7):
+        sinr = full_budget_pass(geometry.with_reuse(w), cfg, 1, trials, seed)
+        for scheme in schemes:
+            for i, qos in enumerate(targets):
+                failures = np.count_nonzero(sinr[:, _PLANES.index(scheme)] < qos.min_sir_linear, axis=0)
+                admitted = np.flatnonzero(failures / trials <= qos.outage)
+                k = per_reuse[scheme, i, w] = int(admitted[-1]) + 1 if admitted.size else 0
+                outage_at_k[scheme, i, w] = (math.nan, (math.nan, math.nan))
+                if k:
+                    f = int(failures[k - 1])
+                    outage_at_k[scheme, i, w] = (f / trials, wilson_interval(f, trials))
+    for scheme in schemes:
+        for i in range(len(targets)):
+            k, w = max((per_reuse[scheme, i, w], -w) for w in (1, 3, 7))
+            best[scheme, i] = (-w, k)
+    return per_reuse, outage_at_k, best
+
+
+class TestSearchCounts:
+    """The failure counts the search sums are those of the full SINR array of
+    the same pass, block by block, whatever the parts and runs."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+    def test_counts_equal_brute_force_over_the_pass(self, geometry, trials, workers):
+        cfg = FiniteMConfig(antennas=16, pilot_length=9)
+        thresholds = [qos.min_sir_linear for qos in _TARGETS]
+        for w in (1, 3, 7):
+            geo = geometry.with_reuse(w)
+            sinr = full_budget_pass(geo, cfg, 1, trials, SEED)
+            for scheme in PilotScheme:
+                scn = search_scenario(geo, cfg, 1, scheme)
+                counts = per_block_failures(scn, thresholds, trials, SEED, workers)
+                planes = _PLANES[: _PLANES.index(scheme) + 1]
+                assert counts.shape == (-(-trials // _BLOCK), len(_TARGETS), len(planes), 9 // w)
+                for b, start in enumerate(range(0, trials, _BLOCK)):
+                    block = sinr[start : start + _BLOCK, : len(planes)]
+                    for i, threshold in enumerate(thresholds):
+                        assert np.array_equal(counts[b, i], np.count_nonzero(block < threshold, axis=0))
+        expect = _search_from_the_full_pass(geometry, list(PilotScheme), _TARGETS, trials, SEED, cfg)
+        search = dict(trials=trials, seed=SEED, finite_m=cfg, workers=workers)
+        both = empirical_capacity_search(geometry, list(PilotScheme), _TARGETS, **search)
+        assert tuple(both) == expect
+        if trials == 130:  # the targets reach loads between 0 and the budget
+            assert {0, 1, 9} < set(both.per_reuse.values())
+        # one scheme alone: those entries of the both-schemes search
+        for scheme in PilotScheme:
+            alone = empirical_capacity_search(geometry, [scheme], _TARGETS, **search)
+            for got, full in zip(alone, both):
+                assert got == {key: v for key, v in full.items() if key[0] is scheme}
 
 
 class TestSharedPass:
@@ -909,23 +959,36 @@ class TestSharedPass:
         for max_tier in (1, 2):
             for snr_db in (10.0, None):
                 cfg = FiniteMConfig(16, budget, ul_snr_db=snr_db, pilot_snr_db=snr_db)
-                sinr = _finite_pass.__wrapped__(geometry, cfg, max_tier, 150, SEED, None)
+                sinr = full_budget_pass(geometry, cfg, max_tier, 150, SEED)
                 assert sinr.shape == (150, 2, budget)
                 for plane, scheme in enumerate(_PLANES):
                     alone = sample_sir_finite_m(geometry, scheme, budget, cfg, 150, SEED, max_tier)
                     assert np.array_equal(sinr[:, plane, -1], alone.samples)
 
-    @pytest.mark.parametrize("first", list(PilotScheme))
-    def test_memo_holds_one_pass_per_reuse_factor(self, geometry, first):
-        _finite_pass.cache_clear()
-        cfg = FiniteMConfig(antennas=16, pilot_length=9)
-        qos = QosTarget.from_db(0.0, 0.05)
-        empirical_capacity_search(geometry, first, qos, 100, SEED, cfg)
-        assert _finite_pass.cache_info().misses == 3
-        (second,) = set(PilotScheme) - {first}
-        empirical_capacity_search(geometry, second, qos, 100, SEED, cfg)
-        info = _finite_pass.cache_info()  # served by the first search's passes
-        assert (info.hits, info.misses) == (3, 3)
+    @pytest.mark.parametrize("schemes", [[_R], [_D], list(PilotScheme)], ids=["reused", "different", "both"])
+    def test_one_run_blocks_call_per_reuse_factor_with_a_budget(self, geometry, monkeypatch, schemes):
+        calls, roles = [], set()
+
+        def counted_run_blocks(run_fn, scn, *args):
+            calls.append((scn.geometry.reuse_factor, scn.scheme, scn.users_per_cell))
+            return _run_blocks(run_fn, scn, *args)
+
+        def counted_trial_rng(seed, block, role):
+            roles.add(role)
+            return trial_rng(seed, block, role)
+
+        monkeypatch.setattr(simulate, "_run_blocks", counted_run_blocks)
+        monkeypatch.setattr(simulate, "trial_rng", counted_trial_rng)
+        targets = [QosTarget.from_db(0.0, 0.05), QosTarget.from_db(10.0, 0.05)]
+        # a different-sets pass serves both schemes; a reused-only search
+        # draws no pilot overlaps
+        scheme = _D if _D in schemes else _R
+        for pilot_length, budgets in ((9, {1: 9, 3: 3, 7: 1}), (6, {1: 6, 3: 2})):
+            calls.clear()
+            roles.clear()
+            empirical_capacity_search(geometry, schemes, targets, 100, SEED, FiniteMConfig(16, pilot_length))
+            assert calls == [(w, scheme, k) for w, k in budgets.items()]
+            assert (simulate._ROLE_PILOTS in roles) == (scheme is _D)
 
 
 class TestSampleSet:
