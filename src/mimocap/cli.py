@@ -1,24 +1,17 @@
-"""Command line interface.
-
-Four commands, all driven by one config file plus --set overrides:
-
-  capacity-table   analytic k_u / k_max sweep over the QoS grid
-  sir-cdf          empirical vs Gaussian-approximation SIR CDFs (w=7 preset)
-  finite-m-table   admissible users per cell from the finite-M simulator
-  validate         self-check suite (oracles, identities, round trips)
+"""Command line interface: four commands, each driven by one config file.
 
 CSV output starts with '#' comment lines carrying the command, config hash
 and seed, so reruns with the same inputs are byte-identical.  Exit codes:
-0 success, 1 validation failure, 2 configuration error or an unwritable
-output path.
+0 success, 1 validation failure, 2 configuration error, usage error or an
+unwritable output path.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -315,52 +308,74 @@ def cmd_validate(config: ScenarioConfig, out) -> int:
     return 0 if failures == 0 else 1
 
 
+_USAGE = "usage: mimocap COMMAND CONFIG [--set SECTION.KEY=VALUE]... [--out PATH] [--diagnostics PATH]"
+_HELP = f"""{_USAGE}
+
+commands:
+  capacity-table   analytic k_u / k_max sweep over the QoS grid
+  sir-cdf          empirical vs Gaussian-approximation SIR CDFs (w=7 preset)
+  finite-m-table   admissible users per cell from the finite-M simulator
+  validate         self-check suite (oracles, identities, round trips)
+
+options, anywhere after COMMAND, as --opt VALUE or --opt=VALUE:
+  --set SECTION.KEY=VALUE  override one config value (repeatable)
+  --out PATH               output path, '-' (stdout) by default
+  --diagnostics PATH       capacity-table only: also write per-reuse-factor rows here
+  -h, --help               show this help"""
+_COMMANDS = ("capacity-table", "sir-cdf", "finite-m-table", "validate")
+# option: (default, the commands that take it); a tuple default collects every value, else the last counts
+_OPTIONS = {"--set": ((), _COMMANDS), "--out": ("-", _COMMANDS), "--diagnostics": (None, _COMMANDS[:1])}
+
+
+def _parse(argv):
+    """(command, config path, {option: value}) from argv, or ValueError.  Every token
+    that starts with '-' but '-' (stdout) is an option, and none is abbreviated."""
+    args = iter(argv)
+    command = next(args, None)
+    if command not in _COMMANDS:
+        raise ValueError(f"COMMAND must be one of {', '.join(_COMMANDS)}")
+    values, positionals = {opt: default for opt, (default, _) in _OPTIONS.items()}, []
+    for arg in args:
+        opt, eq, value = arg.partition("=")
+        if arg == "-" or not arg.startswith("-"):
+            positionals.append(arg)
+            continue
+        if command not in _OPTIONS.get(opt, (None, ()))[1]:
+            raise ValueError(f"unrecognized option for {command}: {opt}")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("-") and value != "-":
+                raise ValueError(f"argument {opt}: expected one argument")
+        values[opt] = (*values[opt], value) if isinstance(values[opt], tuple) else value
+    if len(positionals) != 1:
+        raise ValueError(f"expected one CONFIG, got {positionals}")
+    return command, positionals[0], values
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mimocap",
-        description="Uplink user capacity for pilot-contamination-limited massive MIMO",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("config", help="path to the scenario config file")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="SECTION.KEY=VALUE",
-            help="override one config value (repeatable)",
-        )
-        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-
-    p = sub.add_parser("capacity-table", help="analytic capacity sweep over the QoS grid")
-    add_common(p)
-    p.add_argument("--diagnostics", default=None, help="also write per-reuse-factor rows here")
-
-    p = sub.add_parser("sir-cdf", help="empirical vs Gaussian SIR CDFs (reuse 7 preset)")
-    add_common(p)
-
-    p = sub.add_parser("finite-m-table", help="finite-M admissible users per cell")
-    add_common(p)
-
-    p = sub.add_parser("validate", help="run the invariant / oracle suite")
-    add_common(p)
-
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_HELP)
+        return 0
     try:
-        config = load_config(args.config, tuple(args.overrides))
+        command, config_path, options = _parse(argv)
+    except ValueError as exc:
+        print(f"{_USAGE}\nmimocap: error: {exc}", file=sys.stderr)
+        return 2
+    out_path, diag_path = options["--out"], options["--diagnostics"]
+    try:
+        # '-' writes to /dev/stdout's file; two handles on one file would interleave rows
+        if diag_path is not None and {out_path, diag_path} != {"-"}:
+            real = [os.path.realpath("/dev/stdout" if p == "-" else p) for p in (out_path, diag_path)]
+            if real[0] == real[1] != os.devnull:
+                raise ConfigError(f"--out {out_path} and --diagnostics {diag_path} name the same file")
+        config = load_config(config_path, options["--set"])
         # opened before any work, so that an unwritable path costs none
-        with _open_out(args.out) as out, _open_out(getattr(args, "diagnostics", None)) as diag:
-            if args.command == "capacity-table":
+        with _open_out(out_path) as out, _open_out(diag_path) as diag:
+            if command == "capacity-table":
                 return cmd_capacity_table(config, out, diag)
-            if args.command == "sir-cdf":
-                return cmd_sir_cdf(config, out)
-            if args.command == "finite-m-table":
-                return cmd_finite_m_table(config, out)
-            if args.command == "validate":
-                return cmd_validate(config, out)
-            raise AssertionError(args.command)
+            run = {"sir-cdf": cmd_sir_cdf, "finite-m-table": cmd_finite_m_table, "validate": cmd_validate}
+            return run[command](config, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

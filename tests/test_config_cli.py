@@ -521,6 +521,56 @@ class TestCli:
         assert not path.parent.exists()
         assert not out.exists() if option == "--out" else out.read_text() == ""
 
+    @pytest.mark.parametrize(
+        "form", ["same-path", "dotted-path", "symlink", "existing-file", "stdout-by-path"]
+    )
+    def test_out_and_diagnostics_on_one_file_is_config_error(
+        self, form, config_file, tmp_path, capsys, monkeypatch
+    ):
+        # two handles on one file would interleave and overwrite the rows, so
+        # the call is refused before any output is opened or work done; '-'
+        # is the file that /dev/stdout names
+        def work(*args, **kwargs):
+            raise AssertionError("work done before the outputs were checked")
+
+        for module, name in (
+            (cli, "load_config"), (cli, "empirical_capacity_search"), (cli, "sample_sir_limit"),
+            (cap, "tier1_moments"), (cli, "_validation_checks"),
+        ):
+            monkeypatch.setattr(module, name, work)
+        out = tmp_path / "table.csv"
+        diag = {
+            "same-path": out,
+            "dotted-path": tmp_path / "sub" / ".." / "table.csv",
+            "symlink": tmp_path / "link.csv",
+            "existing-file": out,
+            "stdout-by-path": "-",
+        }[form]
+        if form == "stdout-by-path":
+            if not os.path.exists("/dev/stdout"):
+                pytest.skip("no /dev/stdout on this platform")
+            out = "/dev/stdout"
+        if form == "symlink":
+            diag.symlink_to(out)
+        if form == "existing-file":
+            out.write_text("kept\n")
+        argv = ["capacity-table", config_file, "--out", str(out), "--diagnostics", str(diag)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: --out {out} and --diagnostics {diag} name the same file"]
+        if form != "stdout-by-path":
+            assert out.read_text() == "kept\n" if form == "existing-file" else not out.exists()
+
+    def test_out_and_diagnostics_on_stdout_or_the_null_device_are_allowed(self, config_file, capsys):
+        # both to stdout ('-') give one stream, the table then the
+        # diagnostics; both to the null device write nothing
+        argv = ["capacity-table", config_file, "--set", "qos.sir_db_max=1"]
+        assert main([*argv, "--out", os.devnull, "--diagnostics", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+        assert main([*argv, "--out", "-", "--diagnostics", "-"]) == 0
+        text = capsys.readouterr().out
+        assert text.index("# mimocap capacity-table\n") < text.index("# mimocap capacity-table-diagnostics\n")
+
     def test_finite_m_table_both_schemes_is_reused_then_different(self, config_file, tmp_path):
         # byte for byte apart from the config hash, whichever pass serves it
         sets = ["--set", "finite_m.antennas=16", "--set", "finite_m.trials=60"]
@@ -724,3 +774,89 @@ class TestCsvWriter:
         out = io.StringIO()
         cli._write_rows(out, [], (("feasible", int),), [(True,), (False,)])
         assert out.getvalue() == "feasible\n1\n0\n"
+
+
+def _argparse_oracle():
+    """The argparse parser the CLI used to build, kept here as an oracle."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="mimocap")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in ("capacity-table", "sir-cdf", "finite-m-table", "validate"):
+        p = sub.add_parser(command)
+        p.add_argument("config")
+        p.add_argument("--set", dest="overrides", action="append", default=[])
+        p.add_argument("--out", default="-")
+        if command == "capacity-table":
+            p.add_argument("--diagnostics", default=None)
+    return parser
+
+
+class TestArgv:
+    ACCEPTED = [
+        ["validate", "c.ini"],
+        ["validate", "-"],
+        ["capacity-table", "--out", "o.csv", "c.ini"],
+        ["capacity-table", "c.ini", "--out=o.csv", "--diagnostics", "d.csv"],
+        ["capacity-table", "--diagnostics=d.csv", "--set", "qos.alphas=0.1", "c.ini", "--out", "-"],
+        ["capacity-table", "c.ini", "--out", "-", "--diagnostics", "-"],
+        ["sir-cdf", "--set", "a.b=1", "c.ini", "--set=c.d=2", "--set", "e.f=x=y"],
+        ["finite-m-table", "c.ini", "--out", "a.csv", "--out", "b.csv", "--out=c.csv"],
+        ["finite-m-table", "c.ini", "--out=--set", "--set=a.b="],
+        ["validate", "--out=", "c.ini", "--out", "-"],
+    ]
+    REJECTED = [
+        [],
+        ["bogus", "c.ini"],
+        ["--out", "o.csv", "validate", "c.ini"],
+        ["validate"],
+        ["validate", "--out", "o.csv"],
+        ["validate", "a.ini", "b.ini"],
+        ["validate", "c.ini", "--out"],
+        ["validate", "c.ini", "--out", "--set", "a.b=1"],
+        ["validate", "c.ini", "--set", "-x"],
+        ["validate", "c.ini", "-x"],
+        ["sir-cdf", "c.ini", "--diagnostics", "d.csv"],
+        ["finite-m-table", "c.ini", "--diagnostics=d.csv"],
+        ["capacity-table", "c.ini", "--diag", "d.csv"],  # argparse took the prefix
+    ]
+
+    @pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+    def test_accepted_argv_parses_as_argparse_did(self, argv):
+        args = _argparse_oracle().parse_args(argv)
+        expected = (
+            args.command, args.config, tuple(args.overrides), args.out,
+            getattr(args, "diagnostics", None),
+        )
+        command, config, options = cli._parse(argv)
+        got = (command, config, options["--set"], options["--out"], options["--diagnostics"])
+        assert got == expected
+
+    @pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+    def test_rejected_argv_is_usage_error_before_the_config(self, argv, capsys, monkeypatch):
+        def load(*args, **kwargs):
+            raise AssertionError("load_config called on a usage error")
+
+        monkeypatch.setattr(cli, "load_config", load)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        usage, error = captured.err.splitlines()
+        assert captured.out == ""
+        assert usage == cli._USAGE and usage.startswith("usage: mimocap ")
+        assert error.startswith("mimocap: error: ")
+        if "--diag" not in argv:  # unique prefixes are no longer taken
+            with pytest.raises(SystemExit) as exc:
+                _argparse_oracle().parse_args(argv)
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["validate", "c.ini", "--help"], ["bogus", "-h"]])
+    def test_help_anywhere_prints_help_and_returns_0(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_config", None)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli._HELP + "\n" and captured.err == ""
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["mimocap", "validate"])
+        assert main() == 2
+        assert capsys.readouterr().err.endswith("mimocap: error: expected one CONFIG, got []\n")

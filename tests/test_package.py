@@ -134,7 +134,8 @@ def test_commands_leave_single_path_modules_out():
     # so neither importing the CLI nor running the analytic commands loads
     # statistics (with its fractions and decimal) or numpy.polynomial; the
     # records are NamedTuples or hand-written classes, so no command loads
-    # dataclasses
+    # dataclasses; the CLI parses its own argv, so none loads argparse, with
+    # its gettext and locale
     import os
     import pathlib
     import subprocess
@@ -144,7 +145,8 @@ def test_commands_leave_single_path_modules_out():
     script = (
         "import os, sys\n"
         "import mimocap.cli\n"
-        "names = ('statistics', 'fractions', 'decimal', 'numpy.polynomial', 'dataclasses')\n"
+        "names = ('statistics', 'fractions', 'decimal', 'numpy.polynomial', 'dataclasses',\n"
+        "         'argparse', 'gettext', 'locale')\n"
         "subs = tuple(n + '.' for n in names)\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m in names or m.startswith(subs))\n"
@@ -171,6 +173,32 @@ def test_commands_leave_single_path_modules_out():
         "validate 0 []",
     ]
 
+
+def test_module_entry_point_prints_help_and_usage():
+    # python -m mimocap runs cli.main: --help on stdout with exit 0, and a
+    # missing command is a usage error on stderr with exit 2
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "mimocap", *args], cwd=root, env=env, capture_output=True, text=True
+        )
+
+    proc = run("--help")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: mimocap COMMAND CONFIG")
+    for name in ("capacity-table", "sir-cdf", "finite-m-table", "validate", "--set", "--out", "--diagnostics"):
+        assert f" {name} " in proc.stdout
+    proc = run()
+    assert proc.returncode == 2 and proc.stdout == ""
+    usage, error = proc.stderr.splitlines()
+    assert usage.startswith("usage: mimocap ") and error.startswith("mimocap: error: ")
 
 
 def test_config_loads_without_numpy_or_the_samplers():
